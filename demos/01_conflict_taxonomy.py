@@ -20,7 +20,7 @@ topo = five_xapp_topology()
 # The control-parameter graph: who writes what.
 print("xApp -> control parameters")
 for x in topo.xapps:
-    print(f"  {x.id}: {', '.join(sorted(x.icps))}   (priority {x.priority})")
+    print(f"  {x.id}: {', '.join(sorted(x.icps))}")
 
 # The KPI graph: who watches what.  k41/k42 also depend on p2, a coupling
 # the owning xApp never declared; it enters as an extra monitoring edge.

@@ -7,11 +7,13 @@ fight over transmit power while five arbitration strategies take turns
 deciding who wins.  Replicas are common-random-number paired, so the
 differences between arms are down to the strategy alone.
 
-Takes about 20 seconds at the default 50 replicas.
+Takes about 45 seconds at the default 50 replicas (42.5 s measured on
+2 cores with Python 3.11 and numpy 2.4).
 """
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ric_cms import (
@@ -29,7 +31,7 @@ args = parser.parse_args()
 
 exp = desk_preset(base_seed=args.seed)
 if args.reps is not None:
-    exp.reps = args.reps
+    exp = replace(exp, reps=args.reps)
 
 
 def progress(strategy, rep, total):

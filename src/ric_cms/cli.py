@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import conflict_model as cm
@@ -33,11 +34,10 @@ from .ran_sim import load_sim_config
 from .xapps import gen_stochastic_events
 
 BUILTIN_TOPOLOGY = "five-xapp"  # the five-app reference configuration
-_BUILTIN_ALIASES = {BUILTIN_TOPOLOGY, "fig1"}  # older spelling, still accepted
 
 
 def _load_topology(spec: str) -> cm.ConflictTopology:
-    if spec in _BUILTIN_ALIASES:
+    if spec == BUILTIN_TOPOLOGY:
         return cm.five_xapp_topology()
     return cm.load_topology(spec)
 
@@ -98,12 +98,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         exp = ExperimentConfig(sim=load_sim_config(args.config), base_seed=args.seed)
     else:
         raise ValueError("simulate needs --preset or --config")
+    overrides: dict = {"strategies": _parse_strategies(args.strategies)}
     if args.config and args.preset:
-        exp.sim = load_sim_config(args.config)
-    if args.strategies:
-        exp.strategies = _parse_strategies(args.strategies)
-    if args.reps:
-        exp.reps = args.reps
+        overrides["sim"] = load_sim_config(args.config)
+    if args.reps is not None:
+        overrides["reps"] = args.reps
+    exp = replace(exp, **overrides)
 
     def progress(strategy: str, rep: int, reps: int) -> None:
         if rep == 0:

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 class TopologyError(ValueError):
@@ -55,7 +55,6 @@ class XAppDescriptor:
     id: str
     icps: tuple[str, ...]
     kpis: tuple[KpiSpec, ...]
-    priority: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "icps", tuple(self.icps))
@@ -67,8 +66,6 @@ class XAppDescriptor:
         kpi_ids = [k.id for k in self.kpis]
         if len(set(kpi_ids)) != len(kpi_ids):
             raise TopologyError(f"xApp {self.id!r} declares duplicate KPIs")
-        if self.priority < 0:
-            raise TopologyError(f"xApp {self.id!r} has negative priority")
 
     def kpi_ids(self) -> tuple[str, ...]:
         return tuple(k.id for k in self.kpis)
@@ -134,13 +131,6 @@ class ConflictTopology:
             return self.kpi_owner[kpi_id]
         except KeyError:
             raise TopologyError(f"unknown KPI {kpi_id!r}") from None
-
-    def kpi_spec(self, kpi_id: str) -> KpiSpec:
-        owner = self.owner_of(kpi_id)
-        for k in self.xapp(owner).kpis:
-            if k.id == kpi_id:
-                return k
-        raise TopologyError(f"unknown KPI {kpi_id!r}")  # unreachable
 
 
 def build_topology(
@@ -349,47 +339,15 @@ def topology_from_dict(d: Mapping) -> ConflictTopology:
                 id=item["id"],
                 icps=tuple(item.get("icps", ())),
                 kpis=kpis,
-                priority=int(item.get("priority", 0)),
             )
         )
     extra = tuple((k, p) for k, p in d.get("extra_kp_edges", ()))
     return build_topology(xapps, extra)
 
 
-def topology_to_dict(t: ConflictTopology) -> dict:
-    base = build_topology(t.xapps)
-    extra = sorted(t.kp_edges - base.kp_edges)
-    return {
-        "xapps": [
-            {
-                "id": x.id,
-                "priority": x.priority,
-                "icps": list(x.icps),
-                "kpis": [
-                    {
-                        "id": k.id,
-                        "direction": k.direction.value,
-                        "sla_threshold": k.sla_threshold,
-                        "sla_sensitive": k.sla_sensitive,
-                    }
-                    for k in x.kpis
-                ],
-            }
-            for x in t.xapps
-        ],
-        "extra_kp_edges": [list(e) for e in extra],
-    }
-
-
 def load_topology(path: str | Path) -> ConflictTopology:
     with open(path) as f:
         return topology_from_dict(json.load(f))
-
-
-def save_topology(t: ConflictTopology, path: str | Path) -> None:
-    with open(path, "w") as f:
-        json.dump(topology_to_dict(t), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def write_graph_csvs(t: ConflictTopology, outdir: str | Path) -> list[Path]:

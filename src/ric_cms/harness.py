@@ -31,7 +31,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .conflict_model import ConflictTopology
 from .detection import (
     ChangeRecord,
     DegradationEvent,
@@ -75,7 +74,7 @@ RESULT_COLUMNS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     sim: SimConfig
     strategies: tuple[Strategy, ...] = ALL_STRATEGIES
@@ -88,7 +87,9 @@ class ExperimentConfig:
     attribution_window_ms: float = 1000.0
 
     def __post_init__(self):
-        self.strategies = tuple(self.strategies)
+        object.__setattr__(self, "strategies", tuple(self.strategies))
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ValueError("strategies must not repeat")
         ticks = self.interval_ms / self.sim.step_ms
         if abs(ticks - round(ticks)) > 1e-9 or round(ticks) < 2 or round(ticks) % 2:
             raise ValueError("interval_ms must be an even multiple of the simulation step")
@@ -153,12 +154,11 @@ def run_replica(
     rep: int,
     exp: ExperimentConfig,
     ctx: MitigationContext,
-    topology: ConflictTopology | None = None,
     record_trace: bool = False,
 ) -> tuple[ReplicaResult, Simulator]:
     seed = exp.base_seed + rep
     sim = Simulator(exp.sim, seed, record_trace=record_trace)
-    ledger = Ledger(topology or experiment_topology(), exp.attribution_window_ms)
+    ledger = Ledger(experiment_topology(), exp.attribution_window_ms)
 
     step = exp.sim.step_ms
     interval_ticks = int(round(exp.interval_ms / step))
@@ -389,45 +389,32 @@ def run_experiment(
     """Run every requested arm, pairing replicas by seed.
 
     The no-coordination arm runs first whenever it is requested or the
-    QACM arm needs it for calibration; its replicas are reused, never
-    re-run, so a repeated call with the same config is bit-reproducible.
+    QACM arm needs it for calibration; QACM calibrates from those
+    replicas, which are reused, never re-run, so a repeated call with the
+    same config is bit-reproducible.
     """
-    need_nc = Strategy.NC in exp.strategies or Strategy.QACM in exp.strategies
-    rows: dict[str, list[ReplicaResult]] = {}
+    arms = [s for s in exp.strategies if s is not Strategy.NC]
+    if Strategy.NC in exp.strategies or Strategy.QACM in exp.strategies:
+        arms.insert(0, Strategy.NC)
+    arm_rows: dict[Strategy, list[ReplicaResult]] = {}
     traces: dict[str, Simulator] = {}
-
-    nc_rows: list[ReplicaResult] = []
-    if need_nc:
-        base_ctx = _context(exp, Strategy.NC, None)
-        for rep in range(exp.reps):
-            if progress:
-                progress(Strategy.NC.value, rep, exp.reps)
-            res, sim = run_replica(Strategy.NC, rep, exp, base_ctx, record_trace=rep == 0)
-            nc_rows.append(res)
-            if rep == 0:
-                traces[Strategy.NC.value] = sim
-
     thresholds = None
     model_set = None
-    if Strategy.QACM in exp.strategies:
-        thresholds = derive_qacm_thresholds(nc_rows)
-        model_set = derive_qacm_models(nc_rows, exp, thresholds)
-
-    for strategy in exp.strategies:
-        if strategy is Strategy.NC:
-            rows[strategy.value] = nc_rows
-            continue
+    for strategy in arms:
+        if strategy is Strategy.QACM:
+            thresholds = derive_qacm_thresholds(arm_rows[Strategy.NC])
+            model_set = derive_qacm_models(arm_rows[Strategy.NC], exp, thresholds)
         ctx = _context(exp, strategy, model_set)
-        arm: list[ReplicaResult] = []
+        arm_rows[strategy] = []
         for rep in range(exp.reps):
             if progress:
                 progress(strategy.value, rep, exp.reps)
             res, sim = run_replica(strategy, rep, exp, ctx, record_trace=rep == 0)
-            arm.append(res)
+            arm_rows[strategy].append(res)
             if rep == 0:
                 traces[strategy.value] = sim
-        rows[strategy.value] = arm
 
+    rows = {s.value: arm_rows[s] for s in exp.strategies}
     return ExperimentResult(exp, rows, thresholds, model_set, traces)
 
 
@@ -444,26 +431,6 @@ def export_csv(result: ExperimentResult, path: str | Path) -> None:
         for strategy in result.config.strategies:
             for r in result.rows.get(strategy.value, ()):
                 w.writerow(r.csv_row())
-
-
-def import_csv(path: str | Path) -> list[dict]:
-    import csv
-
-    out = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            out.append(
-                {
-                    "strategy": row["strategy"],
-                    "rep": int(row["rep"]),
-                    "seed": int(row["seed"]),
-                    "energy_efficiency_bits_per_joule": float(row["energy_efficiency_bits_per_joule"]),
-                    "link_failures": int(row["link_failures"]),
-                    "total_handovers": int(row["total_handovers"]),
-                    "pingpong_handovers": int(row["pingpong_handovers"]),
-                }
-            )
-    return out
 
 
 def export_summary_json(result: ExperimentResult, path: str | Path) -> None:

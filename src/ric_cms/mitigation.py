@@ -19,10 +19,8 @@ at once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .conflict_model import KpiDirection
@@ -157,53 +155,6 @@ class ResponseModelSet:
 
     def optimize(self) -> QacmResult:
         return qacm_optimize(self.models, self.bounds, self.grid_step)
-
-
-def response_models_from_dict(d: Mapping) -> ResponseModelSet:
-    models = tuple(
-        KpiResponseModel(
-            kpi=m["kpi"],
-            direction=KpiDirection(m["direction"]),
-            threshold=float(m["threshold"]),
-            curve=tuple((float(v), float(y)) for v, y in m["curve"]),
-        )
-        for m in d["models"]
-    )
-    lo, hi = d["bounds"]
-    return ResponseModelSet(
-        param=d["param"],
-        bounds=(float(lo), float(hi)),
-        grid_step=float(d.get("grid_step", 1.0)),
-        models=models,
-    )
-
-
-def response_models_to_dict(s: ResponseModelSet) -> dict:
-    return {
-        "param": s.param,
-        "bounds": list(s.bounds),
-        "grid_step": s.grid_step,
-        "models": [
-            {
-                "kpi": m.kpi,
-                "direction": m.direction.value,
-                "threshold": m.threshold,
-                "curve": [list(p) for p in m.curve],
-            }
-            for m in s.models
-        ],
-    }
-
-
-def load_response_models(path: str | Path) -> ResponseModelSet:
-    with open(path) as f:
-        return response_models_from_dict(json.load(f))
-
-
-def save_response_models(s: ResponseModelSet, path: str | Path) -> None:
-    with open(path, "w") as f:
-        json.dump(response_models_to_dict(s), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 # ---------------------------------------------------------------------------

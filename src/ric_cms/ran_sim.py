@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -95,47 +95,14 @@ class SimConfig:
         return int(round(self.duration_s * 1000.0 / self.step_ms))
 
 
-def sim_config_to_dict(cfg: SimConfig) -> dict:
-    return {
-        "n_ues": cfg.n_ues,
-        "area_m": list(cfg.area_m),
-        "gnb_positions": None if cfg.gnb_positions is None else [list(p) for p in cfg.gnb_positions],
-        "step_ms": cfg.step_ms,
-        "duration_s": cfg.duration_s,
-        "txp_dbm": cfg.txp_dbm,
-        "ret_deg": cfg.ret_deg,
-        "cio_db": cfg.cio_db,
-        "hys_db": cfg.hys_db,
-        "ttt_ms": cfg.ttt_ms,
-        "min_rsrp_dbm": cfg.min_rsrp_dbm,
-        "noise_floor_dbm": cfg.noise_floor_dbm,
-        "pingpong_window_ms": cfg.pingpong_window_ms,
-        "ue_bandwidth_hz": cfg.ue_bandwidth_hz,
-        "speed_classes": [list(c) for c in cfg.speed_classes],
-        "service_classes": [list(c) for c in cfg.service_classes],
-    }
-
-
-def sim_config_from_dict(d: dict) -> SimConfig:
-    kwargs = dict(d)
-    if kwargs.get("gnb_positions") is not None:
-        kwargs["gnb_positions"] = tuple(tuple(p) for p in kwargs["gnb_positions"])
-    for key in ("speed_classes", "service_classes"):
-        if key in kwargs:
-            kwargs[key] = tuple(tuple(c) for c in kwargs[key])
-    if "area_m" in kwargs:
-        kwargs["area_m"] = tuple(kwargs["area_m"])
-    return SimConfig(**kwargs)
-
-
 def load_sim_config(path: str | Path) -> SimConfig:
     with open(path) as f:
-        return sim_config_from_dict(json.load(f))
+        return SimConfig(**json.load(f))
 
 
 def save_sim_config(cfg: SimConfig, path: str | Path) -> None:
     with open(path, "w") as f:
-        json.dump(sim_config_to_dict(cfg), f, indent=2, sort_keys=True)
+        json.dump(asdict(cfg), f, indent=2, sort_keys=True)
         f.write("\n")
 
 

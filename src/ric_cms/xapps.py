@@ -13,11 +13,8 @@ every degradation attributes to exactly its own change.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
-from enum import Enum
-from pathlib import Path
 
 from .conflict_model import (
     ConflictTopology,
@@ -68,98 +65,6 @@ def mro_request(t_ms: float) -> ParameterRequest:
 
 
 # ---------------------------------------------------------------------------
-# Policy files
-# ---------------------------------------------------------------------------
-
-class Trigger(Enum):
-    INTERVAL_START = "interval_start"
-    HALF_INTERVAL = "half_interval"
-
-
-@dataclass(frozen=True)
-class PolicyCondition:
-    """Optional gate on a policy: fire only when a windowed KPI statistic
-    compares true against the reference value."""
-
-    kpi: str
-    op: str  # one of > >= < <=
-    value: float
-    window_ms: float
-
-    _OPS = {
-        ">": lambda a, b: a > b,
-        ">=": lambda a, b: a >= b,
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-    }
-
-    def __post_init__(self):
-        if self.op not in self._OPS:
-            raise ValueError(f"unsupported op {self.op!r}")
-
-    def holds(self, kpi_value: float) -> bool:
-        return self._OPS[self.op](kpi_value, self.value)
-
-
-@dataclass(frozen=True)
-class XAppPolicy:
-    xapp: str
-    trigger: Trigger
-    request_value: float
-    condition: PolicyCondition | None = None
-
-    def request(self, t_ms: float) -> ParameterRequest:
-        return ParameterRequest(self.xapp, TXP_PARAM, self.request_value, t_ms)
-
-
-def default_policies() -> tuple[XAppPolicy, XAppPolicy]:
-    return (
-        XAppPolicy(ES_XAPP_ID, Trigger.INTERVAL_START, ES_TXP_DBM),
-        XAppPolicy(MRO_XAPP_ID, Trigger.HALF_INTERVAL, MRO_TXP_DBM),
-    )
-
-
-def policy_from_dict(d: dict) -> XAppPolicy:
-    cond = None
-    if d.get("condition") is not None:
-        c = d["condition"]
-        cond = PolicyCondition(c["kpi"], c["op"], float(c["value"]), float(c["window_ms"]))
-    return XAppPolicy(
-        xapp=d["xapp"],
-        trigger=Trigger(d["trigger"]),
-        request_value=float(d["request_value"]),
-        condition=cond,
-    )
-
-
-def policy_to_dict(p: XAppPolicy) -> dict:
-    return {
-        "xapp": p.xapp,
-        "trigger": p.trigger.value,
-        "request_value": p.request_value,
-        "condition": None
-        if p.condition is None
-        else {
-            "kpi": p.condition.kpi,
-            "op": p.condition.op,
-            "value": p.condition.value,
-            "window_ms": p.condition.window_ms,
-        },
-    }
-
-
-def load_policy(path: str | Path) -> XAppPolicy:
-    with open(path) as f:
-        return policy_from_dict(json.load(f))
-
-
-def save_policy(p: XAppPolicy, path: str | Path) -> None:
-    with open(path, "w") as f:
-        json.dump(policy_to_dict(p), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-# ---------------------------------------------------------------------------
 # Labeled detection workloads
 # ---------------------------------------------------------------------------
 
@@ -194,14 +99,6 @@ def _instance_pools(t: ConflictTopology) -> dict[VerdictKind, list[tuple[str, st
                     else:
                         pools[VerdictKind.IMPLICIT].append((instr.id, p, obs.id, kpi))
     return pools
-
-
-KIND_TO_VERDICT = {
-    "no_conflict": VerdictKind.NO_CONFLICT,
-    "direct": VerdictKind.DIRECT,
-    "indirect": VerdictKind.INDIRECT,
-    "implicit": VerdictKind.IMPLICIT,
-}
 
 
 def gen_stochastic_events(

@@ -8,6 +8,23 @@ from ric_cms.conflict_model import KpiDirection, KpiSpec, XAppDescriptor
 from ric_cms.mitigation import KpiResponseModel
 
 
+def _kpi_json(kpi_id: str) -> dict:
+    return {"id": kpi_id, "direction": "maximize", "sla_threshold": 100.0, "sla_sensitive": True}
+
+
+# The five-xApp reference topology as it is written in a topology JSON file.
+FIVE_XAPP_TOPOLOGY_JSON = {
+    "xapps": [
+        {"id": "x1", "icps": ["p1", "p2"], "kpis": [_kpi_json("k1")]},
+        {"id": "x2", "icps": ["p1", "p2", "p3"], "kpis": [_kpi_json("k2")]},
+        {"id": "x3", "icps": ["p1", "p4"], "kpis": [_kpi_json("k3")]},
+        {"id": "x4", "icps": ["p5", "p6"], "kpis": [_kpi_json("k41"), _kpi_json("k42")]},
+        {"id": "x5", "icps": ["p7", "p8"], "kpis": [_kpi_json("k5")]},
+    ],
+    "extra_kp_edges": [["k41", "p2"], ["k42", "p2"]],
+}
+
+
 def random_topology_inputs(rng: random.Random, max_xapps=10, max_params=12, max_kpis=8):
     """Random descriptor set: params drawn from a shared pool (overlap is
     the point), KPIs partitioned so ownership stays unique.  Returns

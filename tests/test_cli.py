@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from conftest import FIVE_XAPP_TOPOLOGY_JSON
 from ric_cms.cli import main
-from ric_cms.conflict_model import five_xapp_topology, save_topology
+from ric_cms.ran_sim import SimConfig, save_sim_config
 
 
 def test_topology_builtin(capsys):
@@ -15,12 +16,6 @@ def test_topology_builtin(capsys):
     assert "indirect conflicts: 2" in out
 
 
-def test_topology_builtin_alias(capsys):
-    # older spelling of the built-in name keeps working
-    assert main(["topology", "--input", "fig1"]) == 0
-    assert "xApps: 5" in capsys.readouterr().out
-
-
 def test_topology_emit_graphs(tmp_path, capsys):
     out_dir = tmp_path / "graphs"
     assert main(["topology", "--input", "five-xapp", "--emit-graphs", str(out_dir)]) == 0
@@ -30,7 +25,7 @@ def test_topology_emit_graphs(tmp_path, capsys):
 
 def test_topology_from_file(tmp_path, capsys):
     path = tmp_path / "topo.json"
-    save_topology(five_xapp_topology(), path)
+    path.write_text(json.dumps(FIVE_XAPP_TOPOLOGY_JSON))
     assert main(["topology", "--input", str(path)]) == 0
     assert "xApps: 5" in capsys.readouterr().out
 
@@ -93,8 +88,6 @@ def test_simulate_rejects_unknown_strategy(tmp_path, capsys):
 
 
 def test_simulate_with_scenario_file(tmp_path, capsys):
-    from ric_cms.ran_sim import SimConfig, save_sim_config
-
     scenario = tmp_path / "scenario.json"
     save_sim_config(SimConfig(duration_s=10.0), scenario)
     out_dir = tmp_path / "run"
@@ -103,3 +96,30 @@ def test_simulate_with_scenario_file(tmp_path, capsys):
     )
     assert rc == 0
     assert (out_dir / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, detail",
+    [
+        (["--reps", "0", "--strategies", "nc"], "reps must be positive"),
+        (["--reps", "-2"], "reps must be positive"),
+        (["--reps", "1", "--strategies", "nc,nc"], "strategies must not repeat"),
+        (["--reps", "1", "--strategies", ""], "empty strategy list"),
+        (["--reps", "1", "--config", "{scenario}"], "interval_ms"),
+    ],
+    ids=["reps-zero", "reps-negative", "duplicate-strategy", "empty-strategies", "preset-with-misaligned-scenario"],
+)
+def test_simulate_rejects_invalid_experiment(tmp_path, capsys, flags, detail):
+    # --config over a preset replaces the preset's scenario, so the
+    # interval check must see the scenario's 300 ms step
+    scenario = tmp_path / "scenario.json"
+    save_sim_config(SimConfig(step_ms=300.0), scenario)
+    flags = [f.format(scenario=scenario) for f in flags]
+    rc = main(["simulate", "--preset", "desk", *flags, "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert detail in payload["detail"]
+    assert not (tmp_path / "run").exists()

@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from conftest import oracle_direct_pairs, oracle_param_groups, random_topology_inputs
+from conftest import FIVE_XAPP_TOPOLOGY_JSON, oracle_direct_pairs, oracle_param_groups, random_topology_inputs
 from ric_cms.conflict_model import (
     ConflictKind,
     KpiDirection,
@@ -17,9 +18,7 @@ from ric_cms.conflict_model import (
     load_topology,
     param_param_edges,
     promote_implicit,
-    save_topology,
     topology_from_dict,
-    topology_to_dict,
     write_graph_csvs,
 )
 
@@ -140,15 +139,13 @@ def test_groups_match_membership_oracle():
 
 
 def test_dict_roundtrip_preserves_everything():
-    t = five_xapp_topology()
-    assert topology_from_dict(topology_to_dict(t)) == t
+    assert topology_from_dict(FIVE_XAPP_TOPOLOGY_JSON) == five_xapp_topology()
 
 
 def test_file_roundtrip(tmp_path):
-    t = five_xapp_topology()
     path = tmp_path / "topo.json"
-    save_topology(t, path)
-    assert load_topology(path) == t
+    path.write_text(json.dumps(FIVE_XAPP_TOPOLOGY_JSON))
+    assert load_topology(path) == five_xapp_topology()
 
 
 def test_graph_csvs(tmp_path):

@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+
 import pytest
 
 from ric_cms.conflict_model import KpiDirection
@@ -15,7 +18,6 @@ from ric_cms.harness import (
     export_csv,
     export_summary_json,
     export_traces,
-    import_csv,
     paper_preset,
     run_experiment,
     run_replica,
@@ -44,6 +46,20 @@ def test_interval_must_align_with_step():
         ExperimentConfig(sim=SimConfig(), interval_ms=250.0)
     with pytest.raises(ValueError, match="interval"):
         ExperimentConfig(sim=SimConfig(), interval_ms=300.0)  # odd tick count
+
+
+def test_duplicate_strategies_rejected():
+    with pytest.raises(ValueError, match="repeat"):
+        small_exp(strategies=(Strategy.NC, Strategy.SBD, Strategy.NC))
+
+
+def test_config_is_frozen():
+    exp = small_exp()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        exp.reps = 0
+    assert dataclasses.replace(exp, reps=3).reps == 3
+    with pytest.raises(ValueError, match="reps"):
+        dataclasses.replace(exp, reps=0)
 
 
 # -- per-strategy phase behaviour ------------------------------------------
@@ -199,13 +215,14 @@ def test_qacm_only_run_still_calibrates():
 def test_csv_roundtrip(tmp_path, small_result):
     path = tmp_path / "results.csv"
     export_csv(small_result, path)
-    rows = import_csv(path)
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 10  # 5 strategies x 2 reps
     first = rows[0]
-    assert first["strategy"] == "nc" and first["rep"] == 0 and first["seed"] == 5
+    assert first["strategy"] == "nc" and int(first["rep"]) == 0 and int(first["seed"]) == 5
     got = small_result.rows["nc"][0]
-    assert first["energy_efficiency_bits_per_joule"] == got.energy_efficiency_bits_per_joule
-    assert first["link_failures"] == got.link_failures
+    assert float(first["energy_efficiency_bits_per_joule"]) == got.energy_efficiency_bits_per_joule
+    assert int(first["link_failures"]) == got.link_failures
 
 
 def test_summary_json_content(tmp_path, small_result):

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -11,12 +10,8 @@ from ric_cms.mitigation import (
     ParameterRequest,
     ResponseModelSet,
     Strategy,
-    load_response_models,
     mitigate,
     qacm_optimize,
-    response_models_from_dict,
-    response_models_to_dict,
-    save_response_models,
 )
 
 
@@ -212,26 +207,3 @@ def test_requests_must_share_parameter():
 def test_no_requests_rejected():
     with pytest.raises(MitigationError, match="no requests"):
         mitigate(Strategy.NC, [], ctx())
-
-
-# -- serialization ----------------------------------------------------------
-
-def test_model_set_dict_roundtrip():
-    ms = ResponseModelSet(
-        "TXP",
-        (0.0, 50.0),
-        0.5,
-        (
-            model(threshold=7.0, kpi="ee"),
-            model(direction=KpiDirection.MINIMIZE, threshold=2.0, kpi="lf", curve=((0.0, 9.0), (50.0, 1.0))),
-        ),
-    )
-    assert response_models_from_dict(response_models_to_dict(ms)) == ms
-
-
-def test_model_set_file_roundtrip(tmp_path):
-    ms = ResponseModelSet("TXP", (0.0, 50.0), 1.0, (model(),))
-    path = tmp_path / "models.json"
-    save_response_models(ms, path)
-    assert load_response_models(path) == ms
-    assert math.isclose(load_response_models(path).optimize().value, ms.optimize().value)

@@ -15,8 +15,6 @@ from ric_cms.ran_sim import (
     path_loss_db,
     rsrp_dbm,
     save_sim_config,
-    sim_config_from_dict,
-    sim_config_to_dict,
     write_trace_csv,
 )
 
@@ -288,7 +286,6 @@ def test_trace_disabled_keeps_counters():
 
 def test_config_roundtrip(tmp_path):
     cfg = SimConfig(n_ues=7, duration_s=12.0, gnb_positions=((1.0, 2.0), (3.0, 4.0)))
-    assert sim_config_from_dict(sim_config_to_dict(cfg)) == cfg
     path = tmp_path / "scenario.json"
     save_sim_config(cfg, path)
     assert load_sim_config(path) == cfg

@@ -13,19 +13,11 @@ from ric_cms.detection import Ledger, VerdictKind
 from ric_cms.xapps import (
     ES_TXP_DBM,
     MRO_TXP_DBM,
-    PolicyCondition,
-    Trigger,
-    XAppPolicy,
     _instance_pools,
-    default_policies,
     es_request,
     experiment_topology,
     gen_stochastic_events,
-    load_policy,
     mro_request,
-    policy_from_dict,
-    policy_to_dict,
-    save_policy,
 )
 
 
@@ -44,37 +36,6 @@ def test_request_helpers():
     r2 = mro_request(1500.0)
     assert (r2.xapp, r2.value) == ("mro", MRO_TXP_DBM)
     assert ES_TXP_DBM == 3.0 and MRO_TXP_DBM == 50.0
-
-
-# -- policies ---------------------------------------------------------------
-
-def test_default_policies_cadence():
-    es, mro = default_policies()
-    assert es.trigger is Trigger.INTERVAL_START and es.request_value == 3.0
-    assert mro.trigger is Trigger.HALF_INTERVAL and mro.request_value == 50.0
-    assert es.condition is None
-
-
-def test_policy_condition_ops():
-    c = PolicyCondition("lf", ">", 0.5, 1000.0)
-    assert c.holds(1.0) and not c.holds(0.5)
-    assert PolicyCondition("lf", "<=", 0.5, 1000.0).holds(0.5)
-    with pytest.raises(ValueError, match="op"):
-        PolicyCondition("lf", "!=", 0.5, 1000.0)
-
-
-def test_policy_dict_roundtrip():
-    p = XAppPolicy("mro", Trigger.HALF_INTERVAL, 50.0, PolicyCondition("lf", ">", 0.5, 1000.0))
-    assert policy_from_dict(policy_to_dict(p)) == p
-    bare = XAppPolicy("es", Trigger.INTERVAL_START, 3.0)
-    assert policy_from_dict(policy_to_dict(bare)) == bare
-
-
-def test_policy_file_roundtrip(tmp_path):
-    p = XAppPolicy("es", Trigger.INTERVAL_START, 3.0)
-    path = tmp_path / "policy.json"
-    save_policy(p, path)
-    assert load_policy(path) == p
 
 
 # -- labeled event generation ----------------------------------------------
