@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
@@ -89,17 +90,59 @@ class StaticConflict:
 
 @dataclass(frozen=True)
 class ConflictTopology:
-    """Immutable result of the grouping pass.
+    """The conflict graph, stored once: the xApps and the KPI-parameter
+    edge set.
 
-    param_to_kpis maps each parameter to every KPI it can influence;
-    param_groups is the inverse (KPI -> parameter group).  Edits such as
-    implicit promotion return a new topology (copy on write).
+    The declared edges (an xApp that writes p and owns k gives (k, p)) are
+    always part of kp_edges.  Every other view is derived once here and is
+    read-only: kpi_owner, icps (xApp -> ICPs), param_groups (KPI ->
+    parameter group) and its inverse param_to_kpis.  Only the two stored
+    fields are compared and hashed, so the same xApps and edges in any
+    order give an equal topology.  Edits such as implicit promotion return
+    a new topology.
     """
 
     xapps: tuple[XAppDescriptor, ...]
-    param_to_kpis: Mapping[str, frozenset[str]]
-    param_groups: Mapping[str, frozenset[str]]
-    kpi_owner: Mapping[str, str] = field(compare=False)
+    kp_edges: frozenset[tuple[str, str]] = frozenset()
+    kpi_owner: Mapping[str, str] = field(init=False, compare=False, repr=False)
+    icps: Mapping[str, frozenset[str]] = field(init=False, compare=False, repr=False)
+    param_groups: Mapping[str, frozenset[str]] = field(init=False, compare=False, repr=False)
+    param_to_kpis: Mapping[str, frozenset[str]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        xapps = tuple(sorted(self.xapps, key=lambda x: x.id))
+        icps: dict[str, frozenset[str]] = {}
+        kpi_owner: dict[str, str] = {}
+        for x in xapps:
+            if x.id in icps:
+                raise TopologyError(f"duplicate xApp id {x.id!r}")
+            icps[x.id] = frozenset(x.icps)
+            for k in x.kpis:
+                if k.id in kpi_owner:
+                    raise TopologyError(f"KPI {k.id!r} owned by both {kpi_owner[k.id]!r} and {x.id!r}")
+                kpi_owner[k.id] = x.id
+
+        edges = frozenset(self.kp_edges) | {(k.id, p) for x in xapps for k in x.kpis for p in x.icps}
+        groups: dict[str, set[str]] = {k: set() for k in kpi_owner}
+        param_to_kpis: dict[str, set[str]] = {p: set() for x in xapps for p in x.icps}
+        try:
+            for k, p in edges:
+                groups[k].add(p)
+                param_to_kpis[p].add(k)
+        except KeyError:
+            k, p = min(e for e in edges if e[0] not in groups or e[1] not in param_to_kpis)
+            what = f"KPI {k!r}" if k not in groups else f"parameter {p!r}"
+            raise TopologyError(f"edge ({k!r}, {p!r}) references unknown {what}") from None
+
+        def frozen(m: dict) -> Mapping:
+            return MappingProxyType({key: frozenset(v) for key, v in m.items()})
+
+        object.__setattr__(self, "xapps", xapps)
+        object.__setattr__(self, "kp_edges", edges)
+        object.__setattr__(self, "kpi_owner", MappingProxyType(kpi_owner))
+        object.__setattr__(self, "icps", MappingProxyType(icps))
+        object.__setattr__(self, "param_groups", frozen(groups))
+        object.__setattr__(self, "param_to_kpis", frozen(param_to_kpis))
 
     @property
     def all_params(self) -> frozenset[str]:
@@ -112,19 +155,6 @@ class ConflictTopology:
     @property
     def xp_edges(self) -> frozenset[tuple[str, str]]:
         return frozenset((x.id, p) for x in self.xapps for p in x.icps)
-
-    @property
-    def kp_edges(self) -> frozenset[tuple[str, str]]:
-        return frozenset((k, p) for k, ps in self.param_groups.items() for p in ps)
-
-    def xapp(self, xapp_id: str) -> XAppDescriptor:
-        for x in self.xapps:
-            if x.id == xapp_id:
-                return x
-        raise TopologyError(f"unknown xApp {xapp_id!r}")
-
-    def icps_of(self, xapp_id: str) -> frozenset[str]:
-        return frozenset(self.xapp(xapp_id).icps)
 
     def owner_of(self, kpi_id: str) -> str:
         try:
@@ -139,59 +169,17 @@ def build_topology(
 ) -> ConflictTopology:
     """Build the conflict topology from xApp descriptors.
 
-    The core pass walks every xApp, every ICP, every monitored KPI and
-    records that the parameter can influence the KPI; param_groups is the
-    inverse map.  extra_kp_edges declares known couplings beyond the
-    descriptors (equivalent to pre-applied implicit promotions).
-
     Args:
       xapps: descriptors; ids must be unique, each KPI owned by one xApp.
-      extra_kp_edges: (kpi_id, param_id) pairs to add after the main pass.
+      extra_kp_edges: (kpi_id, param_id) couplings beyond the descriptors
+        (equivalent to pre-applied implicit promotions); both ends must be
+        declared by some xApp.
 
     Returns:
-      An immutable ConflictTopology.  Same input set in any order yields
-      an equal topology.
+      An immutable, hashable ConflictTopology.  Same input set in any
+      order yields an equal topology.
     """
-    ordered = tuple(sorted(xapps, key=lambda x: x.id))
-    seen_ids: set[str] = set()
-    for x in ordered:
-        if x.id in seen_ids:
-            raise TopologyError(f"duplicate xApp id {x.id!r}")
-        seen_ids.add(x.id)
-
-    kpi_owner: dict[str, str] = {}
-    for x in ordered:
-        for k in x.kpis:
-            if k.id in kpi_owner:
-                raise TopologyError(
-                    f"KPI {k.id!r} owned by both {kpi_owner[k.id]!r} and {x.id!r}"
-                )
-            kpi_owner[k.id] = x.id
-
-    param_to_kpis: dict[str, set[str]] = {}
-    groups: dict[str, set[str]] = {k: set() for k in kpi_owner}
-    for x in ordered:
-        for p in x.icps:
-            kpis = param_to_kpis.setdefault(p, set())
-            for k in x.kpis:
-                kpis.add(k.id)
-                groups[k.id].add(p)
-
-    all_params = set(param_to_kpis)
-    for kpi_id, param_id in extra_kp_edges:
-        if kpi_id not in groups:
-            raise TopologyError(f"extra edge references unknown KPI {kpi_id!r}")
-        if param_id not in all_params:
-            raise TopologyError(f"extra edge references unknown parameter {param_id!r}")
-        groups[kpi_id].add(param_id)
-        param_to_kpis[param_id].add(kpi_id)
-
-    return ConflictTopology(
-        xapps=ordered,
-        param_to_kpis={p: frozenset(ks) for p, ks in param_to_kpis.items()},
-        param_groups={k: frozenset(ps) for k, ps in groups.items()},
-        kpi_owner=dict(kpi_owner),
-    )
+    return ConflictTopology(tuple(xapps), frozenset(extra_kp_edges))
 
 
 def direct_conflicts(t: ConflictTopology) -> list[StaticConflict]:
@@ -199,7 +187,7 @@ def direct_conflicts(t: ConflictTopology) -> list[StaticConflict]:
     out: list[StaticConflict] = []
     for i, a in enumerate(t.xapps):
         for b in t.xapps[i + 1 :]:
-            shared = set(a.icps) & set(b.icps)
+            shared = t.icps[a.id] & t.icps[b.id]
             if shared:
                 out.append(
                     StaticConflict(
@@ -226,9 +214,8 @@ def indirect_conflicts(t: ConflictTopology) -> list[StaticConflict]:
             writers.setdefault(p, set()).add(x.id)
 
     for kpi_id, group in t.param_groups.items():
-        owner = t.owner_of(kpi_id)
-        own_icps = t.icps_of(owner)
-        for p in group - own_icps:
+        owner = t.kpi_owner[kpi_id]
+        for p in group - t.icps[owner]:
             involved = tuple(sorted({owner} | writers.get(p, set())))
             merged.setdefault((kpi_id, involved), set()).add(p)
 
@@ -252,23 +239,13 @@ def promote_implicit(t: ConflictTopology, param: str, kpi: str) -> ConflictTopol
     no declaration links them.  Promoting an edge that already exists is
     an error (signals a redundant promotion upstream).
     """
-    if param not in t.all_params:
+    if param not in t.param_to_kpis:
         raise TopologyError(f"unknown parameter {param!r}")
     if kpi not in t.param_groups:
         raise TopologyError(f"unknown KPI {kpi!r}")
     if param in t.param_groups[kpi]:
         raise TopologyError(f"parameter {param!r} already in group of {kpi!r}")
-
-    groups = {k: set(ps) for k, ps in t.param_groups.items()}
-    ptk = {p: set(ks) for p, ks in t.param_to_kpis.items()}
-    groups[kpi].add(param)
-    ptk[param].add(kpi)
-    return ConflictTopology(
-        xapps=t.xapps,
-        param_to_kpis={p: frozenset(ks) for p, ks in ptk.items()},
-        param_groups={k: frozenset(ps) for k, ps in groups.items()},
-        kpi_owner=dict(t.kpi_owner),
-    )
+    return replace(t, kp_edges=t.kp_edges | {(kpi, param)})
 
 
 def param_param_edges(t: ConflictTopology) -> list[tuple[str, str, tuple[str, ...]]]:
@@ -317,31 +294,43 @@ def five_xapp_topology() -> ConflictTopology:
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _typed(value, kind: type | tuple[type, ...], what: str):
+    """value if it has the JSON type `kind`, else a TopologyError naming `what`."""
+    if not isinstance(value, kind):
+        raise TopologyError(f"{what} is missing or of the wrong JSON type (got {value!r})")
+    return value
+
+
 def topology_from_dict(d: Mapping) -> ConflictTopology:
-    """Parse the topology JSON structure (see README for the schema)."""
-    try:
-        xapp_items = d["xapps"]
-    except KeyError:
-        raise TopologyError("topology JSON lacks 'xapps'") from None
+    """Parse the topology JSON structure (see README for the schema).
+
+    Malformed input raises TopologyError, never a bare KeyError or
+    TypeError; a string where a list belongs is rejected, not iterated.
+    """
+    if "xapps" not in _typed(d, dict, "the topology"):
+        raise TopologyError("topology JSON lacks 'xapps'")
     xapps = []
-    for item in xapp_items:
-        kpis = tuple(
-            KpiSpec(
-                id=k["id"],
-                direction=KpiDirection(k["direction"]),
-                sla_threshold=k.get("sla_threshold"),
-                sla_sensitive=bool(k.get("sla_sensitive", False)),
-            )
-            for k in item.get("kpis", ())
-        )
-        xapps.append(
-            XAppDescriptor(
-                id=item["id"],
-                icps=tuple(item.get("icps", ())),
-                kpis=kpis,
-            )
-        )
-    extra = tuple((k, p) for k, p in d.get("extra_kp_edges", ()))
+    for item in _typed(d["xapps"], list, "'xapps'"):
+        xid = _typed(_typed(item, dict, "an xApp entry").get("id"), str, "an xApp's 'id'")
+        kpis = []
+        for k in _typed(item.get("kpis", []), list, f"xApp {xid!r} 'kpis'"):
+            kid = _typed(_typed(k, dict, f"a KPI of {xid!r}").get("id"), str, f"a KPI 'id' of {xid!r}")
+            direction = k.get("direction")
+            if direction not in [m.value for m in KpiDirection]:
+                raise TopologyError(f"KPI {kid!r} direction must be 'maximize' or 'minimize', got {direction!r}")
+            kpis.append(KpiSpec(
+                id=kid,
+                direction=KpiDirection(direction),
+                sla_threshold=_typed(k.get("sla_threshold"), (int, float, type(None)), f"KPI {kid!r} 'sla_threshold'"),
+                sla_sensitive=_typed(k.get("sla_sensitive", False), bool, f"KPI {kid!r} 'sla_sensitive'"),
+            ))
+        icps = _typed(item.get("icps", []), list, f"xApp {xid!r} 'icps'")
+        xapps.append(XAppDescriptor(xid, tuple(_typed(p, str, f"an ICP of {xid!r}") for p in icps), tuple(kpis)))
+    extra = []
+    for e in _typed(d.get("extra_kp_edges", []), list, "'extra_kp_edges'"):
+        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)):
+            raise TopologyError(f"extra_kp_edges item {e!r} is not a [kpi, param] pair of strings")
+        extra.append(tuple(e))
     return build_topology(xapps, extra)
 
 

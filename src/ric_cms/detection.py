@@ -92,9 +92,9 @@ class Ledger:
 
     Timestamps must be non-decreasing per ledger; attribution uses binary
     search over the change timeline, so classify is O(log n) in ledger
-    size.  Precondition for degradation records: the KPI exists in the
-    topology (callers feed monitored KPIs only, so this is not re-checked
-    per event on the hot path).
+    size.  A change must come from an xApp in the topology, and a
+    classified degradation must be observed by the owner of its KPI;
+    each is one O(1) lookup and raises DetectionError otherwise.
     """
 
     def __init__(self, topology: ConflictTopology, attribution_window_ms: float = DEFAULT_ATTRIBUTION_WINDOW_MS):
@@ -105,12 +105,12 @@ class Ledger:
         self._changes: list[ChangeRecord] = []
         self._change_times: list[float] = []
         self._degradations: list[DegradationEvent] = []
-        # ICP membership gets hit on every classification; precompute.
-        self._icps = {x.id: frozenset(x.icps) for x in topology.xapps}
 
     # -- recording ---------------------------------------------------------
 
     def record_change(self, rec: ChangeRecord) -> "Ledger":
+        if rec.xapp not in self.topology.icps:
+            raise DetectionError(f"change by unknown xApp {rec.xapp!r}")
         if self._change_times and rec.t_ms < self._change_times[-1]:
             raise ClockRegressionError(
                 f"change at t={rec.t_ms:g} ms after one at t={self._change_times[-1]:g} ms"
@@ -150,12 +150,15 @@ class Ledger:
 
     def classify(self, ev: DegradationEvent) -> ConflictVerdict:
         """Attribute the degradation and run the rule chain."""
+        t = self.topology
+        if t.kpi_owner.get(ev.kpi) != ev.xapp:
+            raise DetectionError(f"degradation of {ev.kpi!r} observed by {ev.xapp!r}, which does not own it")
         c = self.attribute(ev)
         if c.xapp == ev.xapp:
             kind = VerdictKind.NO_CONFLICT
-        elif c.param in self._icps[ev.xapp] and c.param in self._icps[c.xapp]:
+        elif c.param in t.icps[ev.xapp] and c.param in t.icps[c.xapp]:
             kind = VerdictKind.DIRECT
-        elif c.param in self.topology.param_groups[ev.kpi]:
+        elif c.param in t.param_groups[ev.kpi]:
             kind = VerdictKind.INDIRECT
         else:
             kind = VerdictKind.IMPLICIT
@@ -175,11 +178,7 @@ class Ledger:
         v = self.classify(ev)
         if v.kind is VerdictKind.IMPLICIT:
             self.topology = promote_implicit(self.topology, v.param, v.kpi)
-            self._refresh_topology_caches()
         return v
-
-    def _refresh_topology_caches(self) -> None:
-        self._icps = {x.id: frozenset(x.icps) for x in self.topology.xapps}
 
 
 # ---------------------------------------------------------------------------

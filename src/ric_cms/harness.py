@@ -63,15 +63,14 @@ from .xapps import (
 
 ALL_STRATEGIES = (Strategy.NC, Strategy.SBD, Strategy.P_ES, Strategy.P_MRO, Strategy.QACM)
 
-RESULT_COLUMNS = (
-    "strategy",
-    "rep",
-    "seed",
+# The per-replica KPIs, in results.csv and summary.json order.
+METRICS = (
     "energy_efficiency_bits_per_joule",
     "link_failures",
     "total_handovers",
     "pingpong_handovers",
 )
+RESULT_COLUMNS = ("strategy", "rep", "seed") + METRICS
 
 
 @dataclass(frozen=True)
@@ -138,15 +137,7 @@ class ReplicaResult:
     phases: dict[float, PhaseStats] = field(default_factory=dict)
 
     def csv_row(self) -> list:
-        return [
-            self.strategy,
-            self.rep,
-            self.seed,
-            self.energy_efficiency_bits_per_joule,
-            self.link_failures,
-            self.total_handovers,
-            self.pingpong_handovers,
-        ]
+        return [getattr(self, c) for c in RESULT_COLUMNS]
 
 
 def run_replica(
@@ -236,10 +227,7 @@ def run_replica(
         strategy=strategy.value,
         rep=rep,
         seed=seed,
-        energy_efficiency_bits_per_joule=report["energy_efficiency_bits_per_joule"],
-        link_failures=report["link_failures"],
-        total_handovers=report["total_handovers"],
-        pingpong_handovers=report["pingpong_handovers"],
+        **{m: report[m] for m in METRICS},
         verdicts=dict(verdicts),
         unattributed=unattributed,
         phases=phases,
@@ -352,14 +340,6 @@ class BoxStats:
 def box_stats(values: Sequence[float]) -> BoxStats:
     qs = np.percentile(np.asarray(values, dtype=float), [0, 25, 50, 75, 100])
     return BoxStats(*(float(q) for q in qs))
-
-
-METRICS = (
-    "energy_efficiency_bits_per_joule",
-    "link_failures",
-    "total_handovers",
-    "pingpong_handovers",
-)
 
 
 @dataclass

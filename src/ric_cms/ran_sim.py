@@ -80,6 +80,15 @@ class SimConfig:
             total = sum(c[1] for c in classes)
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"{label} class fractions sum to {total}, expected 1")
+        if len(self.area_m) != 2 or min(self.area_m) <= 0:
+            raise ValueError("area_m must be two positive lengths")
+        if self.ue_bandwidth_hz <= 0 or any(c[2] <= 0 for c in self.service_classes):
+            raise ValueError("ue_bandwidth_hz and service class weights must be positive")
+        if any(not 0 <= c[2] <= c[3] for c in self.speed_classes):
+            raise ValueError("each speed class needs 0 <= vmin <= vmax")
+        # tick reflects at most once per axis, so one step may not cross the field
+        if max(c[3] for c in self.speed_classes) * self.step_ms / 1000.0 > min(self.area_m):
+            raise ValueError("the top speed crosses more than the field in one step_ms")
 
     def resolved_gnbs(self) -> np.ndarray:
         if self.gnb_positions is not None:
@@ -107,12 +116,13 @@ def save_sim_config(cfg: SimConfig, path: str | Path) -> None:
 
 
 # ===========================================================================
-# Radio primitives (scalar reference versions)
+# Radio primitives
 # ===========================================================================
 
-def path_loss_db(distance_m: float) -> float:
-    """Log-distance path loss; distances under a metre are clamped."""
-    return 40.05 + 35.0 * math.log10(max(distance_m, 1.0))
+def path_loss_db(distance_m):
+    """Log-distance path loss of a distance or an array of distances;
+    distances under a metre are clamped."""
+    return 40.05 + 35.0 * np.log10(np.maximum(distance_m, 1.0))
 
 
 def antenna_gain_db(ret_deg: float) -> float:
@@ -266,8 +276,7 @@ class Simulator:
     def _rsrp_matrix(self, pos: np.ndarray) -> np.ndarray:
         """(n_ues, n_gnbs) receive levels at the current transmit power."""
         d = np.hypot(pos[:, None, 0] - self.gnbs[None, :, 0], pos[:, None, 1] - self.gnbs[None, :, 1])
-        np.maximum(d, 1.0, out=d)
-        return self.txp_dbm + antenna_gain_db(self.cfg.ret_deg) - (40.05 + 35.0 * np.log10(d))
+        return self.txp_dbm + antenna_gain_db(self.cfg.ret_deg) - path_loss_db(d)
 
     # -- dynamics ---------------------------------------------------------
 
@@ -277,7 +286,7 @@ class Simulator:
         t = self.t_ms + cfg.step_ms
 
         # move, reflecting at the field boundary.  One reflection per axis
-        # is enough: max speed times one step is far below the field size.
+        # is enough: SimConfig keeps max speed times one step within the field.
         lim = np.asarray(cfg.area_m)
         pos = self.pos + self.vel * dt_s
         low = pos < 0.0

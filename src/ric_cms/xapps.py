@@ -84,7 +84,6 @@ def _instance_pools(t: ConflictTopology) -> dict[VerdictKind, list[tuple[str, st
     rest.  Changes always touch a param the instructing app declares.
     """
     pools: dict[VerdictKind, list[tuple[str, str, str, str]]] = {k: [] for k in VerdictKind}
-    icps = {x.id: set(x.icps) for x in t.xapps}
     for obs in t.xapps:
         for kpi in obs.kpi_ids():
             group = t.param_groups[kpi]
@@ -92,7 +91,7 @@ def _instance_pools(t: ConflictTopology) -> dict[VerdictKind, list[tuple[str, st
                 for p in instr.icps:
                     if instr.id == obs.id:
                         pools[VerdictKind.NO_CONFLICT].append((instr.id, p, obs.id, kpi))
-                    elif p in icps[obs.id]:
+                    elif p in t.icps[obs.id]:
                         pools[VerdictKind.DIRECT].append((instr.id, p, obs.id, kpi))
                     elif p in group:
                         pools[VerdictKind.INDIRECT].append((instr.id, p, obs.id, kpi))

@@ -37,6 +37,49 @@ def test_topology_missing_file_fails_with_json_error(capsys):
     assert "error" in payload and "detail" in payload
 
 
+_X1 = {"id": "x1", "icps": ["p1"], "kpis": [{"id": "k1", "direction": "maximize"}]}
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [
+        {"xapps": {"x1": _X1}},
+        {"xapps": ["x1"]},
+        {"xapps": [{"icps": ["p1"]}]},
+        {"xapps": [{**_X1, "icps": "p1"}]},
+        {"xapps": [{**_X1, "icps": 1}]},
+        {"xapps": [{**_X1, "kpis": "k1"}]},
+        {"xapps": [{**_X1, "kpis": {"id": "k1", "direction": "maximize"}}]},
+        {"xapps": [{**_X1, "kpis": [{"direction": "maximize"}]}]},
+        {"xapps": [{**_X1, "kpis": [{"id": "k1"}]}]},
+        {"xapps": [{**_X1, "kpis": [{"id": "k1", "direction": "up"}]}]},
+        {"xapps": [_X1], "extra_kp_edges": [["k1"]]},
+        {"xapps": [_X1], "extra_kp_edges": ["k1p1"]},
+    ],
+    ids=[
+        "xapps-not-list",
+        "entry-not-object",
+        "entry-without-id",
+        "icps-string",
+        "icps-not-list",
+        "kpis-string",
+        "kpis-not-list",
+        "kpi-without-id",
+        "kpi-without-direction",
+        "kpi-unknown-direction",
+        "edge-one-element",
+        "edge-string",
+    ],
+)
+def test_topology_rejects_malformed_json(tmp_path, capsys, topology):
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(topology))
+    assert main(["topology", "--input", str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    assert json.loads(err)["error"] == "TopologyError"
+
+
 def test_detect_bench(tmp_path, capsys):
     out = tmp_path / "stats.json"
     assert main(["detect-bench", "--events", "400", "--seed", "1", "--out", str(out)]) == 0
@@ -96,6 +139,20 @@ def test_simulate_with_scenario_file(tmp_path, capsys):
     )
     assert rc == 0
     assert (out_dir / "results.csv").exists()
+
+
+def test_simulate_rejects_scenario_tick_cannot_handle(tmp_path, capsys):
+    # 900-1000 m/s crosses the 50 m field in one 100 ms step
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"area_m": [50.0, 50.0], "speed_classes": [["jet", 1.0, 900.0, 1000.0]]}))
+    rc = main(["simulate", "--config", str(scenario), "--reps", "1", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "crosses more than the field" in payload["detail"]
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(

@@ -129,13 +129,29 @@ def test_param_param_edges_reference():
 
 def test_groups_match_membership_oracle():
     rng = random.Random(1234)
+    pick = random.Random(99)  # separate stream, so the inputs stay those of rng alone
     for _ in range(30):
         xapps, extra = random_topology_inputs(rng)
         t = build_topology(xapps, extra)
         expected = oracle_param_groups(xapps, extra)
         assert {k: set(v) for k, v in t.param_groups.items()} == expected
+        assert t.kp_edges == {(k, p) for k, ps in expected.items() for p in ps}
         got_direct = {(c.xapps[0], c.xapps[1], frozenset(c.params)) for c in direct_conflicts(t)}
         assert got_direct == oracle_direct_pairs(xapps)
+
+        shuffled = list(xapps)
+        pick.shuffle(shuffled)
+        same = build_topology(shuffled, tuple(reversed(extra)))
+        assert same == t and hash(same) == hash(t)
+
+        open_couplings = sorted((k, p) for k in t.all_kpis for p in t.all_params - t.param_groups[k])
+        if open_couplings:
+            k, p = pick.choice(open_couplings)
+            assert promote_implicit(t, p, k) == build_topology(xapps, extra + ((k, p),))
+
+        for view, key in ((t.param_groups, "k0"), (t.kpi_owner, "k0"), (t.icps, "x0")):
+            with pytest.raises(TypeError):
+                view[key] = frozenset()
 
 
 def test_dict_roundtrip_preserves_everything():

@@ -133,6 +133,25 @@ def test_ledgers_are_append_only_views():
     assert len(led.changes) == 1 and len(led.degradations) == 1
 
 
+@pytest.mark.parametrize(
+    "ev",
+    [DegradationEvent(500.0, "nope", "x1", 0.2), DegradationEvent(500.0, "k1", "x5", 0.2)],
+    ids=["unknown-kpi", "observer-does-not-own-kpi"],
+)
+def test_classify_rejects_degradation_outside_topology(ev):
+    led = fresh_ledger()
+    led.record_change(ChangeRecord(100.0, "x1", "p1", 5.0))
+    with pytest.raises(DetectionError, match="does not own"):
+        led.classify(ev)
+
+
+def test_change_by_unknown_xapp_rejected():
+    led = fresh_ledger()
+    with pytest.raises(DetectionError, match="unknown xApp 'ghost'"):
+        led.record_change(ChangeRecord(100.0, "ghost", "p1", 5.0))
+    assert led.changes == ()
+
+
 # -- learning ---------------------------------------------------------------
 
 def test_implicit_promotes_to_indirect():

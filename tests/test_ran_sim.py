@@ -300,6 +300,43 @@ def test_config_validation():
         SimConfig(step_ms=-1.0)
 
 
+@pytest.mark.parametrize(
+    "overrides, detail",
+    [
+        (dict(area_m=(50.0, 50.0), speed_classes=(("jet", 1.0, 900.0, 1000.0),)), "crosses more than the field"),
+        (dict(step_ms=1000.0, speed_classes=(("fast", 1.0, 300.0, 500.0),)), "crosses more than the field"),
+        (dict(area_m=(0.0, 400.0)), "area_m"),
+        (dict(area_m=(400.0, -1.0)), "area_m"),
+        (dict(speed_classes=(("a", 1.0, -1.0, 1.0),)), "vmin"),
+        (dict(speed_classes=(("a", 1.0, 5.0, 2.0),)), "vmin"),
+        (dict(ue_bandwidth_hz=0.0), "bandwidth"),
+        (dict(ue_bandwidth_hz=-1.0e6), "bandwidth"),
+        (dict(service_classes=(("embb", 1.0, -1.5),)), "weights"),
+    ],
+    ids=[
+        "field-crossed-in-one-step",
+        "long-step-crosses-field",
+        "area-zero",
+        "area-negative",
+        "vmin-negative",
+        "vmin-above-vmax",
+        "bandwidth-zero",
+        "bandwidth-negative",
+        "weight-negative",
+    ],
+)
+def test_config_rejects_what_tick_cannot_handle(overrides, detail):
+    with pytest.raises(ValueError, match=detail):
+        SimConfig(**overrides)
+
+
+def test_top_speed_may_cross_exactly_the_field():
+    cfg = SimConfig(area_m=(50.0, 50.0), speed_classes=(("fast", 1.0, 400.0, 500.0),), duration_s=5.0)
+    sim = Simulator(cfg, seed=3)
+    sim.run()
+    assert np.all(sim.pos >= 0.0) and np.all(sim.pos <= np.asarray(cfg.area_m))
+
+
 def test_n_ticks():
     assert SimConfig(duration_s=120.0, step_ms=100.0).n_ticks == 1200
 
