@@ -124,9 +124,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for s in exp.strategies:
         st = summary[s.value]
         print(
-            f"{s.value:10s} {st['energy_efficiency_bits_per_joule'].median:14.1f} "
-            f"{st['link_failures'].median:8.1f} {st['total_handovers'].median:8.1f} "
-            f"{st['pingpong_handovers'].median:8.1f}"
+            f"{s.value:10s} {st['energy_efficiency_bits_per_joule']['median']:14.1f} "
+            f"{st['link_failures']['median']:8.1f} {st['total_handovers']['median']:8.1f} "
+            f"{st['pingpong_handovers']['median']:8.1f}"
         )
     print(f"\nwrote {outdir / 'results.csv'} and {outdir / 'summary.json'}")
     return 0

@@ -97,11 +97,11 @@ class Ledger:
     each is one O(1) lookup and raises DetectionError otherwise.
     """
 
-    def __init__(self, topology: ConflictTopology, attribution_window_ms: float = DEFAULT_ATTRIBUTION_WINDOW_MS):
-        if attribution_window_ms <= 0:
+    def __init__(self, topology: ConflictTopology, window_ms: float = DEFAULT_ATTRIBUTION_WINDOW_MS):
+        if window_ms <= 0:
             raise DetectionError("attribution window must be positive")
         self.topology = topology
-        self.window_ms = attribution_window_ms
+        self.window_ms = window_ms
         self._changes: list[ChangeRecord] = []
         self._change_times: list[float] = []
         self._degradations: list[DegradationEvent] = []
@@ -232,7 +232,7 @@ class KindStats:
         }
 
 
-def bench_detection(topology: ConflictTopology, events: Iterable, window_ms: float = DEFAULT_ATTRIBUTION_WINDOW_MS) -> dict[str, KindStats]:
+def bench_detection(topology: ConflictTopology, events: Iterable) -> dict[str, KindStats]:
     """Replay labeled events through a fresh ledger, timing classify only.
 
     Each event carries .change, .degradation and .expected (a VerdictKind).
@@ -240,7 +240,7 @@ def bench_detection(topology: ConflictTopology, events: Iterable, window_ms: flo
     classify call.  Implicit events do not learn here so repeated implicit
     couplings stay implicit and the labels stay stable.
     """
-    ledger = Ledger(topology, attribution_window_ms=window_ms)
+    ledger = Ledger(topology)
     stats: dict[str, KindStats] = {k.value: KindStats() for k in VerdictKind}
     for ev in events:
         ledger.record_change(ev.change)

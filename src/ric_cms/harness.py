@@ -1,17 +1,23 @@
 """Experiment harness: strategy arms over a shared simulated network.
 
-One replica wires together the simulator, the two competing xApps, the
-conflict-management layer in one of three enforcement modes, and the
-runtime detector:
+The experiment's fixed design lives in constants: the request cadence
+and the TXP default, range and QACM grid in `xapps`, the attribution
+window in `detection`.  A configuration chooses only the radio scenario,
+the strategies, the replica count and the base seed.
 
-  write-through   nc    requests land as they arrive
-  reactive reset  sbd   requests land, the controller snaps the knob back
-                        to its default one tick after the interval's
-                        second request exposes the conflict
+One replica wires together the simulator, the two competing xApps, the
+conflict-management layer and the runtime detector.  Every request
+becomes its app's standing wish, and the standing wishes are arbitrated
+at once:
+
+  write-through   nc    last writer wins, and every request lands, even
+                        one that leaves TXP where it is
+  reactive reset  sbd   as nc, and the tick after the interval's second
+                        request the controller snaps the knob back to
+                        its default
   interception    p-es, p-mro, qacm
-                        requests are held as standing wishes; every
-                        arrival re-arbitrates and only the arbitrated
-                        value touches the network
+                        the strategy arbitrates; only a value that
+                        differs from the applied one touches the network
 
 Arms are paired by common random numbers: replica r uses seed
 base_seed + r under every strategy, so cross-strategy differences come
@@ -32,6 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .detection import (
+    DEFAULT_ATTRIBUTION_WINDOW_MS,
     ChangeRecord,
     DegradationEvent,
     Ledger,
@@ -48,6 +55,7 @@ from .mitigation import (
 )
 from .ran_sim import SimConfig, Simulator, write_trace_csv
 from .xapps import (
+    CONTROL_INTERVAL_MS,
     EE_KPI,
     ES_TXP_DBM,
     ES_XAPP_ID,
@@ -55,6 +63,9 @@ from .xapps import (
     LF_SLA_THRESHOLD,
     MRO_TXP_DBM,
     MRO_XAPP_ID,
+    TXP_BOUNDS_DBM,
+    TXP_DEFAULT_DBM,
+    TXP_GRID_STEP_DB,
     TXP_PARAM,
     es_request,
     experiment_topology,
@@ -79,19 +90,14 @@ class ExperimentConfig:
     strategies: tuple[Strategy, ...] = ALL_STRATEGIES
     reps: int = 50
     base_seed: int = 0
-    interval_ms: float = 2000.0
-    default_txp_dbm: float = 30.0
-    txp_bounds: tuple[float, float] = (0.0, 50.0)
-    grid_step_dbm: float = 1.0
-    attribution_window_ms: float = 1000.0
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
         if len(set(self.strategies)) != len(self.strategies):
             raise ValueError("strategies must not repeat")
-        ticks = self.interval_ms / self.sim.step_ms
+        ticks = CONTROL_INTERVAL_MS / self.sim.step_ms
         if abs(ticks - round(ticks)) > 1e-9 or round(ticks) < 2 or round(ticks) % 2:
-            raise ValueError("interval_ms must be an even multiple of the simulation step")
+            raise ValueError(f"interval_ms ({CONTROL_INTERVAL_MS:g}) must be an even multiple of the simulation step")
         if self.reps <= 0:
             raise ValueError("reps must be positive")
 
@@ -122,6 +128,12 @@ class PhaseStats:
     joules: float = 0.0
     link_failures: int = 0
 
+    def add(self, time_ms: float, bits: float, joules: float, link_failures: int) -> None:
+        self.time_ms += time_ms
+        self.bits += bits
+        self.joules += joules
+        self.link_failures += link_failures
+
 
 @dataclass
 class ReplicaResult:
@@ -149,45 +161,29 @@ def run_replica(
 ) -> tuple[ReplicaResult, Simulator]:
     seed = exp.base_seed + rep
     sim = Simulator(exp.sim, seed, record_trace=record_trace)
-    ledger = Ledger(experiment_topology(), exp.attribution_window_ms)
+    ledger = Ledger(experiment_topology())
 
     step = exp.sim.step_ms
-    interval_ticks = int(round(exp.interval_ms / step))
+    interval_ticks = int(round(CONTROL_INTERVAL_MS / step))
     half_ticks = interval_ticks // 2
-    window_ticks = int(round(exp.attribution_window_ms / step))
-    intercept = strategy in (Strategy.P_ES, Strategy.P_MRO, Strategy.QACM)
+    window_ticks = int(round(DEFAULT_ATTRIBUTION_WINDOW_MS / step))
+    write_through = strategy in (Strategy.NC, Strategy.SBD)
+    on_arrival = Strategy.NC if write_through else strategy
 
     standing: dict[str, ParameterRequest] = {}
-    interval_requests: list[ParameterRequest] = []
-    pending_reset_ms: float | None = None
+    reset_tick = -1
     lf_per_tick: list[int] = []
     phases: dict[float, PhaseStats] = {}
     verdicts: Counter = Counter()
     unattributed = 0
 
-    def land(value: float, requester: str, t_ms: float) -> None:
-        sim.set_txp(value)
-        ledger.record_change(ChangeRecord(t_ms, requester, TXP_PARAM, value))
-
-    def handle_request(req: ParameterRequest) -> None:
-        if intercept:
-            standing[req.xapp] = req
-            decision = mitigate(strategy, list(standing.values()), ctx)
-            if decision.value != sim.txp_dbm:
-                land(decision.value, req.xapp, req.t_ms)
-        else:
-            # write-through; sbd's corrective reset is scheduled separately
-            decision = mitigate(Strategy.NC, [req], ctx)
-            land(decision.value, req.xapp, req.t_ms)
-
     for tick_i in range(exp.sim.n_ticks):
         t = sim.t_ms
         in_interval = tick_i % interval_ticks
 
-        if pending_reset_ms is not None and t >= pending_reset_ms:
-            decision = mitigate(Strategy.SBD, interval_requests, ctx)
+        if tick_i == reset_tick:
+            decision = mitigate(Strategy.SBD, list(standing.values()), ctx)
             sim.set_txp(decision.value)  # controller action, not an xApp write
-            pending_reset_ms = None
 
         if in_interval == half_ticks:
             # SLA check runs before the mobility app's own request lands,
@@ -201,26 +197,20 @@ def run_replica(
                 except UnattributableDegradationError:
                     unattributed += 1
 
-        if in_interval == 0:
-            interval_requests = []
-            req = es_request(t)
-            interval_requests.append(req)
-            handle_request(req)
-        elif in_interval == half_ticks:
-            req = mro_request(t)
-            interval_requests.append(req)
-            handle_request(req)
-            if strategy is Strategy.SBD:
-                pending_reset_ms = t + step
+        if in_interval in (0, half_ticks):
+            req = es_request(t) if in_interval == 0 else mro_request(t)
+            standing[req.xapp] = req
+            decision = mitigate(on_arrival, list(standing.values()), ctx)
+            if write_through or decision.value != sim.txp_dbm:
+                sim.set_txp(decision.value)
+                ledger.record_change(ChangeRecord(t, req.xapp, TXP_PARAM, decision.value))
+            if strategy is Strategy.SBD and in_interval == half_ticks:
+                reset_tick = tick_i + 1
 
         applied = sim.txp_dbm
         stats = sim.tick()
         lf_per_tick.append(stats.link_failures)
-        ph = phases.setdefault(applied, PhaseStats())
-        ph.time_ms += step
-        ph.bits += stats.bits
-        ph.joules += stats.joules
-        ph.link_failures += stats.link_failures
+        phases.setdefault(applied, PhaseStats()).add(step, stats.bits, stats.joules, stats.link_failures)
 
     report = sim.kpi_report()
     result = ReplicaResult(
@@ -250,12 +240,9 @@ def derive_qacm_thresholds(nc_rows: Sequence[ReplicaResult]) -> dict[str, float]
     }
 
 
-def derive_qacm_models(
-    nc_rows: Sequence[ReplicaResult],
-    exp: ExperimentConfig,
-    thresholds: dict[str, float] | None = None,
-) -> ResponseModelSet:
-    """Two-point response curves from the NC arm's phase statistics.
+def derive_qacm_models(nc_rows: Sequence[ReplicaResult], exp: ExperimentConfig) -> ResponseModelSet:
+    """Two-point response curves from the NC arm's phase statistics,
+    with the NC medians as thresholds.
 
     Under no coordination the network dwells at exactly the two requested
     power levels, so each level gets a direct measurement: energy
@@ -263,15 +250,11 @@ def derive_qacm_models(
     replica horizon.  Linear interpolation between the two anchors is a
     deliberately conservative reading of the middle ground.
     """
-    thresholds = thresholds or derive_qacm_thresholds(nc_rows)
+    thresholds = derive_qacm_thresholds(nc_rows)
     agg: dict[float, PhaseStats] = {}
     for row in nc_rows:
         for v, ph in row.phases.items():
-            a = agg.setdefault(v, PhaseStats())
-            a.time_ms += ph.time_ms
-            a.bits += ph.bits
-            a.joules += ph.joules
-            a.link_failures += ph.link_failures
+            agg.setdefault(v, PhaseStats()).add(ph.time_ms, ph.bits, ph.joules, ph.link_failures)
 
     anchors = (ES_TXP_DBM, MRO_TXP_DBM)
     for v in anchors:
@@ -287,8 +270,8 @@ def derive_qacm_models(
 
     return ResponseModelSet(
         param=TXP_PARAM,
-        bounds=exp.txp_bounds,
-        grid_step=exp.grid_step_dbm,
+        bounds=TXP_BOUNDS_DBM,
+        grid_step=TXP_GRID_STEP_DB,
         models=(
             KpiResponseModel(EE_KPI, KpiDirection.MAXIMIZE, thresholds[EE_KPI], ee_curve),
             KpiResponseModel(LF_KPI, KpiDirection.MINIMIZE, thresholds[LF_KPI], lf_curve),
@@ -296,7 +279,7 @@ def derive_qacm_models(
     )
 
 
-def _context(exp: ExperimentConfig, strategy: Strategy, model_set: ResponseModelSet | None) -> MitigationContext:
+def _context(strategy: Strategy, model_set: ResponseModelSet | None) -> MitigationContext:
     priorities: dict[str, int] = {}
     if strategy is Strategy.P_ES:
         priorities = {ES_XAPP_ID: 2, MRO_XAPP_ID: 1}
@@ -308,10 +291,10 @@ def _context(exp: ExperimentConfig, strategy: Strategy, model_set: ResponseModel
             raise ValueError("qacm arm needs calibrated response models")
         models = {TXP_PARAM: model_set}
     return MitigationContext(
-        defaults={TXP_PARAM: exp.default_txp_dbm},
+        defaults={TXP_PARAM: TXP_DEFAULT_DBM},
         priorities=priorities,
         response_models=models,
-        bounds={TXP_PARAM: exp.txp_bounds},
+        bounds={TXP_PARAM: TXP_BOUNDS_DBM},
     )
 
 
@@ -319,47 +302,27 @@ def _context(exp: ExperimentConfig, strategy: Strategy, model_set: ResponseModel
 # Full experiment
 # ===========================================================================
 
-@dataclass(frozen=True)
-class BoxStats:
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-
-    def to_dict(self) -> dict:
-        return {
-            "min": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.maximum,
-        }
-
-
-def box_stats(values: Sequence[float]) -> BoxStats:
+def box_stats(values: Sequence[float]) -> dict[str, float]:
     qs = np.percentile(np.asarray(values, dtype=float), [0, 25, 50, 75, 100])
-    return BoxStats(*(float(q) for q in qs))
+    return dict(zip(("min", "q1", "median", "q3", "max"), (float(q) for q in qs)))
 
 
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
     rows: dict[str, list[ReplicaResult]]  # strategy value -> replicas in rep order
-    thresholds: dict[str, float] | None
     model_set: ResponseModelSet | None
     traces: dict[str, Simulator] = field(default_factory=dict)  # rep-0 sims
 
-    def summary(self) -> dict[str, dict[str, BoxStats]]:
-        out: dict[str, dict[str, BoxStats]] = {}
-        for strat, rows in self.rows.items():
-            out[strat] = {
-                m: box_stats([getattr(r, m) for r in rows]) for m in METRICS
-            }
-        return out
+    def summary(self) -> dict[str, dict[str, dict[str, float]]]:
+        """strategy -> metric -> box stats, as summary.json writes them."""
+        return {
+            strat: {m: box_stats([getattr(r, m) for r in rows]) for m in METRICS}
+            for strat, rows in self.rows.items()
+        }
 
     def medians(self, metric: str) -> dict[str, float]:
-        return {s: stats[metric].median for s, stats in self.summary().items()}
+        return {s: stats[metric]["median"] for s, stats in self.summary().items()}
 
 
 def run_experiment(
@@ -378,13 +341,11 @@ def run_experiment(
         arms.insert(0, Strategy.NC)
     arm_rows: dict[Strategy, list[ReplicaResult]] = {}
     traces: dict[str, Simulator] = {}
-    thresholds = None
     model_set = None
     for strategy in arms:
         if strategy is Strategy.QACM:
-            thresholds = derive_qacm_thresholds(arm_rows[Strategy.NC])
-            model_set = derive_qacm_models(arm_rows[Strategy.NC], exp, thresholds)
-        ctx = _context(exp, strategy, model_set)
+            model_set = derive_qacm_models(arm_rows[Strategy.NC], exp)
+        ctx = _context(strategy, model_set)
         arm_rows[strategy] = []
         for rep in range(exp.reps):
             if progress:
@@ -395,7 +356,7 @@ def run_experiment(
                 traces[strategy.value] = sim
 
     rows = {s.value: arm_rows[s] for s in exp.strategies}
-    return ExperimentResult(exp, rows, thresholds, model_set, traces)
+    return ExperimentResult(exp, rows, model_set, traces)
 
 
 # ===========================================================================
@@ -418,14 +379,11 @@ def export_summary_json(result: ExperimentResult, path: str | Path) -> None:
         "config": {
             "reps": result.config.reps,
             "base_seed": result.config.base_seed,
-            "interval_ms": result.config.interval_ms,
+            "interval_ms": CONTROL_INTERVAL_MS,
             "duration_s": result.config.sim.duration_s,
             "strategies": [s.value for s in result.config.strategies],
         },
-        "strategies": {
-            strat: {m: bs.to_dict() for m, bs in stats.items()}
-            for strat, stats in result.summary().items()
-        },
+        "strategies": result.summary(),
         "verdicts": {
             strat: {
                 "counts": dict(sum((Counter(r.verdicts) for r in rows), Counter())),
@@ -434,9 +392,8 @@ def export_summary_json(result: ExperimentResult, path: str | Path) -> None:
             for strat, rows in result.rows.items()
         },
     }
-    if result.thresholds is not None:
-        payload["thresholds"] = result.thresholds
     if result.model_set is not None:
+        payload["thresholds"] = {m.kpi: m.threshold for m in result.model_set.models}
         opt = result.model_set.optimize()
         payload["qacm"] = {
             "chosen_txp_dbm": opt.value,

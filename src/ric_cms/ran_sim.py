@@ -19,7 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -42,6 +43,25 @@ DEFAULT_SERVICE_CLASSES = (
     ("urllc", 0.30, 0.75),
     ("mmtc", 0.30, 0.25),
 )
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _row(value, kinds: str, shape: str) -> tuple:
+    """`value` as a tuple of len(kinds) entries, a string where kinds has
+    "s" and a finite number where it has "n"; ValueError otherwise."""
+    if isinstance(value, (list, tuple)) and len(value) == len(kinds) and all(
+            isinstance(v, str) if k == "s" else _is_number(v) for k, v in zip(kinds, value)):
+        return tuple(value)
+    raise ValueError(f"expected {shape}, got {value!r}")
+
+
+def _rows(value, kinds: str, shape: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"expected a non-empty list of {shape}, got {value!r}")
+    return tuple(_row(r, kinds, shape) for r in value)
 
 
 @dataclass
@@ -67,20 +87,27 @@ class SimConfig:
     service_classes: tuple[tuple[str, float, float], ...] = DEFAULT_SERVICE_CLASSES
 
     def __post_init__(self):
-        self.area_m = tuple(self.area_m)
+        self.area_m = _row(self.area_m, "nn", "area_m [width, height]")
         if self.gnb_positions is not None:
-            self.gnb_positions = tuple(tuple(p) for p in self.gnb_positions)
-        self.speed_classes = tuple(tuple(c) for c in self.speed_classes)
-        self.service_classes = tuple(tuple(c) for c in self.service_classes)
-        if self.n_ues <= 0:
-            raise ValueError("n_ues must be positive")
+            self.gnb_positions = _rows(self.gnb_positions, "nn", "gnb_positions [x, y]")
+        self.speed_classes = _rows(self.speed_classes, "snnn", "speed_classes [name, fraction, vmin, vmax]")
+        self.service_classes = _rows(self.service_classes, "snn", "service_classes [name, fraction, weight]")
+        for f in fields(self):
+            if f.type == "float" and not _is_number(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be a finite number, got {getattr(self, f.name)!r}")
+        if not isinstance(self.n_ues, numbers.Integral) or isinstance(self.n_ues, bool) or self.n_ues <= 0:
+            raise ValueError(f"n_ues must be a positive integer, got {self.n_ues!r}")
         if self.step_ms <= 0 or self.duration_s <= 0:
             raise ValueError("step_ms and duration_s must be positive")
+        if self.n_ticks < 1:
+            raise ValueError("duration_s must cover at least one step_ms")
         for classes, label in ((self.speed_classes, "speed"), (self.service_classes, "service")):
             total = sum(c[1] for c in classes)
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"{label} class fractions sum to {total}, expected 1")
-        if len(self.area_m) != 2 or min(self.area_m) <= 0:
+            if any(c[1] < 0 for c in classes):
+                raise ValueError(f"{label} class fractions must not be negative")
+        if min(self.area_m) <= 0:
             raise ValueError("area_m must be two positive lengths")
         if self.ue_bandwidth_hz <= 0 or any(c[2] <= 0 for c in self.service_classes):
             raise ValueError("ue_bandwidth_hz and service class weights must be positive")
@@ -106,7 +133,13 @@ class SimConfig:
 
 def load_sim_config(path: str | Path) -> SimConfig:
     with open(path) as f:
-        return SimConfig(**json.load(f))
+        data = json.load(f)
+    if not isinstance(data, dict):
+        raise ValueError("a scenario file must hold one JSON object")
+    unknown = sorted(set(data) - {f.name for f in fields(SimConfig)})
+    if unknown:
+        raise ValueError(f"unknown scenario key {unknown[0]!r}")
+    return SimConfig(**data)
 
 
 def save_sim_config(cfg: SimConfig, path: str | Path) -> None:

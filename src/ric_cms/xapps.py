@@ -23,7 +23,7 @@ from .conflict_model import (
     XAppDescriptor,
     build_topology,
 )
-from .detection import ChangeRecord, DegradationEvent, VerdictKind
+from .detection import DEFAULT_ATTRIBUTION_WINDOW_MS, ChangeRecord, DegradationEvent, VerdictKind
 from .mitigation import ParameterRequest
 
 ES_XAPP_ID = "es"
@@ -33,6 +33,13 @@ ES_TXP_DBM = 3.0
 MRO_TXP_DBM = 50.0
 EE_KPI = "energy_efficiency"
 LF_KPI = "link_failure_rate"
+
+# The fixed design of the experiment: request cadence, and the TXP
+# default, range and QACM scan step.
+CONTROL_INTERVAL_MS = 2000.0
+TXP_DEFAULT_DBM = 30.0
+TXP_BOUNDS_DBM = (0.0, 50.0)
+TXP_GRID_STEP_DB = 1.0
 
 # Any link failure inside the monitoring window violates the SLA.
 LF_SLA_THRESHOLD = 0.5
@@ -104,7 +111,7 @@ def gen_stochastic_events(
     topology: ConflictTopology,
     n: int,
     seed: int,
-    window_ms: float = 1000.0,
+    window_ms: float = DEFAULT_ATTRIBUTION_WINDOW_MS,
 ) -> list[LabeledEvent]:
     """n labeled events, evenly mixed over the four verdict kinds.
 

@@ -180,3 +180,49 @@ def test_simulate_rejects_invalid_experiment(tmp_path, capsys, flags, detail):
     assert payload["error"] == "ValueError"
     assert detail in payload["detail"]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario, detail",
+    [
+        ({"speed_classes": [["walk", 1.0]]}, "speed_classes"),
+        ({"service_classes": [["embb", 1.0]]}, "service_classes"),
+        ({"gnb_positions": [[1.0]]}, "gnb_positions"),
+        ({"gnb_positions": []}, "gnb_positions"),
+        ({"n_ues": "20"}, "n_ues"),
+        ({"n_ues": 20.5}, "n_ues"),
+        ({"n_ues": True}, "n_ues"),
+        ({"area_m": "ab"}, "area_m"),
+        ({"speed_classes": [["a", 1.5, 0.0, 1.0], ["b", -0.5, 0.0, 1.0]]}, "fractions must not be negative"),
+        ({"duration_s": 0.05}, "at least one step_ms"),
+        ({"step_ms": "100"}, "step_ms"),
+        ([{"n_ues": 20}], "JSON object"),
+        ({"n_uez": 20}, "'n_uez'"),
+    ],
+    ids=[
+        "speed-class-short",
+        "service-class-short",
+        "gnb-position-short",
+        "gnb-positions-empty",
+        "n-ues-string",
+        "n-ues-fraction",
+        "n-ues-bool",
+        "area-string",
+        "fraction-negative",
+        "no-whole-tick",
+        "step-string",
+        "not-an-object",
+        "unknown-key",
+    ],
+)
+def test_simulate_rejects_malformed_scenario(tmp_path, capsys, scenario, detail):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    rc = main(["simulate", "--config", str(path), "--reps", "1", "--strategies", "nc", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert detail in payload["detail"]
+    assert not (tmp_path / "run").exists()

@@ -98,7 +98,7 @@ def test_empty_ledger_unattributable():
 
 
 def test_custom_window():
-    led = fresh_ledger(attribution_window_ms=200.0)
+    led = fresh_ledger(window_ms=200.0)
     led.record_change(ChangeRecord(100.0, "x2", "p1", 1.0))
     led.classify(DegradationEvent(300.0, "k1", "x1", 0.2))
     with pytest.raises(UnattributableDegradationError):
@@ -107,7 +107,7 @@ def test_custom_window():
 
 def test_nonpositive_window_rejected():
     with pytest.raises(DetectionError):
-        fresh_ledger(attribution_window_ms=0.0)
+        fresh_ledger(window_ms=0.0)
 
 
 # -- ledger discipline ------------------------------------------------------

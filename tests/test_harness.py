@@ -3,10 +3,10 @@ import dataclasses
 
 import pytest
 
+from ric_cms import harness
 from ric_cms.conflict_model import KpiDirection
 from ric_cms.harness import (
     ALL_STRATEGIES,
-    BoxStats,
     ExperimentConfig,
     PhaseStats,
     ReplicaResult,
@@ -24,7 +24,7 @@ from ric_cms.harness import (
 )
 from ric_cms.mitigation import KpiResponseModel, ResponseModelSet, Strategy
 from ric_cms.ran_sim import SimConfig
-from ric_cms.xapps import EE_KPI, LF_KPI
+from ric_cms.xapps import EE_KPI, LF_KPI, TXP_BOUNDS_DBM
 
 
 def small_exp(**kw):
@@ -43,9 +43,9 @@ def test_presets():
 
 def test_interval_must_align_with_step():
     with pytest.raises(ValueError, match="interval"):
-        ExperimentConfig(sim=SimConfig(), interval_ms=250.0)
+        ExperimentConfig(sim=SimConfig(step_ms=300.0))
     with pytest.raises(ValueError, match="interval"):
-        ExperimentConfig(sim=SimConfig(), interval_ms=300.0)  # odd tick count
+        ExperimentConfig(sim=SimConfig(step_ms=400.0))  # odd tick count
 
 
 def test_duplicate_strategies_rejected():
@@ -66,7 +66,7 @@ def test_config_is_frozen():
 
 def run_one(strategy, model_set=None, **kw):
     exp = small_exp(**kw)
-    ctx = _context(exp, strategy, model_set)
+    ctx = _context(strategy, model_set)
     return run_replica(strategy, 0, exp, ctx)
 
 
@@ -128,6 +128,26 @@ def test_p_es_checks_go_stale_after_the_single_change():
     assert res.unattributed >= 1
 
 
+@pytest.mark.parametrize("strategy", [Strategy.NC, Strategy.SBD])
+def test_write_through_records_every_request(monkeypatch, strategy):
+    # the first request asks for the 3 dBm the network already runs at;
+    # write-through still lands it, so every request is one ledger change
+    ledgers = []
+    make_ledger = harness.Ledger
+
+    def keep(*args, **kwargs):
+        ledgers.append(make_ledger(*args, **kwargs))
+        return ledgers[-1]
+
+    monkeypatch.setattr(harness, "Ledger", keep)
+    exp = small_exp(sim=SimConfig(duration_s=20.0, txp_dbm=3.0))
+    run_replica(strategy, 0, exp, _context(strategy, None))
+    (ledger,) = ledgers
+    assert [c.xapp for c in ledger.changes] == ["es", "mro"] * 10
+    assert [c.value for c in ledger.changes] == [3.0, 50.0] * 10
+    assert [c.t_ms for c in ledger.changes] == [1000.0 * i for i in range(20)]
+
+
 # -- calibration ------------------------------------------------------------
 
 def fake_row(rep, ee, lf, phases):
@@ -156,12 +176,13 @@ def test_model_curves_come_from_phase_anchors():
     }
     exp = small_exp()
     rows = [fake_row(0, 5.0, 2, phases)]
-    ms = derive_qacm_models(rows, exp, thresholds={EE_KPI: 5.0, LF_KPI: 2.0})
+    ms = derive_qacm_models(rows, exp)
     ee_model, lf_model = ms.models
+    assert (ee_model.threshold, lf_model.threshold) == (5.0, 2.0)  # the one row's values
     assert ee_model.curve == ((3.0, 2.0), (50.0, 9.0))
     # 4 failures per second scaled to the 20 s horizon
     assert lf_model.curve == ((3.0, 80.0), (50.0, 0.0))
-    assert ms.bounds == exp.txp_bounds
+    assert ms.bounds == TXP_BOUNDS_DBM
 
 
 def test_calibration_requires_both_anchors():
@@ -171,9 +192,7 @@ def test_calibration_requires_both_anchors():
 
 
 def test_box_stats_reference():
-    bs = box_stats([1, 2, 3, 4, 5])
-    assert bs == BoxStats(1.0, 2.0, 3.0, 4.0, 5.0)
-    assert bs.to_dict()["median"] == 3.0
+    assert box_stats([1, 2, 3, 4, 5]) == {"min": 1.0, "q1": 2.0, "median": 3.0, "q3": 4.0, "max": 5.0}
 
 
 # -- experiment level -------------------------------------------------------
@@ -190,7 +209,6 @@ def test_replicas_are_seed_paired(small_result):
 
 def test_all_arms_present(small_result):
     assert set(small_result.rows) == {s.value for s in ALL_STRATEGIES}
-    assert small_result.thresholds is not None
     assert small_result.model_set is not None
 
 
@@ -202,7 +220,7 @@ def test_summary_shape(small_result):
         "total_handovers",
         "pingpong_handovers",
     }
-    assert isinstance(s["qacm"]["link_failures"], BoxStats)
+    assert set(s["qacm"]["link_failures"]) == {"min", "q1", "median", "q3", "max"}
 
 
 def test_qacm_only_run_still_calibrates():
@@ -234,6 +252,9 @@ def test_summary_json_content(tmp_path, small_result):
     assert set(payload["strategies"]) == {s.value for s in ALL_STRATEGIES}
     assert "qacm" in payload and "chosen_txp_dbm" in payload["qacm"]
     assert payload["config"]["reps"] == 2
+    assert payload["config"]["interval_ms"] == 2000.0
+    assert payload["thresholds"] == {m.kpi: m.threshold for m in small_result.model_set.models}
+    assert payload["thresholds"] == derive_qacm_thresholds(small_result.rows["nc"])
 
 
 def test_trace_export(tmp_path, small_result):

@@ -150,21 +150,55 @@ def _one_ue_config(**kw):
     return SimConfig(**base)
 
 
-def test_crossing_ue_hands_over_once():
-    # one UE pushed straight from cell A toward cell B; exactly one HO
+def _crossing_run(**kw):
+    # one UE pushed straight from cell A toward cell B
     cfg = _one_ue_config(area_m=(400.0, 100.0), gnb_positions=((100.0, 50.0), (300.0, 50.0)),
-                         duration_s=40.0)
+                         duration_s=40.0, **kw)
     sim = Simulator(cfg, seed=0)
     sim.pos[:] = [[100.0, 50.0]]
     sim.vel[:] = [[5.0, 0.0]]
     sim.serving[:] = 0
     sim.last_cell[:] = 0
     sim.run()  # 40 s at 5 m/s: ends at x=300, never reflects
+    return sim
+
+
+def test_crossing_ue_hands_over_once():
+    sim = _crossing_run()
     events = [row.event for row in sim.trace]
     assert events == ["HO"]
+    assert sim.trace[0].t_ms == 20_100.0  # first tick past the midline
     assert sim.total_handovers == 1
     assert sim.pingpong_handovers == 0
     assert sim.serving[0] == 1
+
+
+def test_time_to_trigger_holds_the_handover_for_whole_ticks():
+    # 300 ms is three 100 ms ticks: the A3 condition first holds at
+    # 20,100 ms and must hold through 20,300 ms before the UE moves
+    sim = _crossing_run(ttt_ms=300.0)
+    assert [(row.t_ms, row.event) for row in sim.trace] == [(20_300.0, "HO")]
+    assert sim.total_handovers == 1
+    assert sim.serving[0] == 1
+
+
+def test_tick_follows_the_scalar_a3_oracle():
+    # every UE attached before a tick that still receives some cell must
+    # end the tick where evaluate_handover sends it (one-tick TTT)
+    cfg = SimConfig(n_ues=200, duration_s=30.0)
+    sim = Simulator(cfg, seed=3, record_trace=False)
+    checked = moved = 0
+    for _ in range(cfg.n_ticks):
+        before = sim.serving.copy()
+        sim.tick()
+        r = sim._rsrp_matrix(sim.pos)
+        for i in np.nonzero((before >= 0) & (r.max(axis=1) >= cfg.min_rsrp_dbm))[0]:
+            d = evaluate_handover(r[i], int(before[i]), cfg.cio_db, cfg.hys_db)
+            assert sim.serving[i] == (d.target if d.triggered else before[i])
+            checked += 1
+            moved += d.triggered
+    assert checked == cfg.n_ues * cfg.n_ticks
+    assert moved > 0
 
 
 def test_link_failure_and_reattach_cycle():
