@@ -17,6 +17,7 @@ then on.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -90,11 +91,12 @@ class ConflictVerdict:
 class Ledger:
     """Change and degradation history plus the classification rules.
 
-    Timestamps must be non-decreasing per ledger; attribution uses binary
-    search over the change timeline, so classify is O(log n) in ledger
-    size.  A change must come from an xApp in the topology, and a
-    classified degradation must be observed by the owner of its KPI;
-    each is one O(1) lookup and raises DetectionError otherwise.
+    Timestamps must be finite and non-decreasing per ledger; attribution
+    uses binary search over the change timeline, so classify is O(log n)
+    in ledger size.  A change must come from an xApp in the topology and
+    write one of that xApp's ICPs, and a classified degradation must be
+    observed by the owner of its KPI; each is one O(1) lookup and raises
+    DetectionError otherwise.
     """
 
     def __init__(self, topology: ConflictTopology, window_ms: float = DEFAULT_ATTRIBUTION_WINDOW_MS):
@@ -109,8 +111,13 @@ class Ledger:
     # -- recording ---------------------------------------------------------
 
     def record_change(self, rec: ChangeRecord) -> "Ledger":
-        if rec.xapp not in self.topology.icps:
+        icps = self.topology.icps.get(rec.xapp)
+        if icps is None:
             raise DetectionError(f"change by unknown xApp {rec.xapp!r}")
+        if rec.param not in icps:
+            raise DetectionError(f"change of {rec.param!r} by {rec.xapp!r}, which does not control it")
+        if not math.isfinite(rec.t_ms):
+            raise DetectionError(f"change at non-finite time {rec.t_ms!r}")
         if self._change_times and rec.t_ms < self._change_times[-1]:
             raise ClockRegressionError(
                 f"change at t={rec.t_ms:g} ms after one at t={self._change_times[-1]:g} ms"
@@ -120,6 +127,8 @@ class Ledger:
         return self
 
     def record_degradation(self, ev: DegradationEvent) -> "Ledger":
+        if not math.isfinite(ev.t_ms):
+            raise DetectionError(f"degradation at non-finite time {ev.t_ms!r}")
         if self._degradations and ev.t_ms < self._degradations[-1].t_ms:
             raise ClockRegressionError(
                 f"degradation at t={ev.t_ms:g} ms after one at t={self._degradations[-1].t_ms:g} ms"

@@ -30,6 +30,7 @@ curves, and its medians become the satisfaction thresholds.
 from __future__ import annotations
 
 import json
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -98,8 +99,14 @@ class ExperimentConfig:
         ticks = CONTROL_INTERVAL_MS / self.sim.step_ms
         if abs(ticks - round(ticks)) > 1e-9 or round(ticks) < 2 or round(ticks) % 2:
             raise ValueError(f"interval_ms ({CONTROL_INTERVAL_MS:g}) must be an even multiple of the simulation step")
+        for name in ("reps", "base_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.reps <= 0:
             raise ValueError("reps must be positive")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be non-negative")
 
 
 def desk_preset(base_seed: int = 0) -> ExperimentConfig:

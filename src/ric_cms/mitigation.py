@@ -19,15 +19,33 @@ at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .conflict_model import KpiDirection
+
+# The experiment's grid has 51 points; a scan this long means bounds or
+# a step in the wrong unit, and is refused before anything is allocated.
+MAX_GRID_POINTS = 1_000_000
 
 
 class MitigationError(Exception):
     pass
+
+
+def _finite(x, what: str) -> float:
+    """x as a float; MitigationError unless it is a finite number."""
+    try:
+        f = float(x)
+    except (TypeError, ValueError, OverflowError):
+        f = math.nan
+    if not math.isfinite(f):
+        raise MitigationError(f"{what} must be a finite number, got {x!r}")
+    return f
 
 
 class Strategy(Enum):
@@ -54,7 +72,7 @@ class KpiResponseModel:
 
     curve holds (value, outcome) breakpoints with strictly increasing
     values; prediction interpolates linearly and clamps outside the
-    covered range.
+    covered range.  Breakpoints and threshold must be finite numbers.
     """
 
     kpi: str
@@ -63,38 +81,43 @@ class KpiResponseModel:
     curve: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "curve", tuple((float(v), float(y)) for v, y in self.curve))
+        what = f"model for {self.kpi!r}"
+        object.__setattr__(self, "threshold", _finite(self.threshold, f"{what}: threshold"))
+        point = f"{what}: breakpoint"
+        object.__setattr__(self, "curve", tuple((_finite(v, point), _finite(y, point)) for v, y in self.curve))
         if len(self.curve) < 2:
-            raise MitigationError(f"model for {self.kpi!r} needs at least 2 breakpoints")
+            raise MitigationError(f"{what} needs at least 2 breakpoints")
         vs = [v for v, _ in self.curve]
         if any(b <= a for a, b in zip(vs, vs[1:])):
-            raise MitigationError(f"model for {self.kpi!r} has non-increasing breakpoints")
+            raise MitigationError(f"{what} has non-increasing breakpoints")
         if self.direction is KpiDirection.MAXIMIZE and self.threshold == 0:
-            raise MitigationError(f"model for {self.kpi!r}: maximize threshold must be nonzero")
+            raise MitigationError(f"{what}: maximize threshold must be nonzero")
 
-    def predict(self, v: float) -> float:
-        pts = self.curve
-        if v <= pts[0][0]:
-            return pts[0][1]
-        if v >= pts[-1][0]:
-            return pts[-1][1]
-        for (v0, y0), (v1, y1) in zip(pts, pts[1:]):
-            if v0 <= v <= v1:
-                return y0 + (y1 - y0) * (v - v0) / (v1 - v0)
-        raise AssertionError("unreachable, curve covers the range")
+    def predict(self, v):
+        """Prediction at v: a float for a number, an array for an array."""
+        pts = np.array(self.curve)
+        deltas = pts[1:] - pts[:-1]  # per segment: (v1 - v0, y1 - y0)
+        v = np.asarray(v, dtype=float)
+        # A value on an interior breakpoint takes the segment that ends there.
+        j = pts[1:-1, 0].searchsorted(v, side="left")
+        left, delta = pts.take(j, axis=0), deltas.take(j, axis=0)
+        inside = left[..., 1] + delta[..., 1] * (v - left[..., 0]) / delta[..., 0]
+        (v_first, y_first), (v_last, y_last) = self.curve[0], self.curve[-1]
+        return np.where(v <= v_first, y_first, np.where(v >= v_last, y_last, inside))[()]
 
-    def satisfaction(self, v: float) -> float:
-        """Capped ratio toward the threshold; 1.0 means target met."""
+    def satisfaction(self, v):
+        """Capped ratio toward the threshold at v, shaped like predict's
+        result; 1.0 means target met."""
         y = self.predict(v)
         if self.direction is KpiDirection.MAXIMIZE:
             ratio = y / self.threshold
         else:
-            if y == 0:
-                return 1.0 if self.threshold >= 0 else 0.0
-            ratio = self.threshold / y
-        if ratio < 0:
-            return 0.0
-        return min(1.0, ratio)
+            zero = y == 0
+            met = 1.0 if self.threshold >= 0 else 0.0
+            ratio = np.where(zero, met, self.threshold / np.where(zero, 1.0, y))
+        # fmin, unlike minimum, caps a NaN ratio (from overflow in the
+        # curve) to 1.0, as min(1.0, nan) does; the where keeps -0.0.
+        return np.where(ratio < 0, 0.0, np.fmin(1.0, ratio))[()]
 
 
 @dataclass(frozen=True)
@@ -112,35 +135,35 @@ def qacm_optimize(
 ) -> QacmResult:
     """Scan the value grid, return the welfare-maximizing value.
 
-    Grid: lo, lo+step, ... up to hi inclusive when it lands on the grid.
+    Grid: lo, lo+step, ... up to hi inclusive when it lands on the grid,
+    at most MAX_GRID_POINTS points, evaluated as one array per model.
     Welfare is the product of satisfactions in model order.  Ties prefer
     the smaller value, so the result is the least aggressive setting that
     achieves the best attainable welfare.
     """
     if not models:
         raise MitigationError("qacm needs at least one response model")
-    lo, hi = bounds
+    lo, hi = (_finite(b, "qacm bound") for b in bounds)
+    step = _finite(grid_step, "qacm grid step")
     if hi < lo:
         raise MitigationError(f"empty bounds ({lo}, {hi})")
-    if grid_step <= 0:
+    if step <= 0:
         raise MitigationError("grid step must be positive")
-    n = int((hi - lo) / grid_step + 1e-9) + 1
-    best_v = lo
-    best_w = -1.0
-    best_sats: tuple[float, ...] = ()
-    for i in range(n):
-        v = lo + i * grid_step
-        sats = tuple(m.satisfaction(v) for m in models)
-        w = 1.0
-        for s in sats:
-            w *= s
-        if w > best_w:
-            best_v, best_w, best_sats = v, w, sats
+    steps = (hi - lo) / step + 1e-9  # inf when the width or the ratio overflows
+    if steps >= MAX_GRID_POINTS:
+        raise MitigationError(f"grid over ({lo:g}, {hi:g}) in steps of {step:g} exceeds {MAX_GRID_POINTS} points")
+    v = lo + np.arange(int(steps) + 1) * step
+    sats = [m.satisfaction(v) for m in models]
+    welfare = sats[0]
+    for s in sats[1:]:
+        welfare = welfare * s
+    i = int(welfare.argmax())  # the first maximum: the smallest value
+    best = tuple(float(s[i]) for s in sats)
     return QacmResult(
-        value=best_v,
-        welfare=best_w,
-        satisfied_all=all(s == 1.0 for s in best_sats),
-        satisfactions=best_sats,
+        value=float(v[i]),
+        welfare=float(welfare[i]),
+        satisfied_all=all(s == 1.0 for s in best),
+        satisfactions=best,
     )
 
 

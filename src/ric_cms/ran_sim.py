@@ -64,9 +64,10 @@ def _rows(value, kinds: str, shape: str) -> tuple:
     return tuple(_row(r, kinds, shape) for r in value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Scenario description; serializable to/from the scenario JSON."""
+    """Scenario description; serializable to/from the scenario JSON.
+    Frozen, so a configuration cannot change after it was validated."""
 
     n_ues: int = 20
     area_m: tuple[float, float] = (400.0, 400.0)
@@ -87,11 +88,11 @@ class SimConfig:
     service_classes: tuple[tuple[str, float, float], ...] = DEFAULT_SERVICE_CLASSES
 
     def __post_init__(self):
-        self.area_m = _row(self.area_m, "nn", "area_m [width, height]")
+        object.__setattr__(self, "area_m", _row(self.area_m, "nn", "area_m [width, height]"))
         if self.gnb_positions is not None:
-            self.gnb_positions = _rows(self.gnb_positions, "nn", "gnb_positions [x, y]")
-        self.speed_classes = _rows(self.speed_classes, "snnn", "speed_classes [name, fraction, vmin, vmax]")
-        self.service_classes = _rows(self.service_classes, "snn", "service_classes [name, fraction, weight]")
+            object.__setattr__(self, "gnb_positions", _rows(self.gnb_positions, "nn", "gnb_positions [x, y]"))
+        object.__setattr__(self, "speed_classes", _rows(self.speed_classes, "snnn", "speed_classes [name, fraction, vmin, vmax]"))
+        object.__setattr__(self, "service_classes", _rows(self.service_classes, "snn", "service_classes [name, fraction, weight]"))
         for f in fields(self):
             if f.type == "float" and not _is_number(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be a finite number, got {getattr(self, f.name)!r}")

@@ -105,9 +105,72 @@ def random_qacm_instance(rng: random.Random):
     return models, (lo, hi), step
 
 
+def random_desk_shaped_model_set(rng: random.Random):
+    """Optimizer input shaped like the desk's calibrated set and the
+    benchmark's control-plane request sets: a maximized and a minimized
+    KPI over two-point curves inside the range, about 50 grid points."""
+    lo = rng.uniform(-10.0, 10.0)
+    hi = lo + rng.uniform(40.0, 60.0)
+    a, b = sorted(rng.uniform(lo, hi) for _ in range(2))
+    ee = (rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0))
+    lf = (rng.uniform(0.0, 40.0), rng.uniform(0.0, 40.0))
+    models = [
+        KpiResponseModel("ee", KpiDirection.MAXIMIZE, rng.uniform(*sorted(ee)), ((a, ee[0]), (b, ee[1]))),
+        KpiResponseModel("lf", KpiDirection.MINIMIZE, rng.uniform(0.0, 40.0), ((a, lf[0]), (b, lf[1]))),
+    ]
+    return models, (lo, hi), rng.uniform(0.8, 1.25)
+
+
+def random_on_breakpoint_instance(rng: random.Random):
+    """Optimizer input whose grid lands exactly on interior breakpoints
+    (and on the curve ends), where the earlier segment must be taken."""
+    lo = rng.uniform(-10.0, 10.0)
+    step = rng.choice([0.1, 0.5, 1.0, 1.3, 2.5])
+    n = rng.randint(5, 60)
+    grid = [lo + i * step for i in range(n)]
+    models = []
+    for j in range(rng.randint(1, 3)):
+        vs = sorted(rng.sample(grid, rng.randint(3, min(6, n))))
+        ys = [rng.choice([0.0, rng.uniform(-5.0, 20.0)]) for _ in vs]
+        direction = rng.choice(list(KpiDirection))
+        threshold = rng.uniform(0.5, 10.0) if direction is KpiDirection.MAXIMIZE else rng.uniform(-2.0, 10.0)
+        models.append(KpiResponseModel(f"k{j}", direction, threshold, tuple(zip(vs, ys))))
+    return models, (lo, grid[-1]), step
+
+
+def oracle_predict(model, v):
+    """The piecewise-linear curve at one value, walked segment by
+    segment: flat beyond the ends, the earlier segment on a breakpoint."""
+    pts = model.curve
+    if v <= pts[0][0]:
+        return pts[0][1]
+    if v >= pts[-1][0]:
+        return pts[-1][1]
+    for (v0, y0), (v1, y1) in zip(pts, pts[1:]):
+        if v0 <= v <= v1:
+            return y0 + (y1 - y0) * (v - v0) / (v1 - v0)
+    raise AssertionError("unreachable, curve covers the range")
+
+
+def oracle_satisfaction(model, v):
+    """Capped ratio toward the threshold at one value."""
+    y = oracle_predict(model, v)
+    if model.direction is KpiDirection.MAXIMIZE:
+        ratio = y / model.threshold
+    else:
+        if y == 0:
+            return 1.0 if model.threshold >= 0 else 0.0
+        ratio = model.threshold / y
+    if ratio < 0:
+        return 0.0
+    return min(1.0, ratio)
+
+
 def qacm_scan_oracle(models, bounds, step):
-    """Plain grid walk tracking the best satisfaction product.  Returns
-    (value, welfare, all_satisfied)."""
+    """Plain grid walk tracking the best satisfaction product, one value
+    at a time with the scalar formulas above.  Returns (value, welfare,
+    all_satisfied, satisfactions), the fields of a QacmResult, so the two
+    compare by repr, down to the sign of a zero."""
     lo, hi = bounds
     n = int((hi - lo) / step + 1e-9) + 1
     best = None
@@ -116,9 +179,9 @@ def qacm_scan_oracle(models, bounds, step):
         w = 1.0
         sats = []
         for m in models:
-            s = m.satisfaction(v)
+            s = oracle_satisfaction(m, v)
             sats.append(s)
             w = w * s
         if best is None or w > best[1]:
-            best = (v, w, all(s == 1.0 for s in sats))
+            best = (v, w, all(s == 1.0 for s in sats), tuple(sats))
     return best

@@ -10,6 +10,7 @@ import contextlib
 import random
 import statistics
 import time
+from dataclasses import astuple
 
 import pytest
 
@@ -121,11 +122,9 @@ def test_criterion_5_optimizer_matches_reference_scan():
         for _ in range(1_000):
             models, bounds, step = random_qacm_instance(rng)
             res = qacm_optimize(models, bounds, step)
-            v, w, feasible = qacm_scan_oracle(models, bounds, step)
-            assert res.value == v
-            assert res.welfare == w
-            assert res.satisfied_all == feasible
-            if feasible:
+            # by repr, so floats, bools and the sign of a zero all match
+            assert repr(astuple(res)) == repr(qacm_scan_oracle(models, bounds, step))
+            if res.satisfied_all:
                 feasible_seen += 1
                 assert res.welfare == 1.0
         assert feasible_seen > 0  # the preference case was actually exercised

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ric_cms.conflict_model import five_xapp_topology
@@ -150,6 +152,27 @@ def test_change_by_unknown_xapp_rejected():
     with pytest.raises(DetectionError, match="unknown xApp 'ghost'"):
         led.record_change(ChangeRecord(100.0, "ghost", "p1", 5.0))
     assert led.changes == ()
+
+
+def test_change_outside_the_writers_icps_rejected():
+    led = fresh_ledger()
+    with pytest.raises(DetectionError, match="'x1', which does not control it"):
+        led.record_change(ChangeRecord(100.0, "x1", "p7", 5.0))  # p7 belongs to x5
+    assert led.changes == ()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_timestamps_rejected(t):
+    led = fresh_ledger()
+    led.record_change(ChangeRecord(100.0, "x1", "p1", 5.0))
+    with pytest.raises(DetectionError, match="non-finite time"):
+        led.record_change(ChangeRecord(t, "x1", "p1", 5.0))
+    with pytest.raises(DetectionError, match="non-finite time"):
+        led.record_degradation(DegradationEvent(t, "k1", "x1", 0.2))
+    # a NaN would have hidden the regression from 100 ms to 50 ms
+    with pytest.raises(ClockRegressionError):
+        led.record_change(ChangeRecord(50.0, "x1", "p1", 5.0))
+    assert len(led.changes) == 1 and led.degradations == ()
 
 
 # -- learning ---------------------------------------------------------------

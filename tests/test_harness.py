@@ -60,6 +60,16 @@ def test_config_is_frozen():
     assert dataclasses.replace(exp, reps=3).reps == 3
     with pytest.raises(ValueError, match="reps"):
         dataclasses.replace(exp, reps=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        exp.sim.step_ms = 300.0  # validated at 100 ms, it would run 7-tick intervals
+
+
+@pytest.mark.parametrize(
+    "field, bad", [("reps", 1.5), ("reps", True), ("base_seed", -1), ("base_seed", 1.5), ("base_seed", True)]
+)
+def test_reps_and_seed_must_be_integers_in_range(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        small_exp(**{field: bad})
 
 
 # -- per-strategy phase behaviour ------------------------------------------

@@ -1,9 +1,21 @@
+import math
 import random
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
+from conftest import (
+    oracle_predict,
+    oracle_satisfaction,
+    qacm_scan_oracle,
+    random_desk_shaped_model_set,
+    random_on_breakpoint_instance,
+    random_qacm_instance,
+)
 from ric_cms.conflict_model import KpiDirection
 from ric_cms.mitigation import (
+    MAX_GRID_POINTS,
     KpiResponseModel,
     MitigationContext,
     MitigationError,
@@ -37,6 +49,15 @@ def test_predict_interpolates():
     assert m.predict(2.5) == 5.0
 
 
+def test_predict_and_satisfaction_take_numbers_and_arrays():
+    m = model(direction=KpiDirection.MINIMIZE, threshold=4.0, curve=((0.0, 2.0), (4.0, 0.0), (10.0, 12.0)))
+    vs = np.array([[-1.0, 0.0, 2.0], [4.0, 7.0, 11.0]])
+    assert m.predict(vs).shape == m.satisfaction(vs).shape == (2, 3)
+    for v, y, s in zip(vs.ravel(), m.predict(vs).ravel(), m.satisfaction(vs).ravel()):
+        assert repr(float(m.predict(float(v)))) == repr(float(y)) == repr(oracle_predict(m, float(v)))
+        assert repr(float(m.satisfaction(float(v)))) == repr(float(s)) == repr(oracle_satisfaction(m, float(v)))
+
+
 def test_predict_clamps_outside_range():
     m = model(curve=((2.0, 4.0), (8.0, 16.0)))
     assert m.predict(-100.0) == 4.0
@@ -55,6 +76,16 @@ def test_curve_needs_two_increasing_breakpoints():
 def test_maximize_zero_threshold_rejected():
     with pytest.raises(MitigationError, match="nonzero"):
         model(direction=KpiDirection.MAXIMIZE, threshold=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", None])
+def test_non_finite_model_inputs_rejected(bad):
+    with pytest.raises(MitigationError, match="threshold must be a finite number"):
+        model(threshold=bad)
+    with pytest.raises(MitigationError, match="breakpoint must be a finite number"):
+        model(curve=((0.0, 0.0), (bad, 1.0)))
+    with pytest.raises(MitigationError, match="breakpoint must be a finite number"):
+        model(curve=((0.0, 0.0), (10.0, bad)))
 
 
 def test_satisfaction_maximize():
@@ -125,17 +156,55 @@ def test_qacm_validates_inputs():
         qacm_optimize([model()], (0.0, 50.0), 0.0)
 
 
-def test_qacm_matches_scan_oracle():
-    from conftest import qacm_scan_oracle, random_qacm_instance
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, "x"])
+def test_qacm_rejects_non_finite_bounds_and_step(bad):
+    with pytest.raises(MitigationError, match="bound must be a finite number"):
+        qacm_optimize([model()], (bad, 50.0), 1.0)
+    with pytest.raises(MitigationError, match="bound must be a finite number"):
+        qacm_optimize([model()], (0.0, bad), 1.0)
+    with pytest.raises(MitigationError, match="grid step must be a finite number"):
+        qacm_optimize([model()], (0.0, 50.0), bad)
 
+
+def test_qacm_refuses_oversized_grid_before_allocating():
+    # The limit is checked on the bounds and step, so none of these calls
+    # builds its grid.
+    with pytest.raises(MitigationError, match="exceeds"):
+        qacm_optimize([model()], (0.0, float(MAX_GRID_POINTS)), 1.0)  # one point too many
+    with pytest.raises(MitigationError, match="exceeds"):
+        qacm_optimize([model()], (0.0, 50.0), 1e-300)  # the point count overflows to inf
+    with pytest.raises(MitigationError, match="exceeds"):
+        qacm_optimize([model()], (-1e308, 1e308), 1.0)  # so does the width
+
+
+def test_qacm_matches_scan_oracle():
     rng = random.Random(77)
     for _ in range(200):
         models, bounds, step = random_qacm_instance(rng)
         res = qacm_optimize(models, bounds, step)
-        v, w, feasible = qacm_scan_oracle(models, bounds, step)
-        assert res.value == v
-        assert res.welfare == w
-        assert res.satisfied_all == feasible
+        assert repr(astuple(res)) == repr(qacm_scan_oracle(models, bounds, step))
+
+
+def test_qacm_exact_on_desk_shaped_sets_and_breakpoint_grids():
+    rng = random.Random(2024)
+    for make in [random_desk_shaped_model_set, random_on_breakpoint_instance] * 1_500:
+        models, bounds, step = make(rng)
+        res = qacm_optimize(models, bounds, step)
+        assert repr(astuple(res)) == repr(qacm_scan_oracle(models, bounds, step))
+
+
+def test_qacm_exact_at_signed_zero_and_overflow():
+    # A zero prediction over a negative maximize threshold satisfies -0.0.
+    neg = model(threshold=-1.0, curve=((0.0, 0.0), (10.0, 0.0)))
+    res = qacm_optimize([neg], (0.0, 10.0), 5.0)
+    assert repr(astuple(res)) == repr(qacm_scan_oracle([neg], (0.0, 10.0), 5.0)) == "(0.0, -0.0, False, (-0.0,))"
+    # Finite breakpoints whose interpolation overflows to NaN: the walk's
+    # min(1.0, nan) is 1.0, so the NaN value is fully satisfied.
+    huge = model(curve=((-1e308, 0.0), (1e308, 1e308)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = qacm_optimize([huge, model()], (0.0, 10.0), 1.0)
+    assert repr(astuple(res)) == repr(qacm_scan_oracle([huge, model()], (0.0, 10.0), 1.0))
+    assert res.satisfactions[0] == 1.0
 
 
 # -- strategies -------------------------------------------------------------
