@@ -9,7 +9,7 @@ conflict-management experiments fight over: raising it buys coverage and
 throughput at a steep power-amplifier cost, lowering it saves energy and
 eventually starves the cell edge.
 
-The per-tick update order is fixed and documented on `Simulator.tick`;
+The per-tick update order is fixed and documented on `Simulator`;
 everything is driven by one seeded generator so a (config, seed) pair
 fully determines the run.
 """
@@ -21,6 +21,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -246,9 +247,17 @@ class Simulator:
     Update order inside a tick, in this exact sequence:
       move -> receive levels -> A3 handovers -> link failures ->
       re-attachments -> throughput and energy accounting.
-    Re-attachments count toward total_handovers (the network pays the
-    signalling either way); a re-attachment to a different cell also
-    participates in ping-pong detection.
+    Each event phase takes its UEs, and writes their trace rows, in
+    ascending index order.  Trace events: HO, an A3 handover (the best
+    neighbour beats serving by cio_db - hys_db and is strictly stronger,
+    on ttt_ms worth of ticks toward one target); PP, a handover that is a
+    ping-pong; LF, a link failure (no cell reaches min_rsrp_dbm, the UE
+    detaches); REATTACH, a detached UE attaching to its strongest cell.
+    Handovers and re-attachments both count toward total_handovers (the
+    network pays the signalling either way).  A move away from the last
+    cell held is a ping-pong when it returns to the cell held before it
+    within pingpong_window_ms; re-attaching to the last cell held is no
+    move.  A re-attachment ping-pong is counted but traced as REATTACH.
     """
 
     def __init__(self, cfg: SimConfig, seed: int, record_trace: bool = True):
@@ -287,9 +296,9 @@ class Simulator:
         # -- attachment state ----------------------------------------------
         r0 = self._rsrp_matrix(self.pos)
         self.serving = np.argmax(r0, axis=1).astype(int)
-        self.last_cell = self.serving.copy()      # cell held before a failure
-        self.prev_gnb = np.full(n, -1, dtype=int)  # previous cell, for ping-pong
-        self.last_ho_ms = np.full(n, -np.inf)
+        self.last_cell = self.serving.copy()      # serving, or the cell lost on a failure
+        self.prev_gnb = np.full(n, -1, dtype=int)  # cell left by the last move, for ping-pong
+        self.last_ho_ms = np.full(n, -np.inf)     # time of that move
         self.required_ttt_ticks = max(1, math.ceil(cfg.ttt_ms / cfg.step_ms))
         self._ttt_count = np.zeros(n, dtype=int)
         self._ttt_target = np.full(n, -1, dtype=int)
@@ -332,87 +341,73 @@ class Simulator:
         self.pos = pos
 
         r = self._rsrp_matrix(pos)
-        n_lf = n_ho = n_pp = 0
+        serving = self.serving  # updated in place below
 
-        # A3 handovers for attached UEs
-        att_idx = np.nonzero(self.serving >= 0)[0]
-        if att_idx.size:
-            rows = r[att_idx]
-            rs = rows[np.arange(att_idx.size), self.serving[att_idx]]
-            masked = rows.copy()
-            masked[np.arange(att_idx.size), self.serving[att_idx]] = -np.inf
-            tgt = np.argmax(masked, axis=1)
-            rn = masked[np.arange(att_idx.size), tgt]
-            cond = (rn + cfg.cio_db > rs + cfg.hys_db) & (rn > rs)
-
-            held = self._ttt_target[att_idx] == tgt
-            cnt = np.where(cond, np.where(held, self._ttt_count[att_idx] + 1, 1), 0)
-            self._ttt_count[att_idx] = cnt
-            self._ttt_target[att_idx] = np.where(cond, tgt, -1)
-
-            for k in np.nonzero(cnt >= self.required_ttt_ticks)[0]:
-                i = int(att_idx[k])
-                new = int(tgt[k])
-                prev = int(self.serving[i])
-                is_pp = new == self.prev_gnb[i] and (t - self.last_ho_ms[i]) <= cfg.pingpong_window_ms
-                self.serving[i] = new
-                self.last_cell[i] = new
-                self.prev_gnb[i] = prev
-                self.last_ho_ms[i] = t
-                self._ttt_count[i] = 0
-                self._ttt_target[i] = -1
-                n_ho += 1
-                if is_pp:
-                    n_pp += 1
-                if self.record_trace:
-                    self.trace.append(TraceRow(t, i, new, float(r[i, new]), "PP" if is_pp else "HO"))
+        # A3 handovers.  A detached UE (serving -1) never meets cond, so its
+        # count stays 0 and the target stored for it does not matter.
+        ue = np.arange(len(serving))
+        rs = r[ue, serving]
+        masked = r.copy()
+        masked[ue, serving] = -np.inf
+        tgt = np.argmax(masked, axis=1)
+        rn = masked[ue, tgt]
+        cond = (serving >= 0) & (rn + cfg.cio_db > rs + cfg.hys_db) & (rn > rs)
+        self._ttt_count = np.where(cond, np.where(self._ttt_target == tgt, self._ttt_count + 1, 1), 0)
+        self._ttt_target = tgt
+        ho = np.nonzero(self._ttt_count >= self.required_ttt_ticks)[0]
+        n_pp = self._change_cell("HO", t, r, ho, tgt[ho])
 
         # link failure: attached but nothing receivable anywhere
         rowmax = r.max(axis=1)
-        for i in np.nonzero((self.serving >= 0) & (rowmax < cfg.min_rsrp_dbm))[0]:
-            i = int(i)
-            old = int(self.serving[i])
-            if self.record_trace:
-                self.trace.append(TraceRow(t, i, old, float(r[i, old]), "LF"))
-            self.last_cell[i] = old
-            self.serving[i] = -1
-            self._ttt_count[i] = 0
-            self._ttt_target[i] = -1
-            n_lf += 1
+        lf = np.nonzero((serving >= 0) & (rowmax < cfg.min_rsrp_dbm))[0]
+        self._change_cell("LF", t, r, lf, serving[lf])
 
         # re-attachment: detached and some cell is receivable again
-        for i in np.nonzero((self.serving < 0) & (rowmax >= cfg.min_rsrp_dbm))[0]:
-            i = int(i)
-            new = int(np.argmax(r[i]))
-            n_ho += 1
-            if new != self.last_cell[i]:
-                is_pp = new == self.prev_gnb[i] and (t - self.last_ho_ms[i]) <= cfg.pingpong_window_ms
-                self.prev_gnb[i] = int(self.last_cell[i])
-                self.last_ho_ms[i] = t
-                if is_pp:
-                    n_pp += 1
-            self.serving[i] = new
-            self.last_cell[i] = new
-            if self.record_trace:
-                self.trace.append(TraceRow(t, i, new, float(r[i, new]), "REATTACH"))
+        back = np.nonzero((serving < 0) & (rowmax >= cfg.min_rsrp_dbm))[0]
+        n_pp += self._change_cell("REATTACH", t, r, back)
 
         # throughput for attached UEs, energy for all sites
-        att_idx = np.nonzero(self.serving >= 0)[0]
+        att_idx = np.nonzero(serving >= 0)[0]
         bits = 0.0
         if att_idx.size:
-            rs = r[att_idx, self.serving[att_idx]]
+            rs = r[att_idx, serving[att_idx]]
             snr_db = rs - cfg.noise_floor_dbm
             cap = self.bw_hz[att_idx] * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
             bits = float(np.sum(cap) * dt_s)
         joules = len(self.gnbs) * gnb_power_w(self.txp_dbm) * dt_s
 
+        n_ho = ho.size + back.size
         self.total_bits += bits
         self.total_joules += joules
-        self.link_failures += n_lf
+        self.link_failures += lf.size
         self.total_handovers += n_ho
         self.pingpong_handovers += n_pp
         self.t_ms = t
-        return TickStats(bits, joules, n_lf, n_ho, n_pp)
+        return TickStats(bits, joules, lf.size, n_ho, n_pp)
+
+    def _change_cell(self, event: str, t: float, r: np.ndarray, idx: np.ndarray,
+                     cells: np.ndarray | None = None) -> int:
+        """Apply `event` at time t to the UEs `idx` (ascending), trace it
+        and return its ping-pongs.  "LF" detaches each UE from its serving
+        cell `cells`, "HO" moves it to `cells`, "REATTACH" to its strongest."""
+        if not idx.size:
+            return 0
+        if cells is None:
+            cells = np.argmax(r[idx], axis=1)
+        pp = np.zeros(idx.size, dtype=bool)
+        if event == "LF":
+            self.serving[idx] = -1
+        else:
+            away = cells != self.last_cell[idx]
+            pp = away & (cells == self.prev_gnb[idx]) & (t - self.last_ho_ms[idx] <= self.cfg.pingpong_window_ms)
+            self.prev_gnb[idx[away]] = self.last_cell[idx[away]]
+            self.last_ho_ms[idx[away]] = t
+            self.serving[idx] = self.last_cell[idx] = cells
+            self._ttt_count[idx] = 0
+        if self.record_trace:
+            events = np.where(pp, "PP", "HO").tolist() if event == "HO" else repeat(event)
+            self.trace.extend(map(TraceRow, repeat(t), idx.tolist(), cells.tolist(), r[idx, cells].tolist(), events))
+        return int(np.count_nonzero(pp))
 
     def run(self, n_ticks: int | None = None) -> None:
         for _ in range(self.cfg.n_ticks if n_ticks is None else n_ticks):

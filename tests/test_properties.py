@@ -1,6 +1,8 @@
 """Property tests: simulator invariants after every tick, and the
 ledger's attribution window, over small random inputs."""
 
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,19 +50,25 @@ COUNTERS = ("link_failures", "total_handovers", "pingpong_handovers", "total_bit
 @FEW
 @given(cfg=sim_configs(), seed=st.integers(0, 2**32 - 1), txps=st.lists(st.floats(0.0, 50.0), max_size=4))
 def test_tick_keeps_its_invariants(cfg, seed, txps):
-    sim = Simulator(cfg, seed, record_trace=False)
+    sim = Simulator(cfg, seed, record_trace=True)
     lim = np.asarray(cfg.area_m)
     last = {c: getattr(sim, c) for c in COUNTERS}
     for k in range(cfg.n_ticks):
         if txps:
             sim.set_txp(txps[k % len(txps)])
-        sim.tick()
+        rows = len(sim.trace)
+        stats = sim.tick()
         assert np.all(sim.pos >= 0.0) and np.all(sim.pos <= lim)
         now = {c: getattr(sim, c) for c in COUNTERS}
         assert all(now[c] >= last[c] for c in COUNTERS)
         last = now
         attached = sim.serving >= 0
         assert np.all(sim._rsrp_matrix(sim.pos)[attached].max(axis=1, initial=-np.inf) >= cfg.min_rsrp_dbm)
+        assert np.array_equal(sim.last_cell[attached], sim.serving[attached])
+        events = Counter(row.event for row in sim.trace[rows:])
+        assert stats.link_failures == events["LF"]
+        assert stats.handovers == events["HO"] + events["PP"] + events["REATTACH"]
+        assert stats.pingpongs >= events["PP"]
 
 
 @st.composite

@@ -243,6 +243,46 @@ def test_pingpong_detected_on_quick_return():
     assert "PP" in [row.event for row in sim.trace]
 
 
+def _held_ue(x, last_ho_ms):
+    # a still UE at (x, 5) held on cell 0 after a move away from cell 1;
+    # a 1 s time-to-trigger keeps A3 from moving it within two ticks
+    cfg = _one_ue_config(
+        area_m=(200.0, 10.0),
+        gnb_positions=((50.0, 5.0), (150.0, 5.0)),
+        ttt_ms=1000.0,
+        speed_classes=(("still", 1.0, 0.0, 0.0),),
+    )
+    sim = Simulator(cfg, seed=0)
+    sim.pos[:] = [[x, 5.0]]
+    sim.serving[:] = 0
+    sim.last_cell[:] = 0
+    sim.prev_gnb[:] = 1
+    sim.last_ho_ms[:] = last_ho_ms
+    sim.set_txp(-60.0)  # no cell receivable: link failure at 100 ms
+    sim.tick()
+    sim.set_txp(50.0)  # re-attachment to the strongest cell at 200 ms
+    sim.tick()
+    return sim
+
+
+@pytest.mark.parametrize("last_ho_ms, pingpongs", [(0.0, 1), (-5000.0, 0)])
+def test_reattach_to_the_previous_cell_is_a_pingpong_inside_the_window(last_ho_ms, pingpongs):
+    sim = _held_ue(140.0, last_ho_ms)
+    assert [(row.t_ms, row.event, row.serving_gnb) for row in sim.trace] == [(100.0, "LF", 0), (200.0, "REATTACH", 1)]
+    assert sim.pingpong_handovers == pingpongs
+    assert sim.prev_gnb[0] == 0
+    assert sim.last_ho_ms[0] == 200.0
+
+
+def test_reattach_to_the_last_cell_is_no_move():
+    sim = _held_ue(60.0, 0.0)
+    assert [(row.t_ms, row.event, row.serving_gnb) for row in sim.trace] == [(100.0, "LF", 0), (200.0, "REATTACH", 0)]
+    assert sim.total_handovers == 1
+    assert sim.pingpong_handovers == 0
+    assert sim.prev_gnb[0] == 1
+    assert sim.last_ho_ms[0] == 0.0
+
+
 def test_throughput_and_energy_accounting():
     cfg = _one_ue_config(
         area_m=(200.0, 200.0),
