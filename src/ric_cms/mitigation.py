@@ -31,6 +31,7 @@ from .conflict_model import KpiDirection
 # The experiment's grid has 51 points; a scan this long means bounds or
 # a step in the wrong unit, and is refused before anything is allocated.
 MAX_GRID_POINTS = 1_000_000
+_INF = math.inf
 
 
 class MitigationError(Exception):
@@ -46,6 +47,15 @@ def _finite(x, what: str) -> float:
     if not math.isfinite(f):
         raise MitigationError(f"{what} must be a finite number, got {x!r}")
     return f
+
+
+def _pair(x, what: str) -> tuple[float, float]:
+    """x as two floats; MitigationError unless it is a pair of finite numbers."""
+    try:
+        a, b = x
+    except (TypeError, ValueError):
+        raise MitigationError(f"{what} must be a pair of finite numbers, got {x!r}") from None
+    return _finite(a, what), _finite(b, what)
 
 
 class Strategy(Enum):
@@ -64,6 +74,16 @@ class ParameterRequest:
     param: str
     value: float
     t_ms: float
+
+    def __post_init__(self):
+        # Chained comparisons, which NaN and the infinities fail, keep
+        # this cheap: requests are built in bulk.
+        try:
+            if -_INF < self.value < _INF and -_INF < self.t_ms < _INF:
+                return
+        except (TypeError, ValueError):
+            pass
+        raise MitigationError(f"request by {self.xapp!r} needs a finite value and t_ms, got {self.value!r} and {self.t_ms!r}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +104,11 @@ class KpiResponseModel:
         what = f"model for {self.kpi!r}"
         object.__setattr__(self, "threshold", _finite(self.threshold, f"{what}: threshold"))
         point = f"{what}: breakpoint"
-        object.__setattr__(self, "curve", tuple((_finite(v, point), _finite(y, point)) for v, y in self.curve))
+        try:
+            points = tuple(self.curve)
+        except TypeError:
+            raise MitigationError(f"{what}: curve must be a sequence of breakpoints, got {self.curve!r}") from None
+        object.__setattr__(self, "curve", tuple(_pair(p, point) for p in points))
         if len(self.curve) < 2:
             raise MitigationError(f"{what} needs at least 2 breakpoints")
         vs = [v for v, _ in self.curve]
@@ -143,7 +167,7 @@ def qacm_optimize(
     """
     if not models:
         raise MitigationError("qacm needs at least one response model")
-    lo, hi = (_finite(b, "qacm bound") for b in bounds)
+    lo, hi = _pair(bounds, "qacm bound")
     step = _finite(grid_step, "qacm grid step")
     if hi < lo:
         raise MitigationError(f"empty bounds ({lo}, {hi})")
@@ -184,20 +208,34 @@ class ResponseModelSet:
 # Strategy dispatch
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MitigationContext:
     """Deployment-level inputs the strategies draw on.
 
-    defaults:        param -> standards default (sbd)
+    defaults:        param -> standards default (sbd), a finite number
     priorities:      xapp -> rank, higher wins (p-es, p-mro)
     response_models: param -> ResponseModelSet (qacm)
-    bounds:          param -> allowed range, applied to every decision
+    bounds:          param -> allowed range (lo, hi), finite with lo <= hi,
+                     applied to every decision
     """
 
     defaults: dict[str, float]
     priorities: dict[str, int]
     response_models: dict[str, ResponseModelSet]
     bounds: dict[str, tuple[float, float]]
+
+    def __post_init__(self):
+        # inline chained comparisons, as in ParameterRequest
+        try:
+            for param, v in self.defaults.items():
+                if not -_INF < v < _INF:
+                    raise MitigationError(f"default for {param!r} must be a finite number, got {v!r}")
+            for param, (lo, hi) in self.bounds.items():
+                if not -_INF < lo <= hi < _INF:
+                    raise MitigationError(f"bounds for {param!r} must be finite with lo <= hi, got {(lo, hi)!r}")
+        except (TypeError, ValueError):
+            raise MitigationError(f"defaults must be finite numbers and bounds finite (lo, hi) pairs, "
+                                  f"got {self.defaults!r} and {self.bounds!r}") from None
 
     def clamp(self, param: str, value: float) -> float:
         if param in self.bounds:

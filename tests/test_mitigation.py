@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple
 
 import numpy as np
 import pytest
@@ -88,6 +88,12 @@ def test_non_finite_model_inputs_rejected(bad):
         model(curve=((0.0, 0.0), (10.0, bad)))
 
 
+
+@pytest.mark.parametrize("curve", [((0.0, 1.0, 2.0), (1.0, 2.0)), ((0.0,), (1.0, 2.0)), (5.0, 6.0), 5.0, None])
+def test_malformed_curve_rejected(curve):
+    with pytest.raises(MitigationError, match="breakpoint|curve"):
+        model(curve=curve)
+
 def test_satisfaction_maximize():
     m = model(threshold=10.0, curve=((0.0, 0.0), (10.0, 20.0)))
     assert m.satisfaction(10.0) == 1.0   # prediction 20 over threshold 10, capped
@@ -165,6 +171,12 @@ def test_qacm_rejects_non_finite_bounds_and_step(bad):
     with pytest.raises(MitigationError, match="grid step must be a finite number"):
         qacm_optimize([model()], (0.0, 50.0), bad)
 
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 25.0, 50.0), (0.0,), 50.0, None])
+def test_qacm_rejects_bounds_that_are_not_a_pair(bounds):
+    with pytest.raises(MitigationError, match="qacm bound must be a pair"):
+        qacm_optimize([model()], bounds, 1.0)
 
 def test_qacm_refuses_oversized_grid_before_allocating():
     # The limit is checked on the bounds and step, so none of these calls
@@ -267,6 +279,39 @@ def test_decision_clamped_to_bounds():
     d = mitigate(Strategy.NC, [req("a", 99.0, 1.0)], c)
     assert d.value == 40.0
 
+
+
+@pytest.mark.parametrize("value, t", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (3.0, math.nan),
+                                      (3.0, math.inf), ("3", 0.0), (None, 0.0), (3.0, None)])
+def test_request_needs_a_finite_value_and_time(value, t):
+    with pytest.raises(MitigationError, match="finite value and t_ms"):
+        req("a", value, t)
+
+
+@pytest.mark.parametrize("default", [math.nan, math.inf, -math.inf])
+def test_context_rejects_a_non_finite_default(default):
+    with pytest.raises(MitigationError, match="default for 'TXP' must be a finite number"):
+        ctx(defaults={"TXP": default})
+
+
+@pytest.mark.parametrize("bounds", [(20.0, 10.0), (math.nan, 10.0), (0.0, math.nan), (-math.inf, 10.0), (0.0, math.inf)])
+def test_context_rejects_inverted_or_non_finite_bounds(bounds):
+    with pytest.raises(MitigationError, match="bounds for 'TXP' must be finite with lo <= hi"):
+        ctx(bounds={"TXP": bounds})
+
+
+@pytest.mark.parametrize("kw", [{"bounds": {"TXP": (0.0, 10.0, 20.0)}}, {"bounds": {"TXP": 10.0}},
+                                {"bounds": {"TXP": ("0", "10")}}, {"defaults": {"TXP": "30"}}])
+def test_context_rejects_malformed_defaults_and_bounds(kw):
+    with pytest.raises(MitigationError, match="defaults must be finite numbers and bounds finite"):
+        ctx(**kw)
+
+
+def test_context_is_frozen_and_takes_a_one_point_range():
+    c = ctx(bounds={"TXP": (10.0, 10.0)})
+    with pytest.raises(FrozenInstanceError):
+        c.bounds = {}
+    assert c.clamp("TXP", 3.0) == 10.0
 
 def test_requests_must_share_parameter():
     with pytest.raises(MitigationError, match="multiple parameters"):
