@@ -343,8 +343,9 @@ class Simulator:
         r = self._rsrp_matrix(pos)
         serving = self.serving  # updated in place below
 
-        # A3 handovers.  A detached UE (serving -1) never meets cond, so its
-        # count stays 0 and the target stored for it does not matter.
+        # A3 handovers.  No event resets the TTT state: a detached UE never
+        # meets cond, and a handover leaves the new serving cell as the
+        # stored target, which A3 never picks, so the next count starts at 1.
         ue = np.arange(len(serving))
         rs = r[ue, serving]
         masked = r.copy()
@@ -403,7 +404,6 @@ class Simulator:
             self.prev_gnb[idx[away]] = self.last_cell[idx[away]]
             self.last_ho_ms[idx[away]] = t
             self.serving[idx] = self.last_cell[idx] = cells
-            self._ttt_count[idx] = 0
         if self.record_trace:
             events = np.where(pp, "PP", "HO").tolist() if event == "HO" else repeat(event)
             self.trace.extend(map(TraceRow, repeat(t), idx.tolist(), cells.tolist(), r[idx, cells].tolist(), events))
