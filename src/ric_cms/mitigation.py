@@ -83,7 +83,8 @@ class ParameterRequest:
                 return
         except (TypeError, ValueError):
             pass
-        raise MitigationError(f"request by {self.xapp!r} needs a finite value and t_ms, got {self.value!r} and {self.t_ms!r}")
+        raise MitigationError(
+            f"request by {self.xapp!r} needs a finite value and t_ms, got {self.value!r} and {self.t_ms!r}")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Golden outputs: five experiments whose exported files must keep their
-bytes.  The digests were captured from the code before the simulator's
-event phases became array updates, so any refactor of the engine has to
-reproduce those files exactly.  float64 `log10`/`hypot` may differ in the
-last bit across numpy versions, so the check runs only on the version the
-digests were taken with.
+bytes, so a change to the engine that keeps its behaviour has to
+reproduce results.csv, summary.json and every trace exactly.  None of
+these runs has a ping-pong; test_ran_sim pins that rule.  float64
+`log10`/`hypot` may differ in the last bit across numpy versions, so the
+check runs only on the version the digests were taken with.
 """
 
 import hashlib
@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ric_cms.harness import ExperimentConfig, desk_preset, export_csv, export_summary_json, export_traces, run_experiment
+from ric_cms.harness import (
+    ExperimentConfig, desk_preset, export_csv, export_summary_json, export_traces, run_experiment)
 from ric_cms.mitigation import Strategy
 from ric_cms.ran_sim import SimConfig
 

@@ -88,11 +88,11 @@ def test_non_finite_model_inputs_rejected(bad):
         model(curve=((0.0, 0.0), (10.0, bad)))
 
 
-
 @pytest.mark.parametrize("curve", [((0.0, 1.0, 2.0), (1.0, 2.0)), ((0.0,), (1.0, 2.0)), (5.0, 6.0), 5.0, None])
 def test_malformed_curve_rejected(curve):
     with pytest.raises(MitigationError, match="breakpoint|curve"):
         model(curve=curve)
+
 
 def test_satisfaction_maximize():
     m = model(threshold=10.0, curve=((0.0, 0.0), (10.0, 20.0)))
@@ -172,11 +172,11 @@ def test_qacm_rejects_non_finite_bounds_and_step(bad):
         qacm_optimize([model()], (0.0, 50.0), bad)
 
 
-
 @pytest.mark.parametrize("bounds", [(0.0, 25.0, 50.0), (0.0,), 50.0, None])
 def test_qacm_rejects_bounds_that_are_not_a_pair(bounds):
     with pytest.raises(MitigationError, match="qacm bound must be a pair"):
         qacm_optimize([model()], bounds, 1.0)
+
 
 def test_qacm_refuses_oversized_grid_before_allocating():
     # The limit is checked on the bounds and step, so none of these calls
@@ -280,7 +280,6 @@ def test_decision_clamped_to_bounds():
     assert d.value == 40.0
 
 
-
 @pytest.mark.parametrize("value, t", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (3.0, math.nan),
                                       (3.0, math.inf), ("3", 0.0), (None, 0.0), (3.0, None)])
 def test_request_needs_a_finite_value_and_time(value, t):
@@ -288,22 +287,27 @@ def test_request_needs_a_finite_value_and_time(value, t):
         req("a", value, t)
 
 
-@pytest.mark.parametrize("default", [math.nan, math.inf, -math.inf])
-def test_context_rejects_a_non_finite_default(default):
-    with pytest.raises(MitigationError, match="default for 'TXP' must be a finite number"):
-        ctx(defaults={"TXP": default})
+DEFAULT_NOT_FINITE = "default for 'TXP' must be a finite number"
+BOUNDS_NOT_A_RANGE = "bounds for 'TXP' must be finite with lo <= hi"
+MALFORMED = "defaults must be finite numbers and bounds finite"
 
 
-@pytest.mark.parametrize("bounds", [(20.0, 10.0), (math.nan, 10.0), (0.0, math.nan), (-math.inf, 10.0), (0.0, math.inf)])
-def test_context_rejects_inverted_or_non_finite_bounds(bounds):
-    with pytest.raises(MitigationError, match="bounds for 'TXP' must be finite with lo <= hi"):
-        ctx(bounds={"TXP": bounds})
-
-
-@pytest.mark.parametrize("kw", [{"bounds": {"TXP": (0.0, 10.0, 20.0)}}, {"bounds": {"TXP": 10.0}},
-                                {"bounds": {"TXP": ("0", "10")}}, {"defaults": {"TXP": "30"}}])
-def test_context_rejects_malformed_defaults_and_bounds(kw):
-    with pytest.raises(MitigationError, match="defaults must be finite numbers and bounds finite"):
+@pytest.mark.parametrize("kw, detail", [
+    ({"defaults": {"TXP": math.nan}}, DEFAULT_NOT_FINITE),
+    ({"defaults": {"TXP": math.inf}}, DEFAULT_NOT_FINITE),
+    ({"defaults": {"TXP": -math.inf}}, DEFAULT_NOT_FINITE),
+    ({"bounds": {"TXP": (20.0, 10.0)}}, BOUNDS_NOT_A_RANGE),
+    ({"bounds": {"TXP": (math.nan, 10.0)}}, BOUNDS_NOT_A_RANGE),
+    ({"bounds": {"TXP": (0.0, math.nan)}}, BOUNDS_NOT_A_RANGE),
+    ({"bounds": {"TXP": (-math.inf, 10.0)}}, BOUNDS_NOT_A_RANGE),
+    ({"bounds": {"TXP": (0.0, math.inf)}}, BOUNDS_NOT_A_RANGE),
+    ({"bounds": {"TXP": (0.0, 10.0, 20.0)}}, MALFORMED),
+    ({"bounds": {"TXP": 10.0}}, MALFORMED),
+    ({"bounds": {"TXP": ("0", "10")}}, MALFORMED),
+    ({"defaults": {"TXP": "30"}}, MALFORMED),
+])
+def test_context_rejects_bad_defaults_and_bounds(kw, detail):
+    with pytest.raises(MitigationError, match=detail):
         ctx(**kw)
 
 
@@ -312,6 +316,7 @@ def test_context_is_frozen_and_takes_a_one_point_range():
     with pytest.raises(FrozenInstanceError):
         c.bounds = {}
     assert c.clamp("TXP", 3.0) == 10.0
+
 
 def test_requests_must_share_parameter():
     with pytest.raises(MitigationError, match="multiple parameters"):

@@ -243,7 +243,12 @@ def test_pingpong_detected_on_quick_return():
     assert "PP" in [row.event for row in sim.trace]
 
 
-def _held_ue(x, last_ho_ms):
+@pytest.mark.parametrize("x, last_ho_ms, cell, pingpongs, prev_gnb, move_ms", [
+    (140.0, 0.0, 1, 1, 0, 200.0),      # back to the cell left 200 ms ago
+    (140.0, -5000.0, 1, 0, 0, 200.0),  # the same move, outside the 1 s window
+    (60.0, 0.0, 0, 0, 1, 0.0),         # back to the lost cell: no move
+])
+def test_reattachment_follows_the_pingpong_rule(x, last_ho_ms, cell, pingpongs, prev_gnb, move_ms):
     # a still UE at (x, 5) held on cell 0 after a move away from cell 1;
     # a 1 s time-to-trigger keeps A3 from moving it within two ticks
     cfg = _one_ue_config(
@@ -258,29 +263,16 @@ def _held_ue(x, last_ho_ms):
     sim.last_cell[:] = 0
     sim.prev_gnb[:] = 1
     sim.last_ho_ms[:] = last_ho_ms
-    sim.set_txp(-60.0)  # no cell receivable: link failure at 100 ms
+    sim.set_txp(-60.0)  # no cell receivable: link failure
     sim.tick()
-    sim.set_txp(50.0)  # re-attachment to the strongest cell at 200 ms
+    sim.set_txp(50.0)  # re-attachment to the strongest cell
     sim.tick()
-    return sim
-
-
-@pytest.mark.parametrize("last_ho_ms, pingpongs", [(0.0, 1), (-5000.0, 0)])
-def test_reattach_to_the_previous_cell_is_a_pingpong_inside_the_window(last_ho_ms, pingpongs):
-    sim = _held_ue(140.0, last_ho_ms)
-    assert [(row.t_ms, row.event, row.serving_gnb) for row in sim.trace] == [(100.0, "LF", 0), (200.0, "REATTACH", 1)]
-    assert sim.pingpong_handovers == pingpongs
-    assert sim.prev_gnb[0] == 0
-    assert sim.last_ho_ms[0] == 200.0
-
-
-def test_reattach_to_the_last_cell_is_no_move():
-    sim = _held_ue(60.0, 0.0)
-    assert [(row.t_ms, row.event, row.serving_gnb) for row in sim.trace] == [(100.0, "LF", 0), (200.0, "REATTACH", 0)]
+    events = [(row.t_ms, row.event, row.serving_gnb) for row in sim.trace]
+    assert events == [(100.0, "LF", 0), (200.0, "REATTACH", cell)]
     assert sim.total_handovers == 1
-    assert sim.pingpong_handovers == 0
-    assert sim.prev_gnb[0] == 1
-    assert sim.last_ho_ms[0] == 0.0
+    assert sim.pingpong_handovers == pingpongs
+    assert sim.prev_gnb[0] == prev_gnb
+    assert sim.last_ho_ms[0] == move_ms
 
 
 def test_throughput_and_energy_accounting():
