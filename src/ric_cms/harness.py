@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -180,7 +180,7 @@ def run_replica(
     standing: dict[str, ParameterRequest] = {}
     reset_tick = -1
     lf_per_tick: list[int] = []
-    phases: dict[float, PhaseStats] = {}
+    phases: defaultdict[float, PhaseStats] = defaultdict(PhaseStats)
     verdicts: Counter = Counter()
     unattributed = 0
 
@@ -217,7 +217,7 @@ def run_replica(
         applied = sim.txp_dbm
         stats = sim.tick()
         lf_per_tick.append(stats.link_failures)
-        phases.setdefault(applied, PhaseStats()).add(step, stats.bits, stats.joules, stats.link_failures)
+        phases[applied].add(step, stats.bits, stats.joules, stats.link_failures)
 
     report = sim.kpi_report()
     result = ReplicaResult(
@@ -227,7 +227,7 @@ def run_replica(
         **{m: report[m] for m in METRICS},
         verdicts=dict(verdicts),
         unattributed=unattributed,
-        phases=phases,
+        phases=dict(phases),
     )
     return result, sim
 
@@ -258,10 +258,10 @@ def derive_qacm_models(nc_rows: Sequence[ReplicaResult], exp: ExperimentConfig) 
     deliberately conservative reading of the middle ground.
     """
     thresholds = derive_qacm_thresholds(nc_rows)
-    agg: dict[float, PhaseStats] = {}
+    agg: defaultdict[float, PhaseStats] = defaultdict(PhaseStats)
     for row in nc_rows:
         for v, ph in row.phases.items():
-            agg.setdefault(v, PhaseStats()).add(ph.time_ms, ph.bits, ph.joules, ph.link_failures)
+            agg[v].add(ph.time_ms, ph.bits, ph.joules, ph.link_failures)
 
     anchors = (ES_TXP_DBM, MRO_TXP_DBM)
     for v in anchors:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -194,7 +195,8 @@ def qacm_optimize(
 
 @dataclass(frozen=True)
 class ResponseModelSet:
-    """All response models for one parameter, with its scan range."""
+    """All response models for one parameter, with its scan range.  The set
+    is immutable, so its grid is scanned once, by the first optimize()."""
 
     param: str
     bounds: tuple[float, float]
@@ -202,6 +204,10 @@ class ResponseModelSet:
     models: tuple[KpiResponseModel, ...]
 
     def optimize(self) -> QacmResult:
+        return self._scan
+
+    @cached_property
+    def _scan(self) -> QacmResult:
         return qacm_optimize(self.models, self.bounds, self.grid_step)
 
 

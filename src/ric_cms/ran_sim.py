@@ -258,11 +258,16 @@ class Simulator:
     cell held is a ping-pong when it returns to the cell held before it
     within pingpong_window_ms; re-attaching to the last cell held is no
     move.  A re-attachment ping-pong is counted but traced as REATTACH.
+    A tick relies on two identities: a row's maximum is max(rs, rn), serving
+    and best other cell, and the UEs attached after it are the receivable ones.
     """
 
     def __init__(self, cfg: SimConfig, seed: int, record_trace: bool = True):
         self.cfg = cfg
         self.gnbs = cfg.resolved_gnbs()
+        self._lim = np.asarray(cfg.area_m)
+        self._gx, self._gy = self.gnbs.T[:, None, :]      # (1, n_gnbs) each
+        self._row0 = np.arange(cfg.n_ues) * len(self.gnbs)  # flat index of each UE's row
         self.txp_dbm = float(cfg.txp_dbm)
         self.t_ms = 0.0
         self.record_trace = record_trace
@@ -294,8 +299,7 @@ class Simulator:
         self.bw_hz = cfg.ue_bandwidth_hz * np.asarray([c[2] for c in cfg.service_classes])[svc]
 
         # -- attachment state ----------------------------------------------
-        r0 = self._rsrp_matrix(self.pos)
-        self.serving = np.argmax(r0, axis=1).astype(int)
+        self.serving = self._rsrp_matrix(self.pos).argmax(axis=1).astype(int)
         self.last_cell = self.serving.copy()      # serving, or the cell lost on a failure
         self.prev_gnb = np.full(n, -1, dtype=int)  # cell left by the last move, for ping-pong
         self.last_ho_ms = np.full(n, -np.inf)     # time of that move
@@ -318,7 +322,7 @@ class Simulator:
 
     def _rsrp_matrix(self, pos: np.ndarray) -> np.ndarray:
         """(n_ues, n_gnbs) receive levels at the current transmit power."""
-        d = np.hypot(pos[:, None, 0] - self.gnbs[None, :, 0], pos[:, None, 1] - self.gnbs[None, :, 1])
+        d = np.hypot(pos[:, :1] - self._gx, pos[:, 1:] - self._gy)
         return self.txp_dbm + antenna_gain_db(self.cfg.ret_deg) - path_loss_db(d)
 
     # -- dynamics ---------------------------------------------------------
@@ -327,55 +331,53 @@ class Simulator:
         cfg = self.cfg
         dt_s = cfg.step_ms / 1000.0
         t = self.t_ms + cfg.step_ms
+        row0, g = self._row0, len(self.gnbs)
 
-        # move, reflecting at the field boundary.  One reflection per axis
-        # is enough: SimConfig keeps max speed times one step within the field.
-        lim = np.asarray(cfg.area_m)
+        # move, reflecting at the field boundary at most once per axis (SimConfig
+        # keeps one step within the field); reflected at both ends, a UE keeps its velocity
         pos = self.pos + self.vel * dt_s
         low = pos < 0.0
         pos = np.where(low, -pos, pos)
-        self.vel = np.where(low, -self.vel, self.vel)
-        high = pos > lim
-        pos = np.where(high, 2.0 * lim - pos, pos)
-        self.vel = np.where(high, -self.vel, self.vel)
+        high = pos > self._lim
+        pos = np.where(high, 2.0 * self._lim - pos, pos)
+        self.vel = np.where(low ^ high, -self.vel, self.vel)
         self.pos = pos
 
-        r = self._rsrp_matrix(pos)
+        r = self._rsrp_matrix(pos)  # receive levels
         serving = self.serving  # updated in place below
 
         # A3 handovers.  No event resets the TTT state: a detached UE never
         # meets cond, and a handover leaves the new serving cell as the
         # stored target, which A3 never picks, so the next count starts at 1.
-        ue = np.arange(len(serving))
-        rs = r[ue, serving]
+        att = serving >= 0
+        srv = row0 + serving % g  # flat index into r; -1 is the row's last column
+        rs = r.take(srv)
         masked = r.copy()
-        masked[ue, serving] = -np.inf
-        tgt = np.argmax(masked, axis=1)
-        rn = masked[ue, tgt]
-        cond = (serving >= 0) & (rn + cfg.cio_db > rs + cfg.hys_db) & (rn > rs)
-        self._ttt_count = np.where(cond, np.where(self._ttt_target == tgt, self._ttt_count + 1, 1), 0)
+        masked.put(srv, -np.inf)
+        tgt = masked.argmax(axis=1)
+        rn = masked.take(row0 + tgt)
+        cond = att & (rn + cfg.cio_db > rs + cfg.hys_db) & (rn > rs)
+        # the count: 0 off cond, else one more than before on the same target, else 1
+        self._ttt_count = ((self._ttt_target == tgt) * self._ttt_count + 1) * cond
         self._ttt_target = tgt
-        ho = np.nonzero(self._ttt_count >= self.required_ttt_ticks)[0]
-        n_pp = self._change_cell("HO", t, r, ho, tgt[ho])
+        ho = (self._ttt_count >= self.required_ttt_ticks).nonzero()[0]
+        n_pp = self._change_cell("HO", t, r, ho, tgt)
 
         # link failure: attached but nothing receivable anywhere
-        rowmax = r.max(axis=1)
-        lf = np.nonzero((serving >= 0) & (rowmax < cfg.min_rsrp_dbm))[0]
-        self._change_cell("LF", t, r, lf, serving[lf])
+        ok = np.maximum(rs, rn) >= cfg.min_rsrp_dbm
+        lf = (att & ~ok).nonzero()[0]
+        self._change_cell("LF", t, r, lf, serving)
 
         # re-attachment: detached and some cell is receivable again
-        back = np.nonzero((serving < 0) & (rowmax >= cfg.min_rsrp_dbm))[0]
+        back = (~att & ok).nonzero()[0]
         n_pp += self._change_cell("REATTACH", t, r, back)
 
-        # throughput for attached UEs, energy for all sites
-        att_idx = np.nonzero(serving >= 0)[0]
-        bits = 0.0
-        if att_idx.size:
-            rs = r[att_idx, serving[att_idx]]
-            snr_db = rs - cfg.noise_floor_dbm
-            cap = self.bw_hz[att_idx] * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
-            bits = float(np.sum(cap) * dt_s)
-        joules = len(self.gnbs) * gnb_power_w(self.txp_dbm) * dt_s
+        # throughput for attached UEs (now exactly ok), energy for all sites
+        if ho.size or back.size:  # serving cells changed: re-read their levels
+            rs = r.take(row0 + serving % g)
+        cap = self.bw_hz[ok] * np.log2(1.0 + 10.0 ** ((rs[ok] - cfg.noise_floor_dbm) / 10.0))
+        bits = float(cap.sum() * dt_s)
+        joules = g * gnb_power_w(self.txp_dbm) * dt_s
 
         n_ho = ho.size + back.size
         self.total_bits += bits
@@ -386,15 +388,13 @@ class Simulator:
         self.t_ms = t
         return TickStats(bits, joules, lf.size, n_ho, n_pp)
 
-    def _change_cell(self, event: str, t: float, r: np.ndarray, idx: np.ndarray,
-                     cells: np.ndarray | None = None) -> int:
-        """Apply `event` at time t to the UEs `idx` (ascending), trace it
-        and return its ping-pongs.  "LF" detaches each UE from its serving
-        cell `cells`, "HO" moves it to `cells`, "REATTACH" to its strongest."""
+    def _change_cell(self, event: str, t: float, r: np.ndarray, idx: np.ndarray, cells: np.ndarray | None = None) -> int:
+        """Apply `event` at time t to the UEs `idx` (ascending), trace it and
+        return its ping-pongs.  "LF" detaches UE i from cells[i], "HO" moves
+        it to cells[i], "REATTACH" (no cells) to its strongest cell."""
         if not idx.size:
             return 0
-        if cells is None:
-            cells = np.argmax(r[idx], axis=1)
+        cells = r[idx].argmax(axis=1) if cells is None else cells[idx]
         pp = np.zeros(idx.size, dtype=bool)
         if event == "LF":
             self.serving[idx] = -1

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import random
+from itertools import repeat
+
+import numpy as np
 
 from ric_cms.conflict_model import KpiDirection, KpiSpec, XAppDescriptor
 from ric_cms.mitigation import KpiResponseModel
+from ric_cms.ran_sim import Simulator, TickStats, TraceRow, antenna_gain_db, gnb_power_w, path_loss_db
 
 
 def _kpi_json(kpi_id: str) -> dict:
@@ -185,3 +189,102 @@ def qacm_scan_oracle(models, bounds, step):
         if best is None or w > best[1]:
             best = (v, w, all(s == 1.0 for s in sats), tuple(sats))
     return best
+
+
+class ReferenceSimulator(Simulator):
+    """The simulator with its earlier tick: 2-D fancy indexing, a masked
+    copy for the best neighbour, one `np.nonzero` per event set and a
+    row maximum taken over the whole receive matrix.  Kept verbatim as
+    the oracle the flat-index tick must match bit for bit; it shares
+    `__init__` with `Simulator`."""
+
+    def _rsrp_matrix(self, pos: np.ndarray) -> np.ndarray:
+        """(n_ues, n_gnbs) receive levels at the current transmit power."""
+        d = np.hypot(pos[:, None, 0] - self.gnbs[None, :, 0], pos[:, None, 1] - self.gnbs[None, :, 1])
+        return self.txp_dbm + antenna_gain_db(self.cfg.ret_deg) - path_loss_db(d)
+
+    def tick(self) -> TickStats:
+        cfg = self.cfg
+        dt_s = cfg.step_ms / 1000.0
+        t = self.t_ms + cfg.step_ms
+
+        # move, reflecting at the field boundary.  One reflection per axis
+        # is enough: SimConfig keeps max speed times one step within the field.
+        lim = np.asarray(cfg.area_m)
+        pos = self.pos + self.vel * dt_s
+        low = pos < 0.0
+        pos = np.where(low, -pos, pos)
+        self.vel = np.where(low, -self.vel, self.vel)
+        high = pos > lim
+        pos = np.where(high, 2.0 * lim - pos, pos)
+        self.vel = np.where(high, -self.vel, self.vel)
+        self.pos = pos
+
+        r = self._rsrp_matrix(pos)
+        serving = self.serving  # updated in place below
+
+        # A3 handovers.  No event resets the TTT state: a detached UE never
+        # meets cond, and a handover leaves the new serving cell as the
+        # stored target, which A3 never picks, so the next count starts at 1.
+        ue = np.arange(len(serving))
+        rs = r[ue, serving]
+        masked = r.copy()
+        masked[ue, serving] = -np.inf
+        tgt = np.argmax(masked, axis=1)
+        rn = masked[ue, tgt]
+        cond = (serving >= 0) & (rn + cfg.cio_db > rs + cfg.hys_db) & (rn > rs)
+        self._ttt_count = np.where(cond, np.where(self._ttt_target == tgt, self._ttt_count + 1, 1), 0)
+        self._ttt_target = tgt
+        ho = np.nonzero(self._ttt_count >= self.required_ttt_ticks)[0]
+        n_pp = self._change_cell("HO", t, r, ho, tgt[ho])
+
+        # link failure: attached but nothing receivable anywhere
+        rowmax = r.max(axis=1)
+        lf = np.nonzero((serving >= 0) & (rowmax < cfg.min_rsrp_dbm))[0]
+        self._change_cell("LF", t, r, lf, serving[lf])
+
+        # re-attachment: detached and some cell is receivable again
+        back = np.nonzero((serving < 0) & (rowmax >= cfg.min_rsrp_dbm))[0]
+        n_pp += self._change_cell("REATTACH", t, r, back)
+
+        # throughput for attached UEs, energy for all sites
+        att_idx = np.nonzero(serving >= 0)[0]
+        bits = 0.0
+        if att_idx.size:
+            rs = r[att_idx, serving[att_idx]]
+            snr_db = rs - cfg.noise_floor_dbm
+            cap = self.bw_hz[att_idx] * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
+            bits = float(np.sum(cap) * dt_s)
+        joules = len(self.gnbs) * gnb_power_w(self.txp_dbm) * dt_s
+
+        n_ho = ho.size + back.size
+        self.total_bits += bits
+        self.total_joules += joules
+        self.link_failures += lf.size
+        self.total_handovers += n_ho
+        self.pingpong_handovers += n_pp
+        self.t_ms = t
+        return TickStats(bits, joules, lf.size, n_ho, n_pp)
+
+    def _change_cell(self, event: str, t: float, r: np.ndarray, idx: np.ndarray,
+                     cells: np.ndarray | None = None) -> int:
+        """Apply `event` at time t to the UEs `idx` (ascending), trace it
+        and return its ping-pongs.  "LF" detaches each UE from its serving
+        cell `cells`, "HO" moves it to `cells`, "REATTACH" to its strongest."""
+        if not idx.size:
+            return 0
+        if cells is None:
+            cells = np.argmax(r[idx], axis=1)
+        pp = np.zeros(idx.size, dtype=bool)
+        if event == "LF":
+            self.serving[idx] = -1
+        else:
+            away = cells != self.last_cell[idx]
+            pp = away & (cells == self.prev_gnb[idx]) & (t - self.last_ho_ms[idx] <= self.cfg.pingpong_window_ms)
+            self.prev_gnb[idx[away]] = self.last_cell[idx[away]]
+            self.last_ho_ms[idx[away]] = t
+            self.serving[idx] = self.last_cell[idx] = cells
+        if self.record_trace:
+            events = np.where(pp, "PP", "HO").tolist() if event == "HO" else repeat(event)
+            self.trace.extend(map(TraceRow, repeat(t), idx.tolist(), cells.tolist(), r[idx, cells].tolist(), events))
+        return int(np.count_nonzero(pp))

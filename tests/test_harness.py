@@ -3,7 +3,7 @@ import dataclasses
 
 import pytest
 
-from ric_cms import harness
+from ric_cms import harness, mitigation
 from ric_cms.conflict_model import KpiDirection
 from ric_cms.harness import (
     ALL_STRATEGIES,
@@ -280,3 +280,19 @@ def test_rerun_is_byte_identical(tmp_path, small_result):
         export_summary_json(result, tmp_path / f"{tag}.json")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_qacm_scans_its_model_set_once_per_experiment(monkeypatch):
+    scans = []
+    scan = mitigation.qacm_optimize
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(mitigation, "qacm_optimize", counted)
+    result = run_experiment(ExperimentConfig(sim=SimConfig(), reps=1))
+    assert len(scans) == 1
+    # later reads, such as the summary export's, reuse the one scan
+    assert result.model_set.optimize() is result.model_set.optimize()
+    assert len(scans) == 1

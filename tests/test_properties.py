@@ -1,15 +1,20 @@
-"""Property tests: simulator invariants after every tick, and the
-ledger's attribution window, over small random inputs."""
+"""Property tests: simulator invariants after every tick, the tick
+against its reference implementation, and the ledger's attribution
+window, over small random inputs."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ric_cms.detection import ChangeRecord, DegradationEvent, Ledger, UnattributableDegradationError
 from ric_cms.ran_sim import SimConfig, Simulator
 from ric_cms.xapps import EE_KPI, ES_XAPP_ID, LF_KPI, MRO_XAPP_ID, TXP_PARAM, experiment_topology
+
+from conftest import ReferenceSimulator
 
 # Derandomized so a tier-1 run is a function of the code; raise
 # max_examples locally to search wider.
@@ -69,6 +74,63 @@ def test_tick_keeps_its_invariants(cfg, seed, txps):
         assert stats.link_failures == events["LF"]
         assert stats.handovers == events["HO"] + events["PP"] + events["REATTACH"]
         assert stats.pingpongs >= events["PP"]
+
+
+STATE = ("pos", "vel", "serving", "last_cell", "prev_gnb", "last_ho_ms", "_ttt_count", "_ttt_target")
+
+
+def run_beside_the_oracle(cfg, seed, txps=()):
+    """Tick a Simulator and the ReferenceSimulator in step, setting the
+    transmit power from `txps` in turn before each tick; every TickStats,
+    state array and trace row must agree bit for bit.  Returns the trace."""
+    sim, ref = Simulator(cfg, seed), ReferenceSimulator(cfg, seed)
+    for k in range(cfg.n_ticks):
+        if txps:
+            sim.set_txp(txps[k % len(txps)])
+            ref.set_txp(txps[k % len(txps)])
+        assert repr(sim.tick()) == repr(ref.tick()), k
+        for name in STATE:
+            a, b = getattr(sim, name), getattr(ref, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (k, name)
+    assert repr(sim.trace) == repr(ref.trace)
+    assert repr(sim.kpi_report()) == repr(ref.kpi_report())
+    return sim.trace
+
+
+@st.composite
+def oracle_scenarios(draw):
+    """sim_configs widened to what the golden runs never reach: receive
+    floors that detach UEs, ping-pong windows up to 1e6 ms and a
+    time-to-trigger of up to ten steps."""
+    cfg = draw(sim_configs())
+    return dataclasses.replace(
+        cfg,
+        min_rsrp_dbm=draw(st.floats(-120.0, -40.0)),
+        pingpong_window_ms=draw(st.floats(0.0, 1e6)),
+        ttt_ms=cfg.step_ms * draw(st.sampled_from([0.001, 1.0, 1.5, 3.0, 10.0])),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cfg=oracle_scenarios(), seed=st.integers(0, 2**32 - 1), txps=st.lists(st.floats(-20.0, 50.0), max_size=4))
+def test_tick_matches_the_reference_tick(cfg, seed, txps):
+    run_beside_the_oracle(cfg, seed, txps)
+
+
+@pytest.mark.parametrize("cfg, txps, events", [
+    # two close cells in a tiny field, fast UEs: returns within the window
+    (SimConfig(n_ues=30, area_m=(12.0, 4.0), gnb_positions=((5.0, 2.0), (7.0, 2.0)), duration_s=5.0,
+               pingpong_window_ms=1e6, speed_classes=(("fixed", 1.0, 15.0, 15.0),)), (), {"HO", "PP"}),
+    # one weak cell, so rn is -inf: UEs drive out of coverage and back
+    (SimConfig(n_ues=30, area_m=(300.0, 10.0), gnb_positions=((5.0, 5.0),), txp_dbm=3.0, duration_s=30.0,
+               speed_classes=(("fixed", 1.0, 10.0, 10.0),)), (), {"LF", "REATTACH"}),
+    # a 350 ms time-to-trigger, and every 3.2 s the power drops out of coverage for a tick
+    (SimConfig(n_ues=30, duration_s=20.0, ttt_ms=350.0, min_rsrp_dbm=-90.0), (30.0,) * 30 + (-10.0, 45.0),
+     {"HO", "LF", "REATTACH"}),
+])
+def test_oracle_runs_reach_every_event(cfg, txps, events):
+    trace = run_beside_the_oracle(cfg, 0, txps)
+    assert events <= {row.event for row in trace}
 
 
 @st.composite
