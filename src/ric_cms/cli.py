@@ -48,7 +48,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     print("parameter groups:")
     for kpi in sorted(t.param_groups):
         group = ", ".join(sorted(t.param_groups[kpi]))
-        print(f"  {kpi} (owner {t.owner_of(kpi)}): {{{group}}}")
+        print(f"  {kpi} (owner {t.kpi_owner[kpi]}): {{{group}}}")
     direct = cm.direct_conflicts(t)
     indirect = cm.indirect_conflicts(t)
     print(f"direct conflicts: {len(direct)}")
@@ -84,13 +84,6 @@ def _cmd_detect_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_strategies(text: str) -> tuple[Strategy, ...]:
-    names = [s.strip() for s in text.split(",") if s.strip()]
-    if not names:
-        raise ValueError("empty strategy list")
-    return tuple(Strategy(n) for n in names)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.preset:
         exp = PRESETS[args.preset](base_seed=args.seed)
@@ -98,7 +91,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         exp = ExperimentConfig(sim=load_sim_config(args.config), base_seed=args.seed)
     else:
         raise ValueError("simulate needs --preset or --config")
-    overrides: dict = {"strategies": _parse_strategies(args.strategies)}
+    overrides: dict = {"strategies": tuple(Strategy(s.strip()) for s in args.strategies.split(",") if s.strip())}
     if args.config and args.preset:
         overrides["sim"] = load_sim_config(args.config)
     if args.reps is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -156,12 +156,6 @@ class ConflictTopology:
     def xp_edges(self) -> frozenset[tuple[str, str]]:
         return frozenset((x.id, p) for x in self.xapps for p in x.icps)
 
-    def owner_of(self, kpi_id: str) -> str:
-        try:
-            return self.kpi_owner[kpi_id]
-        except KeyError:
-            raise TopologyError(f"unknown KPI {kpi_id!r}") from None
-
 
 def build_topology(
     xapps: Iterable[XAppDescriptor],
@@ -245,7 +239,12 @@ def promote_implicit(t: ConflictTopology, param: str, kpi: str) -> ConflictTopol
         raise TopologyError(f"unknown KPI {kpi!r}")
     if param in t.param_groups[kpi]:
         raise TopologyError(f"parameter {param!r} already in group of {kpi!r}")
-    return replace(t, kp_edges=t.kp_edges | {(kpi, param)})
+    groups, kpis = t.param_groups.copy(), t.param_to_kpis.copy()
+    groups[kpi], kpis[param] = groups[kpi] | {param}, kpis[param] | {kpi}
+    new = object.__new__(ConflictTopology)  # skips __post_init__: shares every view but these three
+    new.__dict__.update(t.__dict__, kp_edges=t.kp_edges | {(kpi, param)},
+                        param_groups=MappingProxyType(groups), param_to_kpis=MappingProxyType(kpis))
+    return new
 
 
 def param_param_edges(t: ConflictTopology) -> list[tuple[str, str, tuple[str, ...]]]:

@@ -93,7 +93,13 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.sim, SimConfig):
+            raise ValueError(f"sim must be a SimConfig, got {self.sim!r}")
         object.__setattr__(self, "strategies", tuple(self.strategies))
+        if not self.strategies:
+            raise ValueError("empty strategy list")
+        if not all(isinstance(s, Strategy) for s in self.strategies):
+            raise ValueError(f"strategies must be Strategy members, got {self.strategies!r}")
         if len(set(self.strategies)) != len(self.strategies):
             raise ValueError("strategies must not repeat")
         ticks = CONTROL_INTERVAL_MS / self.sim.step_ms

@@ -121,29 +121,37 @@ class KpiResponseModel:
 
     def predict(self, v):
         """Prediction at v: a float for a number, an array for an array."""
-        pts = np.array(self.curve)
-        deltas = pts[1:] - pts[:-1]  # per segment: (v1 - v0, y1 - y0)
-        v = np.asarray(v, dtype=float)
-        # A value on an interior breakpoint takes the segment that ends there.
-        j = pts[1:-1, 0].searchsorted(v, side="left")
-        left, delta = pts.take(j, axis=0), deltas.take(j, axis=0)
-        inside = left[..., 1] + delta[..., 1] * (v - left[..., 0]) / delta[..., 0]
-        (v_first, y_first), (v_last, y_last) = self.curve[0], self.curve[-1]
-        return np.where(v <= v_first, y_first, np.where(v >= v_last, y_last, inside))[()]
+        return np.vectorize(self._scalar(ratio=False), otypes=[float])(v)[()]
 
     def satisfaction(self, v):
-        """Capped ratio toward the threshold at v, shaped like predict's
-        result; 1.0 means target met."""
-        y = self.predict(v)
-        if self.direction is KpiDirection.MAXIMIZE:
-            ratio = y / self.threshold
-        else:
-            zero = y == 0
-            met = 1.0 if self.threshold >= 0 else 0.0
-            ratio = np.where(zero, met, self.threshold / np.where(zero, 1.0, y))
-        # fmin, unlike minimum, caps a NaN ratio (from overflow in the
-        # curve) to 1.0, as min(1.0, nan) does; the where keeps -0.0.
-        return np.where(ratio < 0, 0.0, np.fmin(1.0, ratio))[()]
+        """Capped ratio toward the threshold at v, shaped like predict's result; 1.0 means target met."""
+        return np.vectorize(self._scalar(), otypes=[float])(v)[()]
+
+    def _scalar(self, ratio: bool = True):
+        """Satisfaction (prediction if not ratio) at one number; curve ends, threshold and direction bound once."""
+        (v_first, y_first), (v_last, y_last) = self.curve[0], self.curve[-1]
+        segments, threshold = tuple(zip(self.curve, self.curve[1:])), self.threshold
+        maximize = self.direction is KpiDirection.MAXIMIZE
+
+        def at(v):
+            if v <= v_first:
+                y = y_first
+            elif v >= v_last:
+                y = y_last
+            else:
+                for (v0, y0), (v1, y1) in segments:
+                    if v <= v1:  # on an interior breakpoint, the segment that ends there
+                        break
+                y = y0 + (y1 - y0) * (v - v0) / (v1 - v0)
+            if not ratio:
+                return y
+            if not maximize and y == 0:
+                return 1.0 if threshold >= 0 else 0.0
+            r = y / threshold if maximize else threshold / y
+            # min(1.0, r): a NaN ratio (overflow in the curve) caps to 1.0, -0.0 stays
+            return 0.0 if r < 0 else r if r < 1.0 else 1.0
+
+        return at
 
 
 @dataclass(frozen=True)
@@ -162,10 +170,11 @@ def qacm_optimize(
     """Scan the value grid, return the welfare-maximizing value.
 
     Grid: lo, lo+step, ... up to hi inclusive when it lands on the grid,
-    at most MAX_GRID_POINTS points, evaluated as one array per model.
-    Welfare is the product of satisfactions in model order.  Ties prefer
-    the smaller value, so the result is the least aggressive setting that
-    achieves the best attainable welfare.
+    at most MAX_GRID_POINTS points.  Welfare is the product of satisfactions
+    in model order.  Ties prefer the smaller value, so the result is the
+    least aggressive setting that achieves the best attainable welfare.
+    The walk prunes exactly: satisfactions lie in [0, 1], so a partial
+    product never grows.
     """
     if not models:
         raise MitigationError("qacm needs at least one response model")
@@ -178,19 +187,20 @@ def qacm_optimize(
     steps = (hi - lo) / step + 1e-9  # inf when the width or the ratio overflows
     if steps >= MAX_GRID_POINTS:
         raise MitigationError(f"grid over ({lo:g}, {hi:g}) in steps of {step:g} exceeds {MAX_GRID_POINTS} points")
-    v = lo + np.arange(int(steps) + 1) * step
-    sats = [m.satisfaction(v) for m in models]
-    welfare = sats[0]
-    for s in sats[1:]:
-        welfare = welfare * s
-    i = int(welfare.argmax())  # the first maximum: the smallest value
-    best = tuple(float(s[i]) for s in sats)
-    return QacmResult(
-        value=float(v[i]),
-        welfare=float(welfare[i]),
-        satisfied_all=all(s == 1.0 for s in best),
-        satisfactions=best,
-    )
+    sats = [m._scalar() for m in models]
+    best_i, best_w = 0, -1.0
+    for i in range(int(steps) + 1):
+        v, w = lo + i * step, 1.0
+        for sat in sats:
+            w = w * sat(v)
+            if w <= best_w:  # w can only fall from here, so it cannot win
+                break
+        else:  # w > best_w, a strict gain
+            best_i, best_w = i, w
+            if w == 1.0:  # no later point can beat it
+                break
+    best = tuple(sat(lo + best_i * step) for sat in sats)
+    return QacmResult(lo + best_i * step, best_w, all(s == 1.0 for s in best), best)
 
 
 @dataclass(frozen=True)

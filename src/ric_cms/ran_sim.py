@@ -318,6 +318,8 @@ class Simulator:
     # -- radio ------------------------------------------------------------
 
     def set_txp(self, txp_dbm: float) -> None:
+        if not _is_number(txp_dbm):
+            raise ValueError(f"transmit power must be a finite number of dBm, got {txp_dbm!r}")
         self.txp_dbm = float(txp_dbm)
 
     def _rsrp_matrix(self, pos: np.ndarray) -> np.ndarray:

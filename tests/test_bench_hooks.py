@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 from ric_cms import harness
+from ric_cms.conflict_model import KpiDirection, five_xapp_topology
+from ric_cms.detection import ChangeRecord, DegradationEvent, Ledger, VerdictKind
 from ric_cms.harness import ExperimentConfig, run_experiment
+from ric_cms.mitigation import KpiResponseModel, ResponseModelSet
 from ric_cms.ran_sim import SimConfig
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -28,19 +31,24 @@ def tiny_experiment() -> ExperimentConfig:
     return ExperimentConfig(sim=SimConfig(duration_s=6.0), reps=1)
 
 
+def traced(tracer, fn):
+    """fn()'s result and the spans the call recorded, summarized by name."""
+    t = tracer.Tracer()
+    t.install()
+    try:
+        result = fn()
+    finally:
+        t.uninstall()
+    return result, tracer.summarize(t)
+
+
 def test_every_patch_point_resolves(tracer):
     for owner, attr, name, *_ in tracer.PATCHES:
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr} is gone"
 
 
 def test_traced_experiment_reaches_every_layer(tracer):
-    t = tracer.Tracer()
-    t.install()
-    try:
-        run_experiment(tiny_experiment())
-    finally:
-        t.uninstall()
-    spans = tracer.summarize(t)
+    _, spans = traced(tracer, lambda: run_experiment(tiny_experiment()))
     expected = {
         "harness.run_replica",
         "harness.calibrate",
@@ -50,6 +58,29 @@ def test_traced_experiment_reaches_every_layer(tracer):
     }
     assert expected <= set(spans)
     assert spans["harness.run_replica"]["calls"] == len(harness.ALL_STRATEGIES)
+
+
+def test_traced_promotion_and_scan_record_one_span_each(tracer):
+    # promotion no longer rebuilds through build_topology, and a fresh
+    # model set scans inside its first optimize(); perfbench must still
+    # see one span for each
+    ledger = Ledger(five_xapp_topology())
+    ledger.record_change(ChangeRecord(100.0, "x1", "p1", 5.0))
+    ev = DegradationEvent(500.0, "k5", "x5", 0.2)
+    ledger.record_degradation(ev)
+    verdict, spans = traced(tracer, lambda: ledger.classify_and_learn(ev))
+    assert verdict.kind is VerdictKind.IMPLICIT and "p1" in ledger.topology.param_groups["k5"]
+    assert spans["conflict_model.promote_implicit"]["calls"] == 1
+    assert spans["detection.classify_and_learn"]["calls"] == 1
+    assert "conflict_model.build_topology" not in spans
+
+    ee = KpiResponseModel("ee", KpiDirection.MAXIMIZE, 2.0, ((0.0, 1.0), (50.0, 3.0)))
+    lf = KpiResponseModel("lf", KpiDirection.MINIMIZE, 10.0, ((0.0, 2.0), (50.0, 30.0)))
+    model_set = ResponseModelSet("TXP", (0.0, 50.0), 1.0, (ee, lf))
+    result, spans = traced(tracer, lambda: model_set.optimize())  # looked up once installed
+    assert spans["mitigation.qacm_scan"]["calls"] == 1
+    assert spans["mitigation.qacm_scan"]["note"] == 51  # grid points
+    assert result == model_set.optimize()
 
 
 def test_replicas_build_their_ledger_through_the_harness_name(monkeypatch):

@@ -119,6 +119,34 @@ def test_promote_implicit_rejects_bad_input():
         promote_implicit(t, "p7", "k5")
 
 
+def test_promote_implicit_equals_a_rebuild_at_every_step():
+    # promotion shares the parent's views and replaces three; every view
+    # must still equal the one a full build derives from the same edges
+    t = five_xapp_topology()
+    open_couplings = sorted((k, p) for k in t.all_kpis for p in t.all_params - t.param_groups[k])
+    random.Random(2024).shuffle(open_couplings)
+    edges = set(t.kp_edges)
+    for k, p in open_couplings:
+        parent = t
+        before = (dict(parent.param_groups), dict(parent.param_to_kpis), parent.kp_edges)
+        t = promote_implicit(parent, p, k)
+        edges.add((k, p))
+        rebuilt = build_topology(t.xapps, edges)
+        assert t.kp_edges == rebuilt.kp_edges == edges
+        assert t.xapps == rebuilt.xapps
+        for view in ("kpi_owner", "icps", "param_groups", "param_to_kpis"):
+            assert dict(getattr(t, view)) == dict(getattr(rebuilt, view)), view
+        assert t == rebuilt and hash(t) == hash(rebuilt)
+        for view, key in ((t.param_groups, k), (t.param_to_kpis, p)):
+            with pytest.raises(TypeError):
+                view[key] = frozenset()
+        with pytest.raises(TopologyError, match="already"):
+            promote_implicit(t, p, k)
+        assert (dict(parent.param_groups), dict(parent.param_to_kpis), parent.kp_edges) == before
+        assert p not in parent.param_groups[k] and k not in parent.param_to_kpis[p]
+    assert all(t.param_groups[k] == t.all_params for k in t.all_kpis)
+
+
 def test_param_param_edges_reference():
     edges = {(a, b): set(ks) for a, b, ks in param_param_edges(five_xapp_topology())}
     assert edges[("p1", "p2")] == {"k1", "k2"}

@@ -53,6 +53,23 @@ def test_duplicate_strategies_rejected():
         small_exp(strategies=(Strategy.NC, Strategy.SBD, Strategy.NC))
 
 
+@pytest.mark.parametrize(
+    "kw, detail",
+    [
+        ({"sim": {"n_ues": 5}}, "sim must be a SimConfig"),
+        ({"sim": None}, "sim must be a SimConfig"),
+        ({"strategies": ()}, "empty strategy list"),
+        ({"strategies": ("nc",)}, "Strategy members"),
+        ({"strategies": (Strategy.NC, "qacm")}, "Strategy members"),
+        ({"strategies": "nc"}, "Strategy members"),
+    ],
+    ids=["sim-dict", "sim-none", "strategies-empty", "strategy-name", "strategy-mixed", "strategies-string"],
+)
+def test_config_rejects_malformed_sim_and_strategies(kw, detail):
+    with pytest.raises(ValueError, match=detail):
+        small_exp(**kw)
+
+
 def test_config_is_frozen():
     exp = small_exp()
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -205,6 +205,40 @@ def test_qacm_exact_on_desk_shaped_sets_and_breakpoint_grids():
         assert repr(astuple(res)) == repr(qacm_scan_oracle(models, bounds, step))
 
 
+# Cases for the pruned walk: (models, bounds, step, expected value, expected welfare)
+PRUNED_WALK_CASES = {
+    # every point is fully satisfied, so the walk ends at the first one
+    "welfare-1-at-first-point": (
+        [model(threshold=1.0, curve=((0.0, 5.0), (10.0, 5.0))), model(KpiDirection.MINIMIZE, 4.0, ((0.0, 1.0), (10.0, 2.0)))],
+        (0.0, 10.0), 1.0, 0.0, 1.0),
+    # the first factor is 0 everywhere: every later point stops at it
+    "welfare-0-everywhere": (
+        [model(curve=((0.0, 0.0), (10.0, 0.0))), model(threshold=1.0)],
+        (0.0, 10.0), 0.5, 0.0, 0.0),
+    # points 1-30 stop at the first factor and 31-38 at the second; 39
+    # and 40 improve strictly, and 41-50 stop at the second factor again
+    "long-pruned-stretch-then-improvement": (
+        [model(curve=((0.0, 5.0), (30.0, 5.0), (40.0, 10.0))), model(KpiDirection.MINIMIZE, 10.0, ((0.0, 5.0), (50.0, 20.0)))],
+        (0.0, 50.0), 1.0, 40.0, 10.0 / 17.0),
+    # full satisfaction only from 40 on: the walk stops there
+    "satisfied-plateau-late": (
+        [model(curve=((0.0, 0.0), (40.0, 10.0))), model(KpiDirection.MINIMIZE, 3.0, ((0.0, 9.0), (45.0, 1.0)))],
+        (0.0, 50.0), 1.0, 40.0, 1.0),
+    # -0.0 at the first point; the later +0.0 points tie it and lose
+    "negative-zero-welfare": (
+        [model(threshold=-1.0, curve=((0.0, 0.0), (5.0, 0.0), (10.0, 3.0))), model(threshold=1.0)],
+        (0.0, 10.0), 1.0, 0.0, -0.0),
+}
+
+
+@pytest.mark.parametrize("case", PRUNED_WALK_CASES.values(), ids=PRUNED_WALK_CASES.keys())
+def test_qacm_pruned_walk_matches_scan_oracle(case):
+    models, bounds, step, value, welfare = case
+    res = qacm_optimize(models, bounds, step)
+    assert repr(astuple(res)) == repr(qacm_scan_oracle(models, bounds, step))
+    assert (repr(res.value), repr(res.welfare)) == (repr(value), repr(welfare))
+
+
 def test_qacm_exact_at_signed_zero_and_overflow():
     # A zero prediction over a negative maximize threshold satisfies -0.0.
     neg = model(threshold=-1.0, curve=((0.0, 0.0), (10.0, 0.0)))

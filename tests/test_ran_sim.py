@@ -295,6 +295,21 @@ def test_throughput_and_energy_accounting():
     assert ee == pytest.approx(expected_bits / 104.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "30", None, True])
+def test_set_txp_rejects_what_is_not_a_finite_number(bad):
+    sim = Simulator(SimConfig(n_ues=5), seed=0)
+    with pytest.raises(ValueError, match="transmit power"):
+        sim.set_txp(bad)
+    assert sim.txp_dbm == 30.0
+
+
+@pytest.mark.parametrize("power", [-20.0, 0.0, 23.5, 46, np.float64(12.25)])
+def test_set_txp_lands_a_finite_power_unchanged(power):
+    sim = Simulator(SimConfig(n_ues=5), seed=0)
+    sim.set_txp(power)
+    assert sim.txp_dbm == power and type(sim.txp_dbm) is float
+
+
 def test_detached_ue_earns_no_bits():
     cfg = _one_ue_config(
         area_m=(300.0, 10.0),
