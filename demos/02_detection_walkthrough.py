@@ -50,5 +50,5 @@ stats = bench_detection(topo, events)
 print("\n10,000 generated events:")
 for kind in sorted(stats):
     s = stats[kind]
-    print(f"  {kind:<12} n={s.count:<5} accuracy={s.accuracy:.3f}"
-          f"  median={s.latency.median_us:.1f} us  p99={s.latency.p99_us:.1f} us")
+    print(f"  {kind:<12} n={s['count']:<5} accuracy={s['accuracy']:.3f}"
+          f"  median={s['median_us']:.1f} us  p99={s['p99_us']:.1f} us")

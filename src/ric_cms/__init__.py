@@ -8,6 +8,7 @@ The package splits along the lifecycle of a conflict:
   ran_sim         a small deterministic network simulator to fight over
   xapps           the competing apps and synthetic detector workloads
   harness         paired-seed strategy comparison experiments
+  files           the one CSV and the one JSON writer every output goes through
 """
 
 from .conflict_model import (

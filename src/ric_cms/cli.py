@@ -19,7 +19,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import conflict_model as cm
-from .detection import bench_stats_to_dict, bench_detection
+from .detection import bench_detection
+from .files import write_json
 from .harness import (
     ALL_STRATEGIES,
     ExperimentConfig,
@@ -68,14 +69,11 @@ def _cmd_detect_bench(args: argparse.Namespace) -> int:
     t = _load_topology(args.topology)
     events = gen_stochastic_events(t, args.events, args.seed)
     stats = bench_detection(t, events)
-    payload = bench_stats_to_dict(stats)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    for kind in sorted(payload):
-        s = payload[kind]
+    write_json(out, stats)
+    for kind in sorted(stats):
+        s = stats[kind]
         print(
             f"{kind:12s} n={s['count']:6d}  accuracy={s['accuracy']:7.2%}  "
             f"median={s['median_us']:8.2f} us  p99={s['p99_us']:8.2f} us"

@@ -11,13 +11,14 @@ at runtime are folded in with `promote_implicit`.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
+
+from .files import write_csv
 
 
 class TopologyError(ValueError):
@@ -342,27 +343,11 @@ def write_graph_csvs(t: ConflictTopology, outdir: str | Path) -> list[Path]:
     """Write xp_edges.csv, kp_edges.csv and pp_edges.csv under outdir."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    xp = outdir / "xp_edges.csv"
-    with open(xp, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["xapp", "param"])
-        w.writerows(sorted(t.xp_edges))
-    written.append(xp)
-
-    kp = outdir / "kp_edges.csv"
-    with open(kp, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["kpi", "param"])
-        w.writerows(sorted(t.kp_edges))
-    written.append(kp)
-
-    pp = outdir / "pp_edges.csv"
-    with open(pp, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["param_a", "param_b", "kpis"])
-        for a, b, kpis in param_param_edges(t):
-            w.writerow([a, b, "|".join(kpis)])
-    written.append(pp)
-    return written
+    tables = {
+        "xp_edges.csv": (("xapp", "param"), sorted(t.xp_edges)),
+        "kp_edges.csv": (("kpi", "param"), sorted(t.kp_edges)),
+        "pp_edges.csv": (("param_a", "param_b", "kpis"), ((a, b, "|".join(k)) for a, b, k in param_param_edges(t))),
+    }
+    for name, (header, rows) in tables.items():
+        write_csv(outdir / name, header, rows)
+    return [outdir / name for name in tables]

@@ -20,14 +20,20 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from statistics import mean, median
 from typing import Iterable, Sequence
 
 from .conflict_model import ConflictTopology, promote_implicit
 
 DEFAULT_ATTRIBUTION_WINDOW_MS = 1000.0
+
+
+def _finite_real(x) -> bool:
+    """A finite real number, not a bool.  Ingest tests a plain float inline first; this ABC check is far slower."""
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 class DetectionError(Exception):
@@ -91,17 +97,17 @@ class ConflictVerdict:
 class Ledger:
     """Change and degradation history plus the classification rules.
 
-    Timestamps must be finite and non-decreasing per ledger; attribution
-    uses binary search over the change timeline, so classify is O(log n)
-    in ledger size.  A change must come from an xApp in the topology and
-    write one of that xApp's ICPs, and a classified degradation must be
-    observed by the owner of its KPI; each is one O(1) lookup and raises
-    DetectionError otherwise.
+    Timestamps must be finite real numbers, not bools, and non-decreasing
+    per ledger; attribution uses binary search over the change timeline,
+    so classify is O(log n) in ledger size.  A change must come from an
+    xApp in the topology and write one of that xApp's ICPs, and a
+    classified degradation must be observed by the owner of its KPI; each
+    is one O(1) lookup and raises DetectionError otherwise.
     """
 
     def __init__(self, topology: ConflictTopology, window_ms: float = DEFAULT_ATTRIBUTION_WINDOW_MS):
-        if window_ms <= 0:
-            raise DetectionError("attribution window must be positive")
+        if not (_finite_real(window_ms) and window_ms > 0):
+            raise DetectionError(f"attribution window must be a finite positive number, got {window_ms!r}")
         self.topology = topology
         self.window_ms = window_ms
         self._changes: list[ChangeRecord] = []
@@ -116,7 +122,7 @@ class Ledger:
             raise DetectionError(f"change by unknown xApp {rec.xapp!r}")
         if rec.param not in icps:
             raise DetectionError(f"change of {rec.param!r} by {rec.xapp!r}, which does not control it")
-        if not math.isfinite(rec.t_ms):
+        if not (math.isfinite(rec.t_ms) if rec.t_ms.__class__ is float else _finite_real(rec.t_ms)):
             raise DetectionError(f"change at non-finite time {rec.t_ms!r}")
         if self._change_times and rec.t_ms < self._change_times[-1]:
             raise ClockRegressionError(
@@ -127,7 +133,7 @@ class Ledger:
         return self
 
     def record_degradation(self, ev: DegradationEvent) -> "Ledger":
-        if not math.isfinite(ev.t_ms):
+        if not (math.isfinite(ev.t_ms) if ev.t_ms.__class__ is float else _finite_real(ev.t_ms)):
             raise DetectionError(f"degradation at non-finite time {ev.t_ms!r}")
         if self._degradations and ev.t_ms < self._degradations[-1].t_ms:
             raise ClockRegressionError(
@@ -194,76 +200,36 @@ class Ledger:
 # Benchmarking
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LatencyStats:
-    """Wall-clock classify latencies in microseconds."""
-
-    samples_us: list[float] = field(default_factory=list)
-
-    def add(self, us: float) -> None:
-        self.samples_us.append(us)
-
-    @property
-    def mean_us(self) -> float:
-        return mean(self.samples_us) if self.samples_us else 0.0
-
-    @property
-    def median_us(self) -> float:
-        return median(self.samples_us) if self.samples_us else 0.0
-
-    @property
-    def p99_us(self) -> float:
-        if not self.samples_us:
-            return 0.0
-        s = sorted(self.samples_us)
-        # nearest-rank on the right edge
-        k = max(0, min(len(s) - 1, int(round(0.99 * (len(s) - 1)))))
-        return s[k]
-
-
-@dataclass
-class KindStats:
-    count: int = 0
-    correct: int = 0
-    latency: LatencyStats = field(default_factory=LatencyStats)
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.count if self.count else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "accuracy": self.accuracy,
-            "mean_us": self.latency.mean_us,
-            "median_us": self.latency.median_us,
-            "p99_us": self.latency.p99_us,
-        }
-
-
-def bench_detection(topology: ConflictTopology, events: Iterable) -> dict[str, KindStats]:
+def bench_detection(topology: ConflictTopology, events: Iterable) -> dict[str, dict]:
     """Replay labeled events through a fresh ledger, timing classify only.
 
     Each event carries .change, .degradation and .expected (a VerdictKind).
     Recording is outside the timed region; the clock wraps the single
     classify call.  Implicit events do not learn here so repeated implicit
     couplings stay implicit and the labels stay stable.
+
+    Returns, per expected kind that has events, its count, accuracy and
+    the mean, median and p99 classify latency in microseconds; the p99
+    is the sorted sample at index round(0.99 * (count - 1)).
     """
     ledger = Ledger(topology)
-    stats: dict[str, KindStats] = {k.value: KindStats() for k in VerdictKind}
+    runs: dict[str, list[tuple[float, bool]]] = {k.value: [] for k in VerdictKind}
     for ev in events:
         ledger.record_change(ev.change)
         ledger.record_degradation(ev.degradation)
         t0 = time.perf_counter()
         verdict = ledger.classify(ev.degradation)
         dt_us = (time.perf_counter() - t0) * 1e6
-        s = stats[ev.expected.value]
-        s.count += 1
-        s.latency.add(dt_us)
-        if verdict.kind is ev.expected:
-            s.correct += 1
-    return {k: v for k, v in stats.items() if v.count}
-
-
-def bench_stats_to_dict(stats: dict[str, KindStats]) -> dict:
-    return {k: v.to_dict() for k, v in stats.items()}
+        runs[ev.expected.value].append((dt_us, verdict.kind is ev.expected))
+    stats = {}
+    for kind, run in runs.items():
+        if run:
+            us = sorted(dt for dt, _ in run)
+            stats[kind] = {
+                "count": len(run),
+                "accuracy": sum(ok for _, ok in run) / len(run),
+                "mean_us": mean(us),
+                "median_us": median(us),
+                "p99_us": us[round(0.99 * (len(us) - 1))],
+            }
+    return stats

@@ -29,7 +29,6 @@ curves, and its medians become the satisfaction thresholds.
 
 from __future__ import annotations
 
-import json
 import numbers
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -45,6 +44,7 @@ from .detection import (
     Ledger,
     UnattributableDegradationError,
 )
+from .files import write_csv, write_json
 from .mitigation import (
     KpiDirection,
     KpiResponseModel,
@@ -95,7 +95,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.sim, SimConfig):
             raise ValueError(f"sim must be a SimConfig, got {self.sim!r}")
-        object.__setattr__(self, "strategies", tuple(self.strategies))
+        try:
+            object.__setattr__(self, "strategies", tuple(self.strategies))
+        except TypeError:
+            raise ValueError(f"strategies must be Strategy members, got {self.strategies!r}") from None
         if not self.strategies:
             raise ValueError("empty strategy list")
         if not all(isinstance(s, Strategy) for s in self.strategies):
@@ -377,14 +380,8 @@ def run_experiment(
 # ===========================================================================
 
 def export_csv(result: ExperimentResult, path: str | Path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(RESULT_COLUMNS)
-        for strategy in result.config.strategies:
-            for r in result.rows.get(strategy.value, ()):
-                w.writerow(r.csv_row())
+    rows = (r.csv_row() for s in result.config.strategies for r in result.rows.get(s.value, ()))
+    write_csv(path, RESULT_COLUMNS, rows)
 
 
 def export_summary_json(result: ExperimentResult, path: str | Path) -> None:
@@ -413,9 +410,7 @@ def export_summary_json(result: ExperimentResult, path: str | Path) -> None:
             "welfare": opt.welfare,
             "satisfied_all": opt.satisfied_all,
         }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, payload)
 
 
 def export_traces(result: ExperimentResult, outdir: str | Path) -> list[Path]:

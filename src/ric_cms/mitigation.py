@@ -119,16 +119,12 @@ class KpiResponseModel:
         if self.direction is KpiDirection.MAXIMIZE and self.threshold == 0:
             raise MitigationError(f"{what}: maximize threshold must be nonzero")
 
-    def predict(self, v):
-        """Prediction at v: a float for a number, an array for an array."""
-        return np.vectorize(self._scalar(ratio=False), otypes=[float])(v)[()]
-
     def satisfaction(self, v):
-        """Capped ratio toward the threshold at v, shaped like predict's result; 1.0 means target met."""
+        """Capped ratio toward the threshold at v (1.0: target met); a float for a number, an array for an array."""
         return np.vectorize(self._scalar(), otypes=[float])(v)[()]
 
-    def _scalar(self, ratio: bool = True):
-        """Satisfaction (prediction if not ratio) at one number; curve ends, threshold and direction bound once."""
+    def _scalar(self):
+        """Satisfaction at one number; curve ends, threshold and direction bound once."""
         (v_first, y_first), (v_last, y_last) = self.curve[0], self.curve[-1]
         segments, threshold = tuple(zip(self.curve, self.curve[1:])), self.threshold
         maximize = self.direction is KpiDirection.MAXIMIZE
@@ -143,8 +139,6 @@ class KpiResponseModel:
                     if v <= v1:  # on an interior breakpoint, the segment that ends there
                         break
                 y = y0 + (y1 - y0) * (v - v0) / (v1 - v0)
-            if not ratio:
-                return y
             if not maximize and y == 0:
                 return 1.0 if threshold >= 0 else 0.0
             r = y / threshold if maximize else threshold / y

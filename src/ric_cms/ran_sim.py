@@ -16,7 +16,6 @@ fully determines the run.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -26,6 +25,8 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .files import write_csv, write_json
 
 # ===========================================================================
 # Configuration
@@ -145,9 +146,7 @@ def load_sim_config(path: str | Path) -> SimConfig:
 
 
 def save_sim_config(cfg: SimConfig, path: str | Path) -> None:
-    with open(path, "w") as f:
-        json.dump(asdict(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, asdict(cfg))
 
 
 # ===========================================================================
@@ -430,8 +429,5 @@ class Simulator:
 
 
 def write_trace_csv(trace: Sequence[TraceRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t_ms", "ue_id", "serving_gnb", "rsrp_dbm", "event"])
-        for row in trace:
-            w.writerow([f"{row.t_ms:g}", row.ue_id, row.serving_gnb, f"{row.rsrp_dbm:.6f}", row.event])
+    rows = ((f"{r.t_ms:g}", r.ue_id, r.serving_gnb, f"{r.rsrp_dbm:.6f}", r.event) for r in trace)
+    write_csv(path, ("t_ms", "ue_id", "serving_gnb", "rsrp_dbm", "event"), rows)

@@ -8,7 +8,6 @@ minute); everything else is seconds.
 
 import contextlib
 import random
-import statistics
 import time
 from dataclasses import astuple
 
@@ -87,18 +86,19 @@ def test_criterion_1_reference_topology():
 def test_criterion_2_detection_accuracy(bench_10k):
     stats, elapsed = bench_10k
     with check(f"2: 10,000 labeled events classified perfectly in {elapsed:.2f} s"):
-        assert sum(s.count for s in stats.values()) == 10_000
+        assert sum(s["count"] for s in stats.values()) == 10_000
         assert set(stats) == {k.value for k in VerdictKind}
         for kind, s in stats.items():
-            assert s.accuracy == 1.0, f"{kind}: {s.correct}/{s.count}"
+            assert s["accuracy"] == 1.0, f"{kind}: accuracy {s['accuracy']} over {s['count']} events"
         assert elapsed < 10.0
 
 
 def test_criterion_3_detection_latency(bench_10k):
     stats, _ = bench_10k
-    samples = [us for s in stats.values() for us in s.latency.samples_us]
-    median_us = statistics.median(samples)
-    with check(f"3: median classification latency {median_us:.1f} us (budget 1 ms)"):
+    # Every kind's median within budget: the pooled median lies between
+    # the smallest and the largest of them, so this is no looser.
+    median_us = max(s["median_us"] for s in stats.values())
+    with check(f"3: slowest per-kind median classification latency {median_us:.1f} us (budget 1 ms)"):
         assert median_us <= 1000.0
 
 

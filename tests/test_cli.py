@@ -86,9 +86,22 @@ def test_detect_bench(tmp_path, capsys):
     stats = json.loads(out.read_text())
     assert set(stats) == {"no_conflict", "direct", "indirect", "implicit"}
     for s in stats.values():
+        assert set(s) == {"count", "accuracy", "mean_us", "median_us", "p99_us"}
         assert s["accuracy"] == 1.0
         assert s["count"] == 100
         assert s["median_us"] > 0.0
+
+
+@pytest.mark.parametrize("events", ["0", "-5"])
+def test_detect_bench_rejects_a_count_that_is_not_positive(tmp_path, capsys, events):
+    out = tmp_path / "stats.json"
+    assert main(["detect-bench", "--events", events, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "positive integer" in payload["detail"]
+    assert not out.exists()
 
 
 def test_simulate_tiny_run(tmp_path, capsys):

@@ -196,8 +196,14 @@ def test_graph_csvs(tmp_path):
     t = five_xapp_topology()
     written = write_graph_csvs(t, tmp_path)
     assert sorted(p.name for p in written) == ["kp_edges.csv", "pp_edges.csv", "xp_edges.csv"]
-    xp = (tmp_path / "xp_edges.csv").read_text().splitlines()
-    assert xp[0] == "xapp,param"
-    assert "x1,p1" in xp
-    kp = (tmp_path / "kp_edges.csv").read_text().splitlines()
-    assert "k41,p2" in kp
+    expected = {
+        "xp_edges.csv": ["xapp,param", "x1,p1", "x1,p2", "x2,p1", "x2,p2", "x2,p3", "x3,p1", "x3,p4",
+                         "x4,p5", "x4,p6", "x5,p7", "x5,p8"],
+        "kp_edges.csv": ["kpi,param", "k1,p1", "k1,p2", "k2,p1", "k2,p2", "k2,p3", "k3,p1", "k3,p4",
+                         "k41,p2", "k41,p5", "k41,p6", "k42,p2", "k42,p5", "k42,p6", "k5,p7", "k5,p8"],
+        "pp_edges.csv": ["param_a,param_b,kpis", "p1,p2,k1|k2", "p1,p3,k2", "p1,p4,k3", "p2,p3,k2",
+                         "p2,p5,k41|k42", "p2,p6,k41|k42", "p5,p6,k41|k42", "p7,p8,k5"],
+    }
+    for name, lines in expected.items():
+        # csv's default dialect ends every row with CRLF
+        assert (tmp_path / name).read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()

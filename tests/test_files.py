@@ -1,0 +1,25 @@
+"""Every output file goes through the one CSV and the one JSON writer in
+`ric_cms.files`, so the format of each lives in one place."""
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ric_cms"
+
+# json.dump (not dumps), a csv writer, open() with a write, append,
+# create or update mode, and pathlib's write helpers.
+WRITES = re.compile(r"json\.dump\(|csv\.writer|\bopen\([^)]*['\"][rbt]*[wax+][rbt+]*['\"]|\.write_(text|bytes)\(")
+
+
+def test_only_the_files_module_writes_files():
+    offenders = [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "files.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if WRITES.search(line)
+    ]
+    assert offenders == []
+    # the pattern still sees the writers' own two opens, csv.writer and json.dump
+    writer_lines = [line for line in (SRC / "files.py").read_text().splitlines() if WRITES.search(line)]
+    assert len(writer_lines) == 4

@@ -62,8 +62,11 @@ def test_duplicate_strategies_rejected():
         ({"strategies": ("nc",)}, "Strategy members"),
         ({"strategies": (Strategy.NC, "qacm")}, "Strategy members"),
         ({"strategies": "nc"}, "Strategy members"),
+        ({"strategies": 5}, "Strategy members"),
+        ({"strategies": None}, "Strategy members"),
     ],
-    ids=["sim-dict", "sim-none", "strategies-empty", "strategy-name", "strategy-mixed", "strategies-string"],
+    ids=["sim-dict", "sim-none", "strategies-empty", "strategy-name", "strategy-mixed", "strategies-string",
+         "strategies-int", "strategies-none"],
 )
 def test_config_rejects_malformed_sim_and_strategies(kw, detail):
     with pytest.raises(ValueError, match=detail):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    oracle_predict,
     oracle_satisfaction,
     qacm_scan_oracle,
     random_desk_shaped_model_set,
@@ -43,25 +42,26 @@ def req(xapp, value, t, param="TXP"):
 
 # -- response model ---------------------------------------------------------
 
+# A maximize model with threshold 100 reads its prediction y as satisfaction y / 100.
+
 def test_predict_interpolates():
-    m = model(curve=((0.0, 0.0), (10.0, 20.0)))
-    assert m.predict(5.0) == 10.0
-    assert m.predict(2.5) == 5.0
+    m = model(threshold=100.0, curve=((0.0, 0.0), (10.0, 20.0)))
+    assert m.satisfaction(5.0) == 0.1    # prediction 10
+    assert m.satisfaction(2.5) == 0.05   # prediction 5
 
 
 def test_predict_and_satisfaction_take_numbers_and_arrays():
     m = model(direction=KpiDirection.MINIMIZE, threshold=4.0, curve=((0.0, 2.0), (4.0, 0.0), (10.0, 12.0)))
     vs = np.array([[-1.0, 0.0, 2.0], [4.0, 7.0, 11.0]])
-    assert m.predict(vs).shape == m.satisfaction(vs).shape == (2, 3)
-    for v, y, s in zip(vs.ravel(), m.predict(vs).ravel(), m.satisfaction(vs).ravel()):
-        assert repr(float(m.predict(float(v)))) == repr(float(y)) == repr(oracle_predict(m, float(v)))
+    assert m.satisfaction(vs).shape == (2, 3)
+    for v, s in zip(vs.ravel(), m.satisfaction(vs).ravel()):
         assert repr(float(m.satisfaction(float(v)))) == repr(float(s)) == repr(oracle_satisfaction(m, float(v)))
 
 
 def test_predict_clamps_outside_range():
-    m = model(curve=((2.0, 4.0), (8.0, 16.0)))
-    assert m.predict(-100.0) == 4.0
-    assert m.predict(100.0) == 16.0
+    m = model(threshold=100.0, curve=((2.0, 4.0), (8.0, 16.0)))
+    assert m.satisfaction(-100.0) == 0.04  # prediction 4, the first breakpoint's
+    assert m.satisfaction(100.0) == 0.16   # prediction 16, the last breakpoint's
 
 
 def test_curve_needs_two_increasing_breakpoints():

@@ -370,6 +370,69 @@ def test_config_roundtrip(tmp_path):
     path = tmp_path / "scenario.json"
     save_sim_config(cfg, path)
     assert load_sim_config(path) == cfg
+    # The default scenario's exact bytes: indent 2, sorted keys, one newline.
+    save_sim_config(SimConfig(), path)
+    assert path.read_bytes() == DEFAULT_SCENARIO_JSON.encode()
+
+
+DEFAULT_SCENARIO_JSON = """\
+{
+  "area_m": [
+    400.0,
+    400.0
+  ],
+  "cio_db": 2.0,
+  "duration_s": 120.0,
+  "gnb_positions": null,
+  "hys_db": 0.5,
+  "min_rsrp_dbm": -110.0,
+  "n_ues": 20,
+  "noise_floor_dbm": -100.0,
+  "pingpong_window_ms": 1000.0,
+  "ret_deg": 1.5,
+  "service_classes": [
+    [
+      "embb",
+      0.4,
+      1.5
+    ],
+    [
+      "urllc",
+      0.3,
+      0.75
+    ],
+    [
+      "mmtc",
+      0.3,
+      0.25
+    ]
+  ],
+  "speed_classes": [
+    [
+      "walking",
+      0.35,
+      0.0,
+      1.0
+    ],
+    [
+      "cycling",
+      0.3,
+      2.0,
+      5.0
+    ],
+    [
+      "driving",
+      0.35,
+      6.0,
+      15.0
+    ]
+  ],
+  "step_ms": 100.0,
+  "ttt_ms": 0.1,
+  "txp_dbm": 30.0,
+  "ue_bandwidth_hz": 1000000.0
+}
+"""
 
 
 def test_config_validation():
