@@ -61,9 +61,7 @@ from .mitigation import (
 from .ran_sim import (
     SimConfig,
     Simulator,
-    evaluate_handover,
     load_sim_config,
-    rsrp_dbm,
     save_sim_config,
 )
 from .xapps import LabeledEvent, gen_stochastic_events
@@ -112,9 +110,7 @@ __all__ = [
     "qacm_optimize",
     "SimConfig",
     "Simulator",
-    "evaluate_handover",
     "load_sim_config",
-    "rsrp_dbm",
     "save_sim_config",
     "LabeledEvent",
     "gen_stochastic_events",

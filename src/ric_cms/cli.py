@@ -96,9 +96,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         overrides["reps"] = args.reps
     exp = replace(exp, **overrides)
 
-    def progress(strategy: str, rep: int, reps: int) -> None:
+    def progress(arms: tuple[str, ...], rep: int, reps: int) -> None:
         if rep == 0:
-            print(f"running {strategy} ({reps} replicas)...", flush=True)
+            print(f"running {', '.join(arms)} ({reps} replicas)...", flush=True)
 
     result = run_experiment(exp, progress=progress)
 

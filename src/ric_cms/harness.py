@@ -174,9 +174,10 @@ def run_replica(
     exp: ExperimentConfig,
     ctx: MitigationContext,
     record_trace: bool = False,
+    trajectory: tuple | None = None,
 ) -> tuple[ReplicaResult, Simulator]:
     seed = exp.base_seed + rep
-    sim = Simulator(exp.sim, seed, record_trace=record_trace)
+    sim = Simulator(exp.sim, seed, record_trace=record_trace, trajectory=trajectory)
     ledger = Ledger(experiment_topology())
 
     step = exp.sim.step_ms
@@ -343,33 +344,34 @@ class ExperimentResult:
 
 def run_experiment(
     exp: ExperimentConfig,
-    progress: Callable[[str, int, int], None] | None = None,
+    progress: Callable[[tuple[str, ...], int, int], None] | None = None,
 ) -> ExperimentResult:
     """Run every requested arm, pairing replicas by seed.
 
-    The no-coordination arm runs first whenever it is requested or the
-    QACM arm needs it for calibration; QACM calibrates from those
-    replicas, which are reused, never re-run, so a repeated call with the
-    same config is bit-reproducible.
+    The no-coordination arm runs whenever it is requested or the QACM arm
+    needs it; the arms but QACM run replica by replica, sharing each seed's
+    `Simulator.trajectory`.  QACM calibrates from the NC replicas, which
+    are reused, never re-run, so a repeated call with the same config is
+    bit-reproducible.  `progress(arms, rep, reps)` precedes each replica.
     """
     arms = [s for s in exp.strategies if s is not Strategy.NC]
     if Strategy.NC in exp.strategies or Strategy.QACM in exp.strategies:
         arms.insert(0, Strategy.NC)
-    arm_rows: dict[Strategy, list[ReplicaResult]] = {}
-    traces: dict[str, Simulator] = {}
-    model_set = None
-    for strategy in arms:
-        if strategy is Strategy.QACM:
-            model_set = derive_qacm_models(arm_rows[Strategy.NC], exp)
-        ctx = _context(strategy, model_set)
-        arm_rows[strategy] = []
-        for rep in range(exp.reps):
+    arm_rows: dict[Strategy, list[ReplicaResult]] = {s: [] for s in arms}
+    traces: dict[str, Simulator] = dict.fromkeys(s.value for s in arms)  # rep-0 sims, in arm order
+    trajectory = None  # handed on; a simulator takes it only if its seed matches
+    for group in ([s for s in arms if s is not Strategy.QACM], [s for s in arms if s is Strategy.QACM]):
+        model_set = derive_qacm_models(arm_rows[Strategy.NC], exp) if Strategy.QACM in group else None
+        ctxs = [_context(s, model_set) for s in group]
+        for rep in range(exp.reps if group else 0):
             if progress:
-                progress(strategy.value, rep, exp.reps)
-            res, sim = run_replica(strategy, rep, exp, ctx, record_trace=rep == 0)
-            arm_rows[strategy].append(res)
-            if rep == 0:
-                traces[strategy.value] = sim
+                progress(tuple(s.value for s in group), rep, exp.reps)
+            for strategy, ctx in zip(group, ctxs):
+                res, sim = run_replica(strategy, rep, exp, ctx, record_trace=rep == 0, trajectory=trajectory)
+                trajectory = sim.trajectory
+                arm_rows[strategy].append(res)
+                if rep == 0:
+                    traces[strategy.value] = sim
 
     rows = {s.value: arm_rows[s] for s in exp.strategies}
     return ExperimentResult(exp, rows, model_set, traces)

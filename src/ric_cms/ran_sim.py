@@ -164,41 +164,10 @@ def antenna_gain_db(ret_deg: float) -> float:
     return -1.0 * abs(ret_deg - 1.5)
 
 
-def rsrp_dbm(txp_dbm: float, gnb_xy: Sequence[float], ue_xy: Sequence[float], ret_deg: float = 1.5) -> float:
-    d = math.hypot(gnb_xy[0] - ue_xy[0], gnb_xy[1] - ue_xy[1])
-    return txp_dbm + antenna_gain_db(ret_deg) - path_loss_db(d)
-
-
 def gnb_power_w(txp_dbm: float) -> float:
     """Site power draw: 100 W fixed plus an amplifier term that hits 4 W
     of drain per watt radiated, referenced to 30 dBm."""
     return 100.0 + 4.0 * 10.0 ** ((txp_dbm - 30.0) / 10.0)
-
-
-@dataclass(frozen=True)
-class HandoverDecision:
-    triggered: bool
-    target: int | None
-
-
-def evaluate_handover(rsrps: Sequence[float], serving: int, cio_db: float, hys_db: float) -> HandoverDecision:
-    """A3 check against the best neighbour for one UE (single tick).
-
-    Triggers when neighbour + cio > serving + hys AND the neighbour is
-    strictly stronger than the serving cell.  The second guard keeps a
-    positive cio - hys margin from flip-flopping the UE between two cells
-    of near-equal strength every tick.
-    """
-    best, best_r = None, -math.inf
-    for j, r in enumerate(rsrps):
-        if j != serving and r > best_r:
-            best, best_r = j, r
-    if best is None:
-        return HandoverDecision(False, None)
-    rs = rsrps[serving]
-    if best_r + cio_db > rs + hys_db and best_r > rs:
-        return HandoverDecision(True, best)
-    return HandoverDecision(False, None)
 
 
 def largest_remainder_counts(fractions: Sequence[float], n: int) -> list[int]:
@@ -239,9 +208,19 @@ class TraceRow:
     event: str  # HO | LF | REATTACH | PP
 
 
+# A run whose path loss (n_ticks x n_ues x n_gnbs float64) fits in this many bytes gets its
+# geometry in one block, which its seed's arms can share; a larger run, a tick's at a time.
+GEOMETRY_BUDGET_BYTES = 4 << 20
+
+
 class Simulator:
-    """One seeded run.  Drive it with `tick()` (or `run()` to completion),
-    adjust transmit power between ticks with `set_txp`.
+    """One seeded run.  Drive it with `tick()`, adjust transmit power
+    between ticks with `set_txp`.
+
+    Geometry (moves and path loss) comes in blocks built from the state at
+    the first tick: the whole run if it fits GEOMETRY_BUDGET_BYTES, kept as
+    `trajectory` for simulators that start from that state (`trajectory=`),
+    else a tick each.  After the first tick pos and vel are read-only views.
 
     Update order inside a tick, in this exact sequence:
       move -> receive levels -> A3 handovers -> link failures ->
@@ -261,10 +240,12 @@ class Simulator:
     and best other cell, and the UEs attached after it are the receivable ones.
     """
 
-    def __init__(self, cfg: SimConfig, seed: int, record_trace: bool = True):
+    def __init__(self, cfg: SimConfig, seed: int, record_trace: bool = True, trajectory: tuple | None = None):
         self.cfg = cfg
         self.gnbs = cfg.resolved_gnbs()
         self._lim = np.asarray(cfg.area_m)
+        self.trajectory = trajectory
+        self._block, self._i = None, 0  # the block being ticked through, and its next row
         self._gx, self._gy = self.gnbs.T[:, None, :]      # (1, n_gnbs) each
         self._row0 = np.arange(cfg.n_ues) * len(self.gnbs)  # flat index of each UE's row
         self.txp_dbm = float(cfg.txp_dbm)
@@ -321,12 +302,42 @@ class Simulator:
             raise ValueError(f"transmit power must be a finite number of dBm, got {txp_dbm!r}")
         self.txp_dbm = float(txp_dbm)
 
+    def _path_loss(self, pos: np.ndarray) -> np.ndarray:  # (..., n_ues, 2) -> (..., n_ues, n_gnbs)
+        return path_loss_db(np.hypot(pos[..., :1] - self._gx, pos[..., 1:] - self._gy))
+
     def _rsrp_matrix(self, pos: np.ndarray) -> np.ndarray:
         """(n_ues, n_gnbs) receive levels at the current transmit power."""
-        d = np.hypot(pos[:, :1] - self._gx, pos[:, 1:] - self._gy)
-        return self.txp_dbm + antenna_gain_db(self.cfg.ret_deg) - path_loss_db(d)
+        return self.txp_dbm + antenna_gain_db(self.cfg.ret_deg) - self._path_loss(pos)
 
     # -- dynamics ---------------------------------------------------------
+
+    def _next_block(self) -> tuple:
+        """The next block (start, pos, vel, path loss), vel a list: moves reflecting at the field
+        boundary at most once per axis (SimConfig keeps one step inside it; at both ends, vel holds)."""
+        cfg, k, start = self.cfg, 1, None
+        if self._block is None and cfg.n_ticks * cfg.n_ues * len(self.gnbs) * 8 <= GEOMETRY_BUDGET_BYTES:
+            k, start = cfg.n_ticks, (cfg, self.pos.tobytes(), self.vel.tobytes())
+            if self.trajectory is not None and self.trajectory[0] == start:
+                return self.trajectory
+        pos, vel, v = np.empty((k,) + self.pos.shape), [], self.vel
+        for p, pi in zip([self.pos, *pos], pos):
+            np.add(p, v * (cfg.step_ms / 1000.0), out=pi)
+            low = pi < 0.0
+            np.negative(pi, out=pi, where=low)
+            high = pi > self._lim
+            np.subtract(2.0 * self._lim, pi, out=pi, where=high)
+            if (low ^ high).any():  # velocities change only here; the ticks between share one array
+                v = np.where(low ^ high, -v, v)
+            v.flags.writeable = False
+            vel.append(v)
+        step = max(1, 2048 // (len(v) * len(self.gnbs)))  # a long block in 16 KiB slices: small temporaries
+        pl = self._path_loss(pos) if k <= step else np.empty((k, len(v), len(self.gnbs)))
+        for a in range(0, k, step) if k > step else ():
+            pl[a:a + step] = self._path_loss(pos[a:a + step])
+        pos.flags.writeable = pl.flags.writeable = False
+        if self._block is None:
+            self.trajectory = (start, pos, vel, pl) if start else None
+        return self.trajectory if start else (start, pos, vel, pl)
 
     def tick(self) -> TickStats:
         cfg = self.cfg
@@ -334,17 +345,12 @@ class Simulator:
         t = self.t_ms + cfg.step_ms
         row0, g = self._row0, len(self.gnbs)
 
-        # move, reflecting at the field boundary at most once per axis (SimConfig
-        # keeps one step within the field); reflected at both ends, a UE keeps its velocity
-        pos = self.pos + self.vel * dt_s
-        low = pos < 0.0
-        pos = np.where(low, -pos, pos)
-        high = pos > self._lim
-        pos = np.where(high, 2.0 * self._lim - pos, pos)
-        self.vel = np.where(low ^ high, -self.vel, self.vel)
-        self.pos = pos
-
-        r = self._rsrp_matrix(pos)  # receive levels
+        if self._block is None or self._i == len(self._block[1]):
+            self._block, self._i = self._next_block(), 0
+        _, pos, vel, pl = self._block
+        i, self._i = self._i, self._i + 1
+        self.pos, self.vel = pos[i], vel[i]
+        r = self.txp_dbm + antenna_gain_db(cfg.ret_deg) - pl[i]  # receive levels
         serving = self.serving  # updated in place below
 
         # A3 handovers.  No event resets the TTT state: a detached UE never
@@ -409,10 +415,6 @@ class Simulator:
             events = np.where(pp, "PP", "HO").tolist() if event == "HO" else repeat(event)
             self.trace.extend(map(TraceRow, repeat(t), idx.tolist(), cells.tolist(), r[idx, cells].tolist(), events))
         return int(np.count_nonzero(pp))
-
-    def run(self, n_ticks: int | None = None) -> None:
-        for _ in range(self.cfg.n_ticks if n_ticks is None else n_ticks):
-            self.tick()
 
     # -- reporting --------------------------------------------------------
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import dataclass
 from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -189,6 +192,44 @@ def qacm_scan_oracle(models, bounds, step):
         if best is None or w > best[1]:
             best = (v, w, all(s == 1.0 for s in sats), tuple(sats))
     return best
+
+
+def run(sim: Simulator, n_ticks: int | None = None) -> None:
+    """Tick `sim` n_ticks times, by default through its whole duration."""
+    for _ in range(sim.cfg.n_ticks if n_ticks is None else n_ticks):
+        sim.tick()
+
+
+def rsrp_dbm(txp_dbm: float, gnb_xy: Sequence[float], ue_xy: Sequence[float], ret_deg: float = 1.5) -> float:
+    """Scalar receive level of one UE from one cell."""
+    d = math.hypot(gnb_xy[0] - ue_xy[0], gnb_xy[1] - ue_xy[1])
+    return txp_dbm + antenna_gain_db(ret_deg) - path_loss_db(d)
+
+
+@dataclass(frozen=True)
+class HandoverDecision:
+    triggered: bool
+    target: int | None
+
+
+def evaluate_handover(rsrps: Sequence[float], serving: int, cio_db: float, hys_db: float) -> HandoverDecision:
+    """A3 check against the best neighbour for one UE (single tick).
+
+    Triggers when neighbour + cio > serving + hys AND the neighbour is
+    strictly stronger than the serving cell.  The second guard keeps a
+    positive cio - hys margin from flip-flopping the UE between two cells
+    of near-equal strength every tick.
+    """
+    best, best_r = None, -math.inf
+    for j, r in enumerate(rsrps):
+        if j != serving and r > best_r:
+            best, best_r = j, r
+    if best is None:
+        return HandoverDecision(False, None)
+    rs = rsrps[serving]
+    if best_r + cio_db > rs + hys_db and best_r > rs:
+        return HandoverDecision(True, best)
+    return HandoverDecision(False, None)
 
 
 class ReferenceSimulator(Simulator):

@@ -131,6 +131,18 @@ def test_simulate_tiny_run(tmp_path, capsys):
     assert "medians over 2 replicas" in capsys.readouterr().out
 
 
+def test_simulate_reports_progress_per_replica_round(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    save_sim_config(SimConfig(duration_s=10.0), scenario)
+    rc = main(["simulate", "--config", str(scenario), "--reps", "2", "--strategies", "sbd,qacm,p-es",
+               "--out", str(tmp_path / "run")])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["running nc, sbd, p-es (2 replicas)...", "running qacm (2 replicas)..."]
+    assert [line.split(",")[0] for line in (tmp_path / "run" / "results.csv").read_text().splitlines()[1:]] == \
+        ["sbd", "sbd", "qacm", "qacm", "p-es", "p-es"]
+
+
 def test_simulate_requires_preset_or_config(capsys):
     assert main(["simulate", "--out", "/tmp/x"]) == 2
     payload = json.loads(capsys.readouterr().err.strip())

@@ -23,7 +23,7 @@ from ric_cms.harness import (
     run_replica,
 )
 from ric_cms.mitigation import KpiResponseModel, ResponseModelSet, Strategy
-from ric_cms.ran_sim import SimConfig
+from ric_cms.ran_sim import SimConfig, Simulator
 from ric_cms.xapps import EE_KPI, LF_KPI, TXP_BOUNDS_DBM
 
 
@@ -251,6 +251,35 @@ def test_summary_shape(small_result):
         "pingpong_handovers",
     }
     assert set(s["qacm"]["link_failures"]) == {"min", "q1", "median", "q3", "max"}
+
+
+@pytest.mark.parametrize("strategies, reps, builds", [
+    (ALL_STRATEGIES[:4], 2, 2),  # the four arms of a seed share its trajectory
+    (ALL_STRATEGIES, 1, 1),      # and qacm reuses it when the seed matches
+    (ALL_STRATEGIES, 2, 4),
+])
+def test_each_seed_builds_its_trajectory_once(monkeypatch, strategies, reps, builds):
+    blocks = []
+    next_block = Simulator._next_block
+
+    def kept(sim):
+        blocks.append(next_block(sim))
+        return blocks[-1]
+
+    monkeypatch.setattr(Simulator, "_next_block", kept)
+    run_experiment(small_exp(strategies=strategies, reps=reps))
+    assert len(blocks) == len(strategies) * reps
+    assert len({id(b) for b in blocks}) == builds
+
+
+def test_progress_reports_each_replica_round():
+    calls = []
+    res = run_experiment(small_exp(strategies=(Strategy.SBD, Strategy.QACM, Strategy.P_ES)),
+                         progress=lambda *args: calls.append(args))
+    first = ("nc", "sbd", "p-es")
+    assert calls == [(first, 0, 2), (first, 1, 2), (("qacm",), 0, 2), (("qacm",), 1, 2)]
+    assert list(res.rows) == ["sbd", "qacm", "p-es"]
+    assert list(res.traces) == ["nc", "sbd", "qacm", "p-es"]
 
 
 def test_qacm_only_run_still_calibrates():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ric_cms import ran_sim
 from ric_cms.detection import ChangeRecord, DegradationEvent, Ledger, UnattributableDegradationError
 from ric_cms.ran_sim import SimConfig, Simulator
 from ric_cms.xapps import EE_KPI, ES_XAPP_ID, LF_KPI, MRO_XAPP_ID, TXP_PARAM, experiment_topology
@@ -115,6 +116,31 @@ def oracle_scenarios(draw):
 @given(cfg=oracle_scenarios(), seed=st.integers(0, 2**32 - 1), txps=st.lists(st.floats(-20.0, 50.0), max_size=4))
 def test_tick_matches_the_reference_tick(cfg, seed, txps):
     run_beside_the_oracle(cfg, seed, txps)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(cfg=oracle_scenarios(), seed=st.integers(0, 2**32 - 1), txps=st.lists(st.floats(-20.0, 50.0), max_size=4))
+def test_one_tick_blocks_match_the_reference_tick(cfg, seed, txps):
+    # with no budget every block is one tick long, as in a run too large to share
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)
+        run_beside_the_oracle(cfg, seed, txps)
+
+
+def test_block_size_changes_no_result():
+    cfg = SimConfig(n_ues=40, duration_s=30.0, ttt_ms=200.0, min_rsrp_dbm=-95.0)
+    runs = []
+    for budget in (ran_sim.GEOMETRY_BUDGET_BYTES, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", budget)
+            sim = Simulator(cfg, 7)
+            for k in range(cfg.n_ticks):
+                sim.set_txp((30.0, 12.0, 45.0)[k // 50 % 3])
+                sim.tick()
+        assert (sim.trajectory is None) == (budget == 0)
+        runs.append((repr(sim.kpi_report()), repr(sim.trace), sim.pos.tobytes(), sim.vel.tobytes()))
+    assert runs[0] == runs[1]
+    assert "LF" in runs[0][1] and "HO" in runs[0][1]
 
 
 @pytest.mark.parametrize("cfg, txps, events", [

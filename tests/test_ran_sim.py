@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import HandoverDecision, evaluate_handover, rsrp_dbm, run
 from ric_cms.ran_sim import (
-    HandoverDecision,
     SimConfig,
     Simulator,
     antenna_gain_db,
-    evaluate_handover,
     gnb_power_w,
     largest_remainder_counts,
     load_sim_config,
     path_loss_db,
-    rsrp_dbm,
     save_sim_config,
     write_trace_csv,
 )
@@ -115,7 +113,7 @@ def test_default_grid_positions():
 def test_mobility_stays_in_bounds():
     cfg = SimConfig(duration_s=30.0)
     sim = Simulator(cfg, seed=4)
-    sim.run()
+    run(sim)
     assert np.all(sim.pos >= 0.0) and np.all(sim.pos <= np.asarray(cfg.area_m))
 
 
@@ -132,7 +130,7 @@ def test_reflection_reverses_velocity():
 
 def test_vectorized_rsrp_matches_scalar():
     sim = Simulator(SimConfig(), seed=5)
-    sim.run(10)
+    run(sim, 10)
     r = sim._rsrp_matrix(sim.pos)
     for i in range(sim.cfg.n_ues):
         for g, gnb in enumerate(sim.gnbs):
@@ -159,7 +157,7 @@ def _crossing_run(**kw):
     sim.vel[:] = [[5.0, 0.0]]
     sim.serving[:] = 0
     sim.last_cell[:] = 0
-    sim.run()  # 40 s at 5 m/s: ends at x=300, never reflects
+    run(sim)  # 40 s at 5 m/s: ends at x=300, never reflects
     return sim
 
 
@@ -215,7 +213,7 @@ def test_link_failure_and_reattach_cycle():
     sim.vel[:] = [[10.0, 0.0]]
     sim.serving[:] = 0
     sim.last_cell[:] = 0
-    sim.run()
+    run(sim)
     events = [row.event for row in sim.trace]
     # coverage radius at 3 dBm is ~121 m: fail on the way out, return later
     assert events == ["LF", "REATTACH"]
@@ -238,7 +236,7 @@ def test_pingpong_detected_on_quick_return():
     sim.vel[:] = [[15.0, 0.0]]
     sim.serving[:] = 0
     sim.last_cell[:] = 0
-    sim.run()
+    run(sim)
     assert sim.pingpong_handovers >= 1
     assert "PP" in [row.event for row in sim.trace]
 
@@ -285,7 +283,7 @@ def test_throughput_and_energy_accounting():
     sim = Simulator(cfg, seed=0)
     sim.pos[:] = [[100.0, 0.0]]
     sim.serving[:] = 0
-    sim.run()
+    run(sim)
     # static UE at 100 m: rsrp -80.05, snr 19.95 dB, eMBB weight 1.5 MHz
     snr_lin = 10.0 ** (19.95 / 10.0)
     expected_bits = 1.5e6 * math.log2(1.0 + snr_lin) * 1.0
@@ -321,7 +319,7 @@ def test_detached_ue_earns_no_bits():
     sim = Simulator(cfg, seed=0)
     sim.pos[:] = [[250.0, 5.0]]  # far outside the ~121 m coverage radius
     sim.serving[:] = 0
-    sim.run()
+    run(sim)
     assert sim.link_failures == 1
     assert sim.total_bits == 0.0
     assert sim.total_joules > 0.0  # the site burns power regardless
@@ -330,8 +328,8 @@ def test_detached_ue_earns_no_bits():
 def test_same_seed_reproduces_run_exactly():
     a = Simulator(SimConfig(duration_s=20.0), seed=11)
     b = Simulator(SimConfig(duration_s=20.0), seed=11)
-    a.run()
-    b.run()
+    run(a)
+    run(b)
     assert a.kpi_report() == b.kpi_report()
     assert a.trace == b.trace
     assert np.array_equal(a.pos, b.pos)
@@ -340,14 +338,14 @@ def test_same_seed_reproduces_run_exactly():
 def test_different_seed_differs():
     a = Simulator(SimConfig(duration_s=20.0), seed=11)
     b = Simulator(SimConfig(duration_s=20.0), seed=12)
-    a.run()
-    b.run()
+    run(a)
+    run(b)
     assert not np.array_equal(a.pos, b.pos)
 
 
 def test_txp_change_midrun_shifts_levels():
     sim = Simulator(SimConfig(n_ues=5, duration_s=1.0), seed=2)
-    sim.run(5)
+    run(sim, 5)
     r_before = sim._rsrp_matrix(sim.pos).copy()
     sim.set_txp(50.0)
     r_after = sim._rsrp_matrix(sim.pos)
@@ -357,10 +355,51 @@ def test_txp_change_midrun_shifts_levels():
 def test_trace_disabled_keeps_counters():
     a = Simulator(SimConfig(duration_s=20.0), seed=11)
     b = Simulator(SimConfig(duration_s=20.0), seed=11, record_trace=False)
-    a.run()
-    b.run()
+    run(a)
+    run(b)
     assert b.trace == []
     assert a.kpi_report() == b.kpi_report()
+
+
+# -- shared geometry --------------------------------------------------------
+
+def test_geometry_is_read_only_after_the_first_tick():
+    sim = Simulator(SimConfig(n_ues=5, duration_s=2.0), seed=0)
+    sim.pos[0, 0] = 50.0  # still the simulator's own state
+    sim.tick()
+    for name in ("pos", "vel"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sim, name)[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        sim.trajectory[3][0, 0, 0] = 1.0  # the path loss
+
+
+def test_simulator_ticks_through_a_shared_trajectory_from_its_own_start():
+    cfg = SimConfig(n_ues=5, duration_s=2.0)
+    a = Simulator(cfg, seed=3)
+    run(a)
+    b = Simulator(cfg, seed=3, trajectory=a.trajectory)
+    b.tick()
+    assert b.trajectory is a.trajectory
+    c = Simulator(cfg, seed=4, trajectory=a.trajectory)
+    c.tick()
+    assert c.trajectory is not a.trajectory
+    d = Simulator(SimConfig(n_ues=5, duration_s=2.0, area_m=(500.0, 400.0)), seed=3, trajectory=a.trajectory)
+    d.tick()
+    assert d.trajectory is not a.trajectory
+
+
+def test_simulator_moved_off_a_shared_trajectory_builds_its_own():
+    cfg = SimConfig(n_ues=5, duration_s=2.0)
+    a = Simulator(cfg, seed=3)
+    a.tick()
+    b, ref = Simulator(cfg, seed=3, trajectory=a.trajectory), Simulator(cfg, seed=3)
+    for sim in (b, ref):
+        sim.pos[2] = [10.0, 20.0]
+        run(sim)
+    assert b.trajectory is not a.trajectory
+    assert b.pos.tobytes() == ref.pos.tobytes() != a.trajectory[1][-1].tobytes()
+    assert repr(b.kpi_report()) == repr(ref.kpi_report())
 
 
 # -- config -----------------------------------------------------------------
@@ -477,7 +516,7 @@ def test_config_rejects_what_tick_cannot_handle(overrides, detail):
 def test_top_speed_may_cross_exactly_the_field():
     cfg = SimConfig(area_m=(50.0, 50.0), speed_classes=(("fast", 1.0, 400.0, 500.0),), duration_s=5.0)
     sim = Simulator(cfg, seed=3)
-    sim.run()
+    run(sim)
     assert np.all(sim.pos >= 0.0) and np.all(sim.pos <= np.asarray(cfg.area_m))
 
 
@@ -487,7 +526,7 @@ def test_n_ticks():
 
 def test_trace_csv_format(tmp_path):
     sim = Simulator(SimConfig(duration_s=30.0), seed=4)
-    sim.run()
+    run(sim)
     path = tmp_path / "trace.csv"
     write_trace_csv(sim.trace, path)
     lines = path.read_text().splitlines()
