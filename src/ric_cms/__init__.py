@@ -62,7 +62,6 @@ from .ran_sim import (
     SimConfig,
     Simulator,
     load_sim_config,
-    save_sim_config,
 )
 from .xapps import LabeledEvent, gen_stochastic_events
 
@@ -111,7 +110,6 @@ __all__ = [
     "SimConfig",
     "Simulator",
     "load_sim_config",
-    "save_sim_config",
     "LabeledEvent",
     "gen_stochastic_events",
     "__version__",

@@ -33,7 +33,7 @@ import numbers
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .mitigation import (
     Strategy,
     mitigate,
 )
-from .ran_sim import SimConfig, Simulator, write_trace_csv
+from .ran_sim import SimConfig, Simulator, Trajectory, geometry_rows, write_trace_csv
 from .xapps import (
     CONTROL_INTERVAL_MS,
     EE_KPI,
@@ -174,8 +174,9 @@ def run_replica(
     exp: ExperimentConfig,
     ctx: MitigationContext,
     record_trace: bool = False,
-    trajectory: tuple | None = None,
-) -> tuple[ReplicaResult, Simulator]:
+    trajectory: Trajectory | None = None,
+) -> Generator[Simulator, None, tuple[ReplicaResult, Simulator]]:
+    """One replica, a generator that yields its simulator after each tick and returns (result, simulator)."""
     seed = exp.base_seed + rep
     sim = Simulator(exp.sim, seed, record_trace=record_trace, trajectory=trajectory)
     ledger = Ledger(experiment_topology())
@@ -228,6 +229,7 @@ def run_replica(
         stats = sim.tick()
         lf_per_tick.append(stats.link_failures)
         phases[applied].add(step, stats.bits, stats.joules, stats.link_failures)
+        yield sim
 
     report = sim.kpi_report()
     result = ReplicaResult(
@@ -240,6 +242,15 @@ def run_replica(
         phases=dict(phases),
     )
     return result, sim
+
+
+def drain(replica: Generator[Simulator, None, tuple[ReplicaResult, Simulator]]) -> tuple[ReplicaResult, Simulator]:
+    """Tick a `run_replica` generator to its end; its (result, simulator)."""
+    while True:
+        try:
+            next(replica)
+        except StopIteration as done:
+            return done.value
 
 
 # ===========================================================================
@@ -350,8 +361,9 @@ def run_experiment(
 
     The no-coordination arm runs whenever it is requested or the QACM arm
     needs it; the arms but QACM run replica by replica, sharing each seed's
-    `Simulator.trajectory`.  QACM calibrates from the NC replicas, which
-    are reused, never re-run, so a repeated call with the same config is
+    `Simulator.trajectory` in lockstep: arm by arm through each window of
+    `geometry_rows` ticks.  QACM calibrates from the NC replicas, which are
+    reused, never re-run, so a repeated call with the same config is
     bit-reproducible.  `progress(arms, rep, reps)` precedes each replica.
     """
     arms = [s for s in exp.strategies if s is not Strategy.NC]
@@ -359,6 +371,7 @@ def run_experiment(
         arms.insert(0, Strategy.NC)
     arm_rows: dict[Strategy, list[ReplicaResult]] = {s: [] for s in arms}
     traces: dict[str, Simulator] = dict.fromkeys(s.value for s in arms)  # rep-0 sims, in arm order
+    n, k = exp.sim.n_ticks, geometry_rows(exp.sim)
     trajectory = None  # handed on; a simulator takes it only if its seed matches
     for group in ([s for s in arms if s is not Strategy.QACM], [s for s in arms if s is Strategy.QACM]):
         model_set = derive_qacm_models(arm_rows[Strategy.NC], exp) if Strategy.QACM in group else None
@@ -366,9 +379,15 @@ def run_experiment(
         for rep in range(exp.reps if group else 0):
             if progress:
                 progress(tuple(s.value for s in group), rep, exp.reps)
-            for strategy, ctx in zip(group, ctxs):
-                res, sim = run_replica(strategy, rep, exp, ctx, record_trace=rep == 0, trajectory=trajectory)
-                trajectory = sim.trajectory
+            replicas = []
+            for a in range(0, n, k):  # a window: each arm in turn ticks its rows
+                for j, (strategy, ctx) in enumerate(zip(group, ctxs)):
+                    if not a:
+                        replicas.append(run_replica(strategy, rep, exp, ctx, record_trace=rep == 0, trajectory=trajectory))
+                    for _ in range(min(k, n - a)):
+                        trajectory = next(replicas[j]).trajectory
+            for strategy, replica in zip(group, replicas):
+                res, sim = drain(replica)
                 arm_rows[strategy].append(res)
                 if rep == 0:
                     traces[strategy.value] = sim

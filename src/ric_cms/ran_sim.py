@@ -19,14 +19,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .files import write_csv, write_json
+from .files import write_csv
 
 # ===========================================================================
 # Configuration
@@ -145,10 +145,6 @@ def load_sim_config(path: str | Path) -> SimConfig:
     return SimConfig(**data)
 
 
-def save_sim_config(cfg: SimConfig, path: str | Path) -> None:
-    write_json(path, asdict(cfg))
-
-
 # ===========================================================================
 # Radio primitives
 # ===========================================================================
@@ -209,18 +205,64 @@ class TraceRow:
 
 
 # A run whose path loss (n_ticks x n_ues x n_gnbs float64) fits in this many bytes gets its
-# geometry in one block, which its seed's arms can share; a larger run, a tick's at a time.
+# geometry in one block; a larger run, in a window of this much path loss that its seed's arms
+# tick through in lockstep.
 GEOMETRY_BUDGET_BYTES = 4 << 20
+GEOMETRY_WINDOW_BYTES = 256 << 10
+
+
+def geometry_rows(cfg: SimConfig) -> int:
+    """The ticks of geometry a run holds at once: all of them if they fit GEOMETRY_BUDGET_BYTES,
+    else a window of GEOMETRY_WINDOW_BYTES, at least one tick and fewer than the run."""
+    row = cfg.n_ues * len(cfg.resolved_gnbs()) * 8
+    fits = cfg.n_ticks * row <= GEOMETRY_BUDGET_BYTES
+    return cfg.n_ticks if fits else max(1, min(cfg.n_ticks - 1, GEOMETRY_WINDOW_BYTES // row))
+
+
+class GeometryWindowError(LookupError):
+    """A shared trajectory was asked for a tick its window has left or not reached."""
+
+
+class Trajectory:
+    """A seed's geometry (moves and path loss, which transmit power never changes) from `start`,
+    the config and the bytes of pos and vel at a simulator's first tick.  `row(t, sim)` is tick
+    t's read-only position, velocity and path loss.  It holds `geometry_rows(cfg)` ticks: the
+    whole run, built at once, or a window sliding along it, each row computed by the first
+    simulator to ask for it.  Sharers tick inside the window: a tick it no longer or not yet
+    holds raises GeometryWindowError."""
+
+    def __init__(self, start: tuple, rows: int, n_ues: int, n_gnbs: int):
+        self.start, self.base, self.end = start, 0, 0  # the tick in row 0; the ticks computed
+        self._pos, self.vel, self._pl = np.empty((rows, n_ues, 2)), [None] * rows, np.empty((rows, n_ues, n_gnbs))
+        self.pos, self.pl = self._pos.view(), self._pl.view()
+        self.pos.flags.writeable = self.pl.flags.writeable = False
+
+    def row(self, t: int, sim: Simulator) -> tuple:
+        if t == self.end:  # sim is the first to reach tick t: it computes it (at 0, a whole run)
+            j, k = t - self.base, len(self.pos) if len(self.pos) == sim.cfg.n_ticks else 1
+            if j == len(self.pos):  # slide on: the rows of the window are overwritten from here
+                self.base, j = t, 0
+            p, v = (self.pos[j - 1], self.vel[j - 1]) if t else (sim.pos, sim.vel)
+            for i in range(j, j + k):
+                p, v = self._pos[i], sim._move(p, v, self._pos[i])
+                self.vel[i] = v
+            step = max(1, 2048 // self.pl[0].size)  # a long block in 16 KiB slices: small temporaries
+            for a in range(j, j + k, step):
+                self._pl[a:min(a + step, j + k)] = sim._path_loss(self.pos[a:min(a + step, j + k)])
+            self.end += k
+        if not self.base <= t < self.end:
+            raise GeometryWindowError(f"tick {t} is outside the ticks {self.base}-{self.end - 1} held")
+        return self.pos[t - self.base], self.vel[t - self.base], self.pl[t - self.base]
 
 
 class Simulator:
     """One seeded run.  Drive it with `tick()`, adjust transmit power
     between ticks with `set_txp`.
 
-    Geometry (moves and path loss) comes in blocks built from the state at
-    the first tick: the whole run if it fits GEOMETRY_BUDGET_BYTES, kept as
-    `trajectory` for simulators that start from that state (`trajectory=`),
-    else a tick each.  After the first tick pos and vel are read-only views.
+    Geometry (moves and path loss) comes from a `Trajectory` built from the state at
+    the first tick, or handed in (`trajectory=`) if it starts from that state and
+    still holds tick 0.  After the first tick pos and vel are read-only, pos a copy
+    of a window's row, so a simulator waiting for its window's sharers reads its own.
 
     Update order inside a tick, in this exact sequence:
       move -> receive levels -> A3 handovers -> link failures ->
@@ -240,12 +282,11 @@ class Simulator:
     and best other cell, and the UEs attached after it are the receivable ones.
     """
 
-    def __init__(self, cfg: SimConfig, seed: int, record_trace: bool = True, trajectory: tuple | None = None):
+    def __init__(self, cfg: SimConfig, seed: int, record_trace: bool = True, trajectory: Trajectory | None = None):
         self.cfg = cfg
         self.gnbs = cfg.resolved_gnbs()
         self._lim = np.asarray(cfg.area_m)
-        self.trajectory = trajectory
-        self._block, self._i = None, 0  # the block being ticked through, and its next row
+        self.trajectory, self._i = trajectory, 0  # the geometry, and the next tick's index into it
         self._gx, self._gy = self.gnbs.T[:, None, :]      # (1, n_gnbs) each
         self._row0 = np.arange(cfg.n_ues) * len(self.gnbs)  # flat index of each UE's row
         self.txp_dbm = float(cfg.txp_dbm)
@@ -311,33 +352,18 @@ class Simulator:
 
     # -- dynamics ---------------------------------------------------------
 
-    def _next_block(self) -> tuple:
-        """The next block (start, pos, vel, path loss), vel a list: moves reflecting at the field
-        boundary at most once per axis (SimConfig keeps one step inside it; at both ends, vel holds)."""
-        cfg, k, start = self.cfg, 1, None
-        if self._block is None and cfg.n_ticks * cfg.n_ues * len(self.gnbs) * 8 <= GEOMETRY_BUDGET_BYTES:
-            k, start = cfg.n_ticks, (cfg, self.pos.tobytes(), self.vel.tobytes())
-            if self.trajectory is not None and self.trajectory[0] == start:
-                return self.trajectory
-        pos, vel, v = np.empty((k,) + self.pos.shape), [], self.vel
-        for p, pi in zip([self.pos, *pos], pos):
-            np.add(p, v * (cfg.step_ms / 1000.0), out=pi)
-            low = pi < 0.0
-            np.negative(pi, out=pi, where=low)
-            high = pi > self._lim
-            np.subtract(2.0 * self._lim, pi, out=pi, where=high)
-            if (low ^ high).any():  # velocities change only here; the ticks between share one array
-                v = np.where(low ^ high, -v, v)
-            v.flags.writeable = False
-            vel.append(v)
-        step = max(1, 2048 // (len(v) * len(self.gnbs)))  # a long block in 16 KiB slices: small temporaries
-        pl = self._path_loss(pos) if k <= step else np.empty((k, len(v), len(self.gnbs)))
-        for a in range(0, k, step) if k > step else ():
-            pl[a:a + step] = self._path_loss(pos[a:a + step])
-        pos.flags.writeable = pl.flags.writeable = False
-        if self._block is None:
-            self.trajectory = (start, pos, vel, pl) if start else None
-        return self.trajectory if start else (start, pos, vel, pl)
+    def _move(self, p: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Move p one step at velocity v into out, reflecting at the field boundary at most once per
+        axis (SimConfig keeps one step inside it; at both ends, v holds); the read-only velocity after."""
+        np.add(p, v * (self.cfg.step_ms / 1000.0), out=out)
+        low = out < 0.0
+        np.negative(out, out=out, where=low)
+        high = out > self._lim
+        np.subtract(2.0 * self._lim, out, out=out, where=high)
+        if (low ^ high).any():  # velocities change only here; the ticks between share one array
+            v = np.where(low ^ high, -v, v)
+        v.flags.writeable = False
+        return v
 
     def tick(self) -> TickStats:
         cfg = self.cfg
@@ -345,12 +371,16 @@ class Simulator:
         t = self.t_ms + cfg.step_ms
         row0, g = self._row0, len(self.gnbs)
 
-        if self._block is None or self._i == len(self._block[1]):
-            self._block, self._i = self._next_block(), 0
-        _, pos, vel, pl = self._block
-        i, self._i = self._i, self._i + 1
-        self.pos, self.vel = pos[i], vel[i]
-        r = self.txp_dbm + antenna_gain_db(cfg.ret_deg) - pl[i]  # receive levels
+        traj = self.trajectory
+        if self._i == 0:
+            start = (cfg, self.pos.tobytes(), self.vel.tobytes())
+            if traj is None or traj.start != start or traj.base:
+                traj = self.trajectory = Trajectory(start, geometry_rows(cfg), cfg.n_ues, g)
+        pos, self.vel, pl = traj.row(self._i, self)
+        self._i += 1
+        # a window's rows get overwritten, so a simulator keeps a read-only copy of its own
+        self.pos = pos if len(traj.pos) == cfg.n_ticks else np.frombuffer(pos.tobytes()).reshape(pos.shape)
+        r = self.txp_dbm + antenna_gain_db(cfg.ret_deg) - pl  # receive levels
         serving = self.serving  # updated in place below
 
         # A3 handovers.  No event resets the TTT state: a detached UE never

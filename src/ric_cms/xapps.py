@@ -46,22 +46,11 @@ TXP_GRID_STEP_DB = 1.0
 LF_SLA_THRESHOLD = 0.5
 
 
-def experiment_descriptors() -> tuple[XAppDescriptor, XAppDescriptor]:
-    es = XAppDescriptor(
-        ES_XAPP_ID,
-        (TXP_PARAM,),
-        (KpiSpec(EE_KPI, KpiDirection.MAXIMIZE),),
-    )
-    mro = XAppDescriptor(
-        MRO_XAPP_ID,
-        (TXP_PARAM,),
-        (KpiSpec(LF_KPI, KpiDirection.MINIMIZE, LF_SLA_THRESHOLD, sla_sensitive=True),),
-    )
-    return es, mro
-
-
 def experiment_topology() -> ConflictTopology:
-    return build_topology(experiment_descriptors())
+    return build_topology((
+        XAppDescriptor(ES_XAPP_ID, (TXP_PARAM,), (KpiSpec(EE_KPI, KpiDirection.MAXIMIZE),)),
+        XAppDescriptor(MRO_XAPP_ID, (TXP_PARAM,), (KpiSpec(LF_KPI, KpiDirection.MINIMIZE, LF_SLA_THRESHOLD, sla_sensitive=True),)),
+    ))
 
 
 def es_request(t_ms: float) -> ParameterRequest:

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from ric_cms.conflict_model import KpiDirection, KpiSpec, XAppDescriptor
+from ric_cms.files import write_json
 from ric_cms.mitigation import KpiResponseModel
-from ric_cms.ran_sim import Simulator, TickStats, TraceRow, antenna_gain_db, gnb_power_w, path_loss_db
+from ric_cms.ran_sim import SimConfig, Simulator, TickStats, TraceRow, antenna_gain_db, gnb_power_w, path_loss_db
 
 
 def _kpi_json(kpi_id: str) -> dict:
@@ -192,6 +194,11 @@ def qacm_scan_oracle(models, bounds, step):
         if best is None or w > best[1]:
             best = (v, w, all(s == 1.0 for s in sats), tuple(sats))
     return best
+
+
+def save_sim_config(cfg: SimConfig, path: str | Path) -> None:
+    """Write cfg as a scenario file: its fields as one JSON object."""
+    write_json(path, asdict(cfg))
 
 
 def run(sim: Simulator, n_ticks: int | None = None) -> None:

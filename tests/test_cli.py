@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from conftest import FIVE_XAPP_TOPOLOGY_JSON
+from conftest import FIVE_XAPP_TOPOLOGY_JSON, save_sim_config
 from ric_cms.cli import main
-from ric_cms.ran_sim import SimConfig, save_sim_config
+from ric_cms.ran_sim import SimConfig
 
 
 def test_topology_builtin(capsys):

@@ -1,9 +1,10 @@
 import csv
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from ric_cms import harness, mitigation
+from ric_cms import harness, mitigation, ran_sim
 from ric_cms.conflict_model import KpiDirection
 from ric_cms.harness import (
     ALL_STRATEGIES,
@@ -15,6 +16,7 @@ from ric_cms.harness import (
     derive_qacm_models,
     derive_qacm_thresholds,
     desk_preset,
+    drain,
     export_csv,
     export_summary_json,
     export_traces,
@@ -97,7 +99,7 @@ def test_reps_and_seed_must_be_integers_in_range(field, bad):
 def run_one(strategy, model_set=None, **kw):
     exp = small_exp(**kw)
     ctx = _context(strategy, model_set)
-    return run_replica(strategy, 0, exp, ctx)
+    return drain(run_replica(strategy, 0, exp, ctx))
 
 
 def test_nc_alternates_between_the_two_requests():
@@ -171,7 +173,7 @@ def test_write_through_records_every_request(monkeypatch, strategy):
 
     monkeypatch.setattr(harness, "Ledger", keep)
     exp = small_exp(sim=SimConfig(duration_s=20.0, txp_dbm=3.0))
-    run_replica(strategy, 0, exp, _context(strategy, None))
+    drain(run_replica(strategy, 0, exp, _context(strategy, None)))
     (ledger,) = ledgers
     assert [c.xapp for c in ledger.changes] == ["es", "mro"] * 10
     assert [c.value for c in ledger.changes] == [3.0, 50.0] * 10
@@ -253,23 +255,50 @@ def test_summary_shape(small_result):
     assert set(s["qacm"]["link_failures"]) == {"min", "q1", "median", "q3", "max"}
 
 
-@pytest.mark.parametrize("strategies, reps, builds", [
-    (ALL_STRATEGIES[:4], 2, 2),  # the four arms of a seed share its trajectory
-    (ALL_STRATEGIES, 1, 1),      # and qacm reuses it when the seed matches
-    (ALL_STRATEGIES, 2, 4),
+@pytest.mark.parametrize("strategies, reps, builds, window", [
+    # the four arms of a seed share its trajectory
+    pytest.param(ALL_STRATEGIES[:4], 2, 2, None, id="strategies0-2-2"),
+    # and qacm reuses it when the seed matches
+    pytest.param(ALL_STRATEGIES, 1, 1, None, id="strategies1-1-1"),
+    pytest.param(ALL_STRATEGIES, 2, 4, None, id="strategies2-2-4"),
+    # over the budget, in 3-tick windows: the pass-1 arms compute each tick once, qacm once more
+    pytest.param(ALL_STRATEGIES, 1, 2, 3, id="budget-0"),
 ])
-def test_each_seed_builds_its_trajectory_once(monkeypatch, strategies, reps, builds):
-    blocks = []
-    next_block = Simulator._next_block
+def test_each_seed_builds_its_trajectory_once(monkeypatch, strategies, reps, builds, window):
+    exp = small_exp(strategies=strategies, reps=reps)
+    if window:
+        monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)
+        monkeypatch.setattr(ran_sim, "GEOMETRY_WINDOW_BYTES", window * exp.sim.n_ues * 4 * 8)
+    moved = []  # the trajectory of every tick computed
+    move = Simulator._move
 
-    def kept(sim):
-        blocks.append(next_block(sim))
-        return blocks[-1]
+    def kept(sim, *args):
+        moved.append(sim.trajectory)
+        return move(sim, *args)
 
-    monkeypatch.setattr(Simulator, "_next_block", kept)
-    run_experiment(small_exp(strategies=strategies, reps=reps))
-    assert len(blocks) == len(strategies) * reps
-    assert len({id(b) for b in blocks}) == builds
+    monkeypatch.setattr(Simulator, "_move", kept)
+    run_experiment(exp)
+    assert list(Counter(map(id, moved)).values()) == [exp.sim.n_ticks] * builds
+
+
+@pytest.mark.parametrize("window", [None, 3])
+def test_windows_change_no_output(monkeypatch, tmp_path, window):
+    exp = small_exp()
+
+    def outputs(outdir):
+        outdir.mkdir()
+        result = run_experiment(exp)
+        export_csv(result, outdir / "results.csv")
+        export_summary_json(result, outdir / "summary.json")
+        export_traces(result, outdir)
+        return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+    whole = outputs(tmp_path / "whole")
+    monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)
+    if window:
+        monkeypatch.setattr(ran_sim, "GEOMETRY_WINDOW_BYTES", window * exp.sim.n_ues * 4 * 8)
+    assert outputs(tmp_path / "windowed") == whole
+    assert len(whole) == 2 + len(ALL_STRATEGIES)
 
 
 def test_progress_reports_each_replica_round():

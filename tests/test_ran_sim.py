@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import HandoverDecision, evaluate_handover, rsrp_dbm, run
+from conftest import HandoverDecision, evaluate_handover, rsrp_dbm, run, save_sim_config
+from ric_cms import ran_sim
 from ric_cms.ran_sim import (
+    GeometryWindowError,
     SimConfig,
     Simulator,
     antenna_gain_db,
@@ -12,7 +14,6 @@ from ric_cms.ran_sim import (
     largest_remainder_counts,
     load_sim_config,
     path_loss_db,
-    save_sim_config,
     write_trace_csv,
 )
 
@@ -371,7 +372,7 @@ def test_geometry_is_read_only_after_the_first_tick():
         with pytest.raises(ValueError, match="read-only"):
             getattr(sim, name)[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        sim.trajectory[3][0, 0, 0] = 1.0  # the path loss
+        sim.trajectory.pl[0, 0, 0] = 1.0
 
 
 def test_simulator_ticks_through_a_shared_trajectory_from_its_own_start():
@@ -398,8 +399,45 @@ def test_simulator_moved_off_a_shared_trajectory_builds_its_own():
         sim.pos[2] = [10.0, 20.0]
         run(sim)
     assert b.trajectory is not a.trajectory
-    assert b.pos.tobytes() == ref.pos.tobytes() != a.trajectory[1][-1].tobytes()
+    assert b.pos.tobytes() == ref.pos.tobytes() != a.trajectory.pos[-1].tobytes()
     assert repr(b.kpi_report()) == repr(ref.kpi_report())
+
+
+def two_tick_windows(monkeypatch, cfg):
+    monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)
+    monkeypatch.setattr(ran_sim, "GEOMETRY_WINDOW_BYTES", 2 * cfg.n_ues * len(cfg.resolved_gnbs()) * 8)
+
+
+def test_a_sharer_outside_the_window_raises(monkeypatch):
+    cfg = SimConfig(n_ues=5, duration_s=2.0)
+    two_tick_windows(monkeypatch, cfg)
+    a = Simulator(cfg, seed=3)
+    a.tick()
+    b = Simulator(cfg, seed=3, trajectory=a.trajectory)
+    b.tick()
+    assert b.trajectory is a.trajectory
+    run(a, 2)  # a's third tick slides the window past b's second
+    with pytest.raises(GeometryWindowError, match="tick 1 is outside"):
+        b.tick()
+    with pytest.raises(GeometryWindowError, match="tick 4 is outside"):
+        a.trajectory.row(4, a)
+    c = Simulator(cfg, seed=3, trajectory=a.trajectory)
+    c.tick()  # the window no longer holds tick 0, so c builds its own
+    assert c.trajectory is not a.trajectory
+
+
+def test_a_waiting_sharer_reads_its_own_state(monkeypatch):
+    cfg = SimConfig(n_ues=5, duration_s=2.0)
+    two_tick_windows(monkeypatch, cfg)
+    a, solo = Simulator(cfg, seed=3), Simulator(cfg, seed=3)
+    run(a, 1)
+    b = Simulator(cfg, seed=3, trajectory=a.trajectory)
+    run(b, 2)
+    run(a, 3)  # rewrites the rows b ticked through
+    run(solo, 2)
+    assert b.trajectory is a.trajectory
+    assert b.pos.tobytes() == solo.pos.tobytes() != a.pos.tobytes()
+    assert b.vel.tobytes() == solo.vel.tobytes()
 
 
 # -- config -----------------------------------------------------------------
