@@ -149,10 +149,11 @@ def load_sim_config(path: str | Path) -> SimConfig:
 # Radio primitives
 # ===========================================================================
 
-def path_loss_db(distance_m):
-    """Log-distance path loss of a distance or an array of distances;
-    distances under a metre are clamped."""
-    return 40.05 + 35.0 * np.log10(np.maximum(distance_m, 1.0))
+def path_loss_db(distance_m, out=None):
+    """Log-distance path loss of a distance or an array of distances, written into
+    `out` if given; distances under a metre are clamped."""
+    x = np.log10(np.maximum(distance_m, 1.0, out=out), out=out)
+    return np.add(np.multiply(x, 35.0, out=out), 40.05, out=out)
 
 
 def antenna_gain_db(ret_deg: float) -> float:
@@ -239,7 +240,7 @@ class Trajectory:
 
     def row(self, t: int, sim: Simulator) -> tuple:
         if t == self.end:  # sim is the first to reach tick t: it computes it (at 0, a whole run)
-            j, k = t - self.base, len(self.pos) if len(self.pos) == sim.cfg.n_ticks else 1
+            j, k = t - self.base, len(self.pos) if len(self.pos) == sim._n_ticks else 1
             if j == len(self.pos):  # slide on: the rows of the window are overwritten from here
                 self.base, j = t, 0
             p, v = (self.pos[j - 1], self.vel[j - 1]) if t else (sim.pos, sim.vel)
@@ -248,7 +249,7 @@ class Trajectory:
                 self.vel[i] = v
             step = max(1, 2048 // self.pl[0].size)  # a long block in 16 KiB slices: small temporaries
             for a in range(j, j + k, step):
-                self._pl[a:min(a + step, j + k)] = sim._path_loss(self.pos[a:min(a + step, j + k)])
+                sim._path_loss(self.pos[a:min(a + step, j + k)], self._pl[a:min(a + step, j + k)])
             self.end += k
         if not self.base <= t < self.end:
             raise GeometryWindowError(f"tick {t} is outside the ticks {self.base}-{self.end - 1} held")
@@ -256,8 +257,8 @@ class Trajectory:
 
 
 class Simulator:
-    """One seeded run.  Drive it with `tick()`, adjust transmit power
-    between ticks with `set_txp`.
+    """One seeded run.  Drive it with `tick()`, adjust transmit power between
+    ticks with `set_txp`, which sets the tick's constants that depend on it.
 
     Geometry (moves and path loss) comes from a `Trajectory` built from the state at
     the first tick, or handed in (`trajectory=`) if it starts from that state and
@@ -280,16 +281,20 @@ class Simulator:
     move.  A re-attachment ping-pong is counted but traced as REATTACH.
     A tick relies on two identities: a row's maximum is max(rs, rn), serving
     and best other cell, and the UEs attached after it are the receivable ones.
+    Levels, the A3 and receivability conditions and throughput are computed for
+    every UE; each event condition is one selection, and TTT counts, cell changes,
+    ping-pongs and trace rows are kept for the UEs it selected alone.
     """
 
     def __init__(self, cfg: SimConfig, seed: int, record_trace: bool = True, trajectory: Trajectory | None = None):
         self.cfg = cfg
         self.gnbs = cfg.resolved_gnbs()
+        self._n_ticks, self._dt_s, self._gain_db = cfg.n_ticks, cfg.step_ms / 1000.0, antenna_gain_db(cfg.ret_deg)
+        self.set_txp(cfg.txp_dbm)
         self._lim = np.asarray(cfg.area_m)
         self.trajectory, self._i = trajectory, 0  # the geometry, and the next tick's index into it
         self._gx, self._gy = self.gnbs.T[:, None, :]      # (1, n_gnbs) each
         self._row0 = np.arange(cfg.n_ues) * len(self.gnbs)  # flat index of each UE's row
-        self.txp_dbm = float(cfg.txp_dbm)
         self.t_ms = 0.0
         self.record_trace = record_trace
         rng = np.random.default_rng(seed)
@@ -325,7 +330,7 @@ class Simulator:
         self.prev_gnb = np.full(n, -1, dtype=int)  # cell left by the last move, for ping-pong
         self.last_ho_ms = np.full(n, -np.inf)     # time of that move
         self.required_ttt_ticks = max(1, math.ceil(cfg.ttt_ms / cfg.step_ms))
-        self._ttt_count = np.zeros(n, dtype=int)
+        self._ttt_count = self._no_ttt = np.zeros(n, dtype=int)  # never written: the counts of a tick off A3
         self._ttt_target = np.full(n, -1, dtype=int)
 
         # -- accounting ----------------------------------------------------
@@ -342,20 +347,22 @@ class Simulator:
         if not _is_number(txp_dbm):
             raise ValueError(f"transmit power must be a finite number of dBm, got {txp_dbm!r}")
         self.txp_dbm = float(txp_dbm)
+        self._eirp_dbm = self.txp_dbm + self._gain_db  # a receive level before path loss
+        self._tick_joules = len(self.gnbs) * gnb_power_w(self.txp_dbm) * self._dt_s
 
-    def _path_loss(self, pos: np.ndarray) -> np.ndarray:  # (..., n_ues, 2) -> (..., n_ues, n_gnbs)
-        return path_loss_db(np.hypot(pos[..., :1] - self._gx, pos[..., 1:] - self._gy))
+    def _path_loss(self, pos: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:  # (..., n_ues, 2) -> (..., n_ues, n_gnbs)
+        return path_loss_db(np.hypot(pos[..., :1] - self._gx, pos[..., 1:] - self._gy, out=out), out)
 
     def _rsrp_matrix(self, pos: np.ndarray) -> np.ndarray:
         """(n_ues, n_gnbs) receive levels at the current transmit power."""
-        return self.txp_dbm + antenna_gain_db(self.cfg.ret_deg) - self._path_loss(pos)
+        return self._eirp_dbm - self._path_loss(pos)
 
     # -- dynamics ---------------------------------------------------------
 
     def _move(self, p: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Move p one step at velocity v into out, reflecting at the field boundary at most once per
         axis (SimConfig keeps one step inside it; at both ends, v holds); the read-only velocity after."""
-        np.add(p, v * (self.cfg.step_ms / 1000.0), out=out)
+        np.add(p, v * self._dt_s, out=out)
         low = out < 0.0
         np.negative(out, out=out, where=low)
         high = out > self._lim
@@ -366,55 +373,55 @@ class Simulator:
         return v
 
     def tick(self) -> TickStats:
-        cfg = self.cfg
-        dt_s = cfg.step_ms / 1000.0
+        cfg, i, traj = self.cfg, self._i, self.trajectory
         t = self.t_ms + cfg.step_ms
         row0, g = self._row0, len(self.gnbs)
 
-        traj = self.trajectory
-        if self._i == 0:
+        if i == 0:
             start = (cfg, self.pos.tobytes(), self.vel.tobytes())
             if traj is None or traj.start != start or traj.base:
                 traj = self.trajectory = Trajectory(start, geometry_rows(cfg), cfg.n_ues, g)
-        pos, self.vel, pl = traj.row(self._i, self)
-        self._i += 1
-        # a window's rows get overwritten, so a simulator keeps a read-only copy of its own
-        self.pos = pos if len(traj.pos) == cfg.n_ticks else np.frombuffer(pos.tobytes()).reshape(pos.shape)
-        r = self.txp_dbm + antenna_gain_db(cfg.ret_deg) - pl  # receive levels
+        self._i = i + 1
+        whole = len(traj.pos) == self._n_ticks  # the run in one block; else a window, whose rows get overwritten
+        held = whole and i < traj.end and not traj.base  # built at the first tick: read the row in place
+        pos, self.vel, pl = (traj.pos[i], traj.vel[i], traj.pl[i]) if held else traj.row(i, self)
+        # a simulator keeps a read-only copy of its own row of a window
+        self.pos = pos if whole else np.frombuffer(pos.tobytes()).reshape(pos.shape)
+        r = self._eirp_dbm - pl  # receive levels
         serving = self.serving  # updated in place below
 
         # A3 handovers.  No event resets the TTT state: a detached UE never
-        # meets cond, and a handover leaves the new serving cell as the
+        # meets the condition, and a handover leaves the new serving cell as the
         # stored target, which A3 never picks, so the next count starts at 1.
         att = serving >= 0
-        srv = row0 + serving % g  # flat index into r; -1 is the row's last column
+        srv = row0 + np.where(att, serving, g - 1)  # flat index into r; a detached UE reads its last column
         rs = r.take(srv)
         masked = r.copy()
         masked.put(srv, -np.inf)
         tgt = masked.argmax(axis=1)
         rn = masked.take(row0 + tgt)
-        cond = att & (rn + cfg.cio_db > rs + cfg.hys_db) & (rn > rs)
-        # the count: 0 off cond, else one more than before on the same target, else 1
-        self._ttt_count = ((self._ttt_target == tgt) * self._ttt_count + 1) * cond
-        self._ttt_target = tgt
-        ho = (self._ttt_count >= self.required_ttt_ticks).nonzero()[0]
-        n_pp = self._change_cell("HO", t, r, ho, tgt)
+        a3 = (att & (rn + cfg.cio_db > rs + cfg.hys_db) & (rn > rs)).nonzero()[0]
+        ok = np.maximum(rs, rn) >= cfg.min_rsrp_dbm  # some cell is receivable
+        ho, count, n_pp = a3, self._no_ttt, 0
+        if a3.size:  # the count: 0 off A3, else one more than before on the same target, else 1
+            count = np.zeros_like(count)
+            count[a3] = c = (self._ttt_target[a3] == tgt[a3]) * self._ttt_count[a3] + 1
+            ho = a3[c >= self.required_ttt_ticks]
+            n_pp = self._change_cell("HO", t, r, ho, tgt, rs)
+        self._ttt_count, self._ttt_target = count, tgt
 
-        # link failure: attached but nothing receivable anywhere
-        ok = np.maximum(rs, rn) >= cfg.min_rsrp_dbm
-        lf = (att & ~ok).nonzero()[0]
-        self._change_cell("LF", t, r, lf, serving)
+        # link failures (attached, nothing receivable), then re-attachments, from the state before handovers
+        lf = back = (att != ok).nonzero()[0]
+        if lf.size:
+            was = att[lf]
+            lf, back = lf[was], lf[~was]
+            self._change_cell("LF", t, r, lf, serving)
+            n_pp += self._change_cell("REATTACH", t, r, back, rs=rs)
 
-        # re-attachment: detached and some cell is receivable again
-        back = (~att & ok).nonzero()[0]
-        n_pp += self._change_cell("REATTACH", t, r, back)
-
-        # throughput for attached UEs (now exactly ok), energy for all sites
-        if ho.size or back.size:  # serving cells changed: re-read their levels
-            rs = r.take(row0 + serving % g)
-        cap = self.bw_hz[ok] * np.log2(1.0 + 10.0 ** ((rs[ok] - cfg.noise_floor_dbm) / 10.0))
-        bits = float(cap.sum() * dt_s)
-        joules = g * gnb_power_w(self.txp_dbm) * dt_s
+        # throughput for attached UEs (now exactly ok, rs their serving levels), energy for all sites
+        cap = self.bw_hz * np.log2(1.0 + 10.0 ** ((rs - cfg.noise_floor_dbm) / 10.0))
+        bits = float(np.add.reduce(cap[ok]) * self._dt_s)
+        joules = self._tick_joules
 
         n_ho = ho.size + back.size
         self.total_bits += bits
@@ -425,25 +432,28 @@ class Simulator:
         self.t_ms = t
         return TickStats(bits, joules, lf.size, n_ho, n_pp)
 
-    def _change_cell(self, event: str, t: float, r: np.ndarray, idx: np.ndarray, cells: np.ndarray | None = None) -> int:
+    def _change_cell(self, event: str, t: float, r: np.ndarray, idx: np.ndarray,
+                     cells: np.ndarray | None = None, rs: np.ndarray | None = None) -> int:
         """Apply `event` at time t to the UEs `idx` (ascending), trace it and
-        return its ping-pongs.  "LF" detaches UE i from cells[i], "HO" moves
-        it to cells[i], "REATTACH" (no cells) to its strongest cell."""
+        return its ping-pongs.  "LF" detaches UE i from cells[i], "HO" moves it
+        to cells[i], "REATTACH" (no cells) to its strongest cell; both write its level into rs."""
         if not idx.size:
             return 0
         cells = r[idx].argmax(axis=1) if cells is None else cells[idx]
-        pp = np.zeros(idx.size, dtype=bool)
+        level = r[idx, cells]
+        pp = ()
         if event == "LF":
             self.serving[idx] = -1
         else:
+            rs[idx] = level
             away = cells != self.last_cell[idx]
             pp = away & (cells == self.prev_gnb[idx]) & (t - self.last_ho_ms[idx] <= self.cfg.pingpong_window_ms)
             self.prev_gnb[idx[away]] = self.last_cell[idx[away]]
             self.last_ho_ms[idx[away]] = t
             self.serving[idx] = self.last_cell[idx] = cells
         if self.record_trace:
-            events = np.where(pp, "PP", "HO").tolist() if event == "HO" else repeat(event)
-            self.trace.extend(map(TraceRow, repeat(t), idx.tolist(), cells.tolist(), r[idx, cells].tolist(), events))
+            events = ["PP" if p else "HO" for p in pp.tolist()] if event == "HO" else repeat(event)
+            self.trace.extend(map(TraceRow, repeat(t), idx.tolist(), cells.tolist(), level.tolist(), events))
         return int(np.count_nonzero(pp))
 
     # -- reporting --------------------------------------------------------

@@ -160,6 +160,28 @@ def test_oracle_runs_reach_every_event(cfg, txps, events):
     assert events <= {row.event for row in trace}
 
 
+def test_oracle_agrees_on_mass_link_failure_and_reattachment():
+    # the power swings 50 -> -20 -> 50 dBm on consecutive ticks: most UEs fail at once, then come back
+    cfg = SimConfig(n_ues=200, duration_s=3.0)
+    trace = run_beside_the_oracle(cfg, 0, (50.0, -20.0, 50.0))
+    per_tick = Counter((row.t_ms, row.event) for row in trace)
+    assert per_tick[200.0, "LF"] > 100 and per_tick[300.0, "REATTACH"] == per_tick[200.0, "LF"]
+
+
+def test_oracle_agrees_on_time_to_trigger_counts_that_never_fire():
+    # a three-tick time-to-trigger; every fifth tick the power drops and detaches most UEs,
+    # which ends the counts of 1 and 2 that A3 had started on them
+    cfg, txps = SimConfig(n_ues=200, duration_s=10.0, ttt_ms=300.0), (30.0,) * 4 + (-20.0,)
+    trace = run_beside_the_oracle(cfg, 0, txps)
+    sim, unfired = Simulator(cfg, 0, record_trace=False), 0
+    for k in range(cfg.n_ticks):
+        before = sim._ttt_count
+        sim.set_txp(txps[k % len(txps)])
+        sim.tick()
+        unfired += np.count_nonzero((before > 0) & (before < sim.required_ttt_ticks) & (sim._ttt_count == 0))
+    assert sim.required_ttt_ticks == 3 and unfired > 0 and "HO" in {row.event for row in trace}
+
+
 @st.composite
 def ledger_streams(draw):
     """Time-ordered changes and degradations against the experiment topology."""

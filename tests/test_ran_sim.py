@@ -362,6 +362,50 @@ def test_trace_disabled_keeps_counters():
     assert a.kpi_report() == b.kpi_report()
 
 
+def test_a_quiet_tick_does_no_event_bookkeeping(monkeypatch):
+    calls = []
+    change_cell = Simulator._change_cell
+    monkeypatch.setattr(Simulator, "_change_cell", lambda self, *a, **kw: calls.append(a[0]) or change_cell(self, *a, **kw))
+    sim = Simulator(SimConfig(duration_s=60.0), seed=0)  # a one-tick TTT: every A3 UE hands over
+    quiet = 0
+    for _ in range(sim.cfg.n_ticks):
+        before, rows = len(calls), len(sim.trace)
+        stats = sim.tick()
+        if stats.handovers or stats.link_failures:
+            assert len(calls) > before
+            continue
+        quiet += 1
+        assert len(calls) == before and len(sim.trace) == rows
+        assert not sim._ttt_count.any() and sim._ttt_count.dtype == np.int64
+    assert 0 < quiet < sim.cfg.n_ticks
+
+
+def test_tick_constants_are_set_at_construction_and_by_set_txp(monkeypatch):
+    counts = dict.fromkeys(("n_ticks", "antenna_gain_db", "gnb_power_w"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(SimConfig, "n_ticks", property(counted("n_ticks", SimConfig.n_ticks.fget)))
+    for name in ("antenna_gain_db", "gnb_power_w"):
+        monkeypatch.setattr(ran_sim, name, counted(name, getattr(ran_sim, name)))
+    cfg = SimConfig(duration_s=10.0)
+    sim = Simulator(cfg, seed=4)
+    assert counts["n_ticks"] and counts["antenna_gain_db"] and counts["gnb_power_w"]
+    sim.tick()  # the first tick builds the run's geometry
+    for k in range(1, 100):
+        if k % 10 == 0:
+            sim.set_txp(float(k % 40))
+        before = dict(counts)
+        stats = sim.tick()
+        assert counts == before, k
+        if k % 10 == 0:
+            assert repr(stats.joules) == repr(len(sim.gnbs) * gnb_power_w(k % 40) * (cfg.step_ms / 1000.0))
+
+
 # -- shared geometry --------------------------------------------------------
 
 def test_geometry_is_read_only_after_the_first_tick():
