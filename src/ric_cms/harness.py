@@ -5,10 +5,9 @@ and the TXP default, range and QACM grid in `xapps`, the attribution
 window in `detection`.  A configuration chooses only the radio scenario,
 the strategies, the replica count and the base seed.
 
-One replica wires together the simulator, the two competing xApps, the
-conflict-management layer and the runtime detector.  Every request
-becomes its app's standing wish, and the standing wishes are arbitrated
-at once:
+The control plane is open-loop, so each arm is compiled once and each
+replica replays it.  Every request becomes its app's standing wish, and
+the standing wishes are arbitrated at once:
 
   write-through   nc    last writer wins, and every request lands, even
                         one that leaves TXP where it is
@@ -168,62 +167,80 @@ class ReplicaResult:
         return [getattr(self, c) for c in RESULT_COLUMNS]
 
 
+Schedule = dict[int, tuple[float, ChangeRecord | None]]  # tick -> (TXP to set before it, the change landing there)
+
+
+def compile_arm(strategy: Strategy, sim_cfg: SimConfig, model_set: ResponseModelSet | None = None) -> Schedule:
+    """The arm's control schedule: its request cadence through `mitigate` once,
+    on the control clock (half interval k at k * CONTROL_INTERVAL_MS / 2, not
+    the simulator's summed steps).  The sbd reset is a controller action: it
+    sets TXP and lands no change."""
+    if strategy is Strategy.QACM and model_set is None:
+        raise ValueError("qacm arm needs calibrated response models")
+    ranks = {Strategy.P_ES: {ES_XAPP_ID: 2, MRO_XAPP_ID: 1}, Strategy.P_MRO: {MRO_XAPP_ID: 2, ES_XAPP_ID: 1}}
+    models = {TXP_PARAM: model_set} if strategy is Strategy.QACM else {}
+    ctx = MitigationContext({TXP_PARAM: TXP_DEFAULT_DBM}, ranks.get(strategy, {}), models, {TXP_PARAM: TXP_BOUNDS_DBM})
+    on_arrival = Strategy.NC if strategy in (Strategy.NC, Strategy.SBD) else strategy  # nc and sbd write through
+    half_ticks = int(round(CONTROL_INTERVAL_MS / sim_cfg.step_ms)) // 2
+    standing: dict[str, ParameterRequest] = {}
+    applied = float(sim_cfg.txp_dbm)
+    schedule: Schedule = {}
+    for k, tick in enumerate(range(0, sim_cfg.n_ticks, half_ticks)):
+        t = k * CONTROL_INTERVAL_MS / 2
+        req = mro_request(t) if k % 2 else es_request(t)
+        standing[req.xapp] = req
+        decision = mitigate(on_arrival, list(standing.values()), ctx)
+        if on_arrival is Strategy.NC or decision.value != applied:
+            applied = decision.value
+            schedule[tick] = (applied, ChangeRecord(t, req.xapp, TXP_PARAM, applied))
+        if strategy is Strategy.SBD and k % 2 and tick + 1 < sim_cfg.n_ticks:
+            # the tick after the mobility app's request; a request there overwrites it
+            schedule[tick + 1] = (mitigate(Strategy.SBD, list(standing.values()), ctx).value, None)
+    return schedule
+
+
 def run_replica(
     strategy: Strategy,
     rep: int,
     exp: ExperimentConfig,
-    ctx: MitigationContext,
+    actions: Schedule,
     record_trace: bool = False,
     trajectory: Trajectory | None = None,
 ) -> Generator[Simulator, None, tuple[ReplicaResult, Simulator]]:
-    """One replica, a generator that yields its simulator after each tick and returns (result, simulator)."""
+    """One replica replaying its arm's `compile_arm` schedule, a generator
+    that yields its simulator after each tick and returns (result, simulator).
+    At a half-interval tick the SLA check classifies before the tick's change
+    lands, so attribution sees the energy saver's standing change."""
     seed = exp.base_seed + rep
     sim = Simulator(exp.sim, seed, record_trace=record_trace, trajectory=trajectory)
     ledger = Ledger(experiment_topology())
 
     step = exp.sim.step_ms
-    interval_ticks = int(round(CONTROL_INTERVAL_MS / step))
-    half_ticks = interval_ticks // 2
+    half_ticks = int(round(CONTROL_INTERVAL_MS / step)) // 2
     window_ticks = int(round(DEFAULT_ATTRIBUTION_WINDOW_MS / step))
-    write_through = strategy in (Strategy.NC, Strategy.SBD)
-    on_arrival = Strategy.NC if write_through else strategy
 
-    standing: dict[str, ParameterRequest] = {}
-    reset_tick = -1
     lf_per_tick: list[int] = []
     phases: defaultdict[float, PhaseStats] = defaultdict(PhaseStats)
     verdicts: Counter = Counter()
     unattributed = 0
 
     for tick_i in range(exp.sim.n_ticks):
-        t = sim.t_ms
-        in_interval = tick_i % interval_ticks
-
-        if tick_i == reset_tick:
-            decision = mitigate(Strategy.SBD, list(standing.values()), ctx)
-            sim.set_txp(decision.value)  # controller action, not an xApp write
-
-        if in_interval == half_ticks:
-            # SLA check runs before the mobility app's own request lands,
-            # so attribution sees the energy saver's standing change.
+        k, into_half = divmod(tick_i, half_ticks)
+        if k % 2 and not into_half:
             lf_window = sum(lf_per_tick[-window_ticks:])
             if lf_window > LF_SLA_THRESHOLD:
-                ev = DegradationEvent(t, LF_KPI, MRO_XAPP_ID, float(lf_window))
+                ev = DegradationEvent(k * CONTROL_INTERVAL_MS / 2, LF_KPI, MRO_XAPP_ID, float(lf_window))
                 ledger.record_degradation(ev)
                 try:
                     verdicts[ledger.classify(ev).kind.value] += 1
                 except UnattributableDegradationError:
                     unattributed += 1
 
-        if in_interval in (0, half_ticks):
-            req = es_request(t) if in_interval == 0 else mro_request(t)
-            standing[req.xapp] = req
-            decision = mitigate(on_arrival, list(standing.values()), ctx)
-            if write_through or decision.value != sim.txp_dbm:
-                sim.set_txp(decision.value)
-                ledger.record_change(ChangeRecord(t, req.xapp, TXP_PARAM, decision.value))
-            if strategy is Strategy.SBD and in_interval == half_ticks:
-                reset_tick = tick_i + 1
+        if tick_i in actions:
+            txp, change = actions[tick_i]
+            if change is not None:
+                ledger.record_change(change)
+            sim.set_txp(txp)
 
         applied = sim.txp_dbm
         stats = sim.tick()
@@ -307,25 +324,6 @@ def derive_qacm_models(nc_rows: Sequence[ReplicaResult], exp: ExperimentConfig) 
     )
 
 
-def _context(strategy: Strategy, model_set: ResponseModelSet | None) -> MitigationContext:
-    priorities: dict[str, int] = {}
-    if strategy is Strategy.P_ES:
-        priorities = {ES_XAPP_ID: 2, MRO_XAPP_ID: 1}
-    elif strategy is Strategy.P_MRO:
-        priorities = {MRO_XAPP_ID: 2, ES_XAPP_ID: 1}
-    models: dict[str, ResponseModelSet] = {}
-    if strategy is Strategy.QACM:
-        if model_set is None:
-            raise ValueError("qacm arm needs calibrated response models")
-        models = {TXP_PARAM: model_set}
-    return MitigationContext(
-        defaults={TXP_PARAM: TXP_DEFAULT_DBM},
-        priorities=priorities,
-        response_models=models,
-        bounds={TXP_PARAM: TXP_BOUNDS_DBM},
-    )
-
-
 # ===========================================================================
 # Full experiment
 # ===========================================================================
@@ -359,12 +357,14 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every requested arm, pairing replicas by seed.
 
-    The no-coordination arm runs whenever it is requested or the QACM arm
-    needs it; the arms but QACM run replica by replica, sharing each seed's
-    `Simulator.trajectory` in lockstep: arm by arm through each window of
-    `geometry_rows` ticks.  QACM calibrates from the NC replicas, which are
-    reused, never re-run, so a repeated call with the same config is
-    bit-reproducible.  `progress(arms, rep, reps)` precedes each replica.
+    Each arm is compiled once per pass (`compile_arm`), and its replicas
+    only replay that schedule.  The no-coordination arm runs whenever it
+    is requested or the QACM arm needs it; the arms but QACM run replica
+    by replica, sharing each seed's `Simulator.trajectory` in lockstep:
+    arm by arm through each window of `geometry_rows` ticks.  QACM
+    calibrates from the NC replicas, which are reused, never re-run, so a
+    repeated call with the same config is bit-reproducible.
+    `progress(arms, rep, reps)` precedes each replica.
     """
     arms = [s for s in exp.strategies if s is not Strategy.NC]
     if Strategy.NC in exp.strategies or Strategy.QACM in exp.strategies:
@@ -375,15 +375,15 @@ def run_experiment(
     trajectory = None  # handed on; a simulator takes it only if its seed matches
     for group in ([s for s in arms if s is not Strategy.QACM], [s for s in arms if s is Strategy.QACM]):
         model_set = derive_qacm_models(arm_rows[Strategy.NC], exp) if Strategy.QACM in group else None
-        ctxs = [_context(s, model_set) for s in group]
+        schedules = [compile_arm(s, exp.sim, model_set) for s in group]
         for rep in range(exp.reps if group else 0):
             if progress:
                 progress(tuple(s.value for s in group), rep, exp.reps)
             replicas = []
             for a in range(0, n, k):  # a window: each arm in turn ticks its rows
-                for j, (strategy, ctx) in enumerate(zip(group, ctxs)):
+                for j, (strategy, actions) in enumerate(zip(group, schedules)):
                     if not a:
-                        replicas.append(run_replica(strategy, rep, exp, ctx, record_trace=rep == 0, trajectory=trajectory))
+                        replicas.append(run_replica(strategy, rep, exp, actions, record_trace=rep == 0, trajectory=trajectory))
                     for _ in range(min(k, n - a)):
                         trajectory = next(replicas[j]).trajectory
             for strategy, replica in zip(group, replicas):

@@ -1,4 +1,4 @@
-"""Golden outputs: five experiments whose exported files must keep their
+"""Golden outputs: six experiments whose exported files must keep their
 bytes, so a change to the engine that keeps its behaviour has to
 reproduce results.csv, summary.json and every trace exactly.  None of
 these runs has a ping-pong; test_ran_sim pins that rule.  float64
@@ -28,6 +28,8 @@ RUNS = {
     "ues2000": ExperimentConfig(
         SimConfig(n_ues=2000, duration_s=20.0), strategies=(Strategy.NC, Strategy.SBD, Strategy.QACM),
         reps=1, base_seed=3),
+    # a step that is not a binary fraction: the control plane keeps its own clock
+    "step100_3": ExperimentConfig(SimConfig(n_ues=40, duration_s=20.0, step_ms=100 / 3), reps=2, base_seed=7),
 }
 
 # file name -> sha256 of its bytes, per run
@@ -58,6 +60,15 @@ DIGESTS = {
         "trace_p-mro_rep0.csv": "3237042a45441ae4c691c258f69ab91586fe98babfb020014dc578a915447d49",
         "trace_qacm_rep0.csv": "071bd7c9a39db53c150a63a43f4e1a556585e2334e90087201a6cee257407c6d",
         "trace_sbd_rep0.csv": "9d2c42ca7c51b1e829fc924b785f38ae0b4867a7a730619e79ead3c0741cae95",
+    },
+    "step100_3": {
+        "results.csv": "bc69a074db5f6dd913253c17b0536bd21bd76e92db69b1a9bfd320a1d466829a",
+        "summary.json": "1ee76ac711fb7d8e63744e2a0dd3829e8d98d96515c0b550870ed09b68fd9953",
+        "trace_nc_rep0.csv": "3668001eab947543c3c1cf1629dd21654417194bb5dedb194b9ac078e1aa1c96",
+        "trace_p-es_rep0.csv": "5620811b92758508126cb454c4af01ee23116fd454b8e9422c8f2b62382c3ce7",
+        "trace_p-mro_rep0.csv": "862b01b36390ce9c92b8439994f21b54b87ae338d6b7741d232e6fa03062e74a",
+        "trace_qacm_rep0.csv": "421a3cb6e2deee21b36c10d1ebd7a38513d2fb1fe22d79d472fd6af4c9babcc3",
+        "trace_sbd_rep0.csv": "79b3da24aa71622d8d4d08ca9b03025a9bea00f5e1d8ab159d66919b7f5dcb0b",
     },
     "ttt300": {
         "results.csv": "fff03d9b2043f8694b85b28ed59b8ae57274146b9ea1539bf6d586f2825c8e6a",

@@ -11,8 +11,8 @@ from ric_cms.harness import (
     ExperimentConfig,
     PhaseStats,
     ReplicaResult,
-    _context,
     box_stats,
+    compile_arm,
     derive_qacm_models,
     derive_qacm_thresholds,
     desk_preset,
@@ -98,8 +98,8 @@ def test_reps_and_seed_must_be_integers_in_range(field, bad):
 
 def run_one(strategy, model_set=None, **kw):
     exp = small_exp(**kw)
-    ctx = _context(strategy, model_set)
-    return drain(run_replica(strategy, 0, exp, ctx))
+    actions = compile_arm(strategy, exp.sim, model_set)
+    return drain(run_replica(strategy, 0, exp, actions))
 
 
 def test_nc_alternates_between_the_two_requests():
@@ -173,11 +173,112 @@ def test_write_through_records_every_request(monkeypatch, strategy):
 
     monkeypatch.setattr(harness, "Ledger", keep)
     exp = small_exp(sim=SimConfig(duration_s=20.0, txp_dbm=3.0))
-    drain(run_replica(strategy, 0, exp, _context(strategy, None)))
+    drain(run_replica(strategy, 0, exp, compile_arm(strategy, exp.sim)))
     (ledger,) = ledgers
     assert [c.xapp for c in ledger.changes] == ["es", "mro"] * 10
     assert [c.value for c in ledger.changes] == [3.0, 50.0] * 10
     assert [c.t_ms for c in ledger.changes] == [1000.0 * i for i in range(20)]
+
+
+# -- compiled schedules -----------------------------------------------------
+
+FIXED_QACM = ResponseModelSet(
+    "TXP", (0.0, 50.0), 1.0, (KpiResponseModel(EE_KPI, KpiDirection.MAXIMIZE, 37.0, ((0.0, 0.0), (50.0, 50.0))),))
+
+
+def replay(schedule, start, n_ticks):
+    """The TXP each tick runs at, and the (t_ms, xapp, value) of each landed change."""
+    txp, column, changes = start, [], []
+    for tick in range(n_ticks):
+        if tick in schedule:
+            txp, change = schedule[tick]
+            if change is not None:
+                changes.append((change.t_ms, change.xapp, change.value))
+        column.append(txp)
+    return column, changes
+
+
+def requests(n):
+    return [(1000.0 * i, "mro" if i % 2 else "es", 50.0 if i % 2 else 3.0) for i in range(n)]
+
+
+@pytest.mark.parametrize("start", [30.0, 3.0])
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=[s.value for s in ALL_STRATEGIES])
+def test_compiled_schedules(strategy, start):
+    cfg = SimConfig(duration_s=30.0, txp_dbm=start)
+    schedule = compile_arm(strategy, cfg, FIXED_QACM)
+    column, changes = replay(schedule, start, cfg.n_ticks)
+    interval = [3.0] * 10 + [50.0] * 10  # 100 ms ticks, 2 s intervals
+    if strategy is Strategy.NC:
+        assert changes == requests(30)
+        assert column == interval * 15
+    elif strategy is Strategy.SBD:
+        assert changes == requests(30)
+        # the controller resets the tick after each mobility request, landing nothing
+        assert [t for t, (_, change) in schedule.items() if change is None] == [20 * i + 11 for i in range(15)]
+        assert column == ([3.0] * 10 + [50.0] + [30.0] * 9) * 15
+    elif strategy is Strategy.P_ES:
+        assert changes == ([] if start == 3.0 else [(0.0, "es", 3.0)])
+        assert column == [3.0] * 300
+    elif strategy is Strategy.P_MRO:
+        assert changes == ([] if start == 3.0 else [(0.0, "es", 3.0)]) + [(1000.0, "mro", 50.0)]
+        assert column == [3.0] * 10 + [50.0] * 290
+    else:
+        assert changes == [(0.0, "es", FIXED_QACM.optimize().value)] == [(0.0, "es", 37.0)]
+        assert column == [37.0] * 300
+
+
+def test_sbd_request_wins_the_reset_tick_at_two_ticks_per_interval():
+    cfg = SimConfig(duration_s=30.0, step_ms=1000.0)
+    nc = replay(compile_arm(Strategy.NC, cfg), cfg.txp_dbm, cfg.n_ticks)
+    sbd = replay(compile_arm(Strategy.SBD, cfg), cfg.txp_dbm, cfg.n_ticks)
+    assert sbd == nc
+    assert sbd[1] == requests(30)
+    assert sbd[0] == [3.0, 50.0] * 15
+
+
+def test_qacm_arm_needs_a_model_set():
+    with pytest.raises(ValueError, match="calibrated response models"):
+        compile_arm(Strategy.QACM, SimConfig())
+
+
+def test_arbitration_does_not_scale_with_replicas(monkeypatch):
+    calls = Counter()
+    arbitrate = harness.mitigate
+
+    def counted(strategy, *args, **kwargs):
+        calls[strategy] += 1
+        return arbitrate(strategy, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "mitigate", counted)
+    per_reps = []
+    for reps in (1, 3):
+        calls.clear()
+        run_experiment(small_exp(reps=reps))
+        per_reps.append(dict(calls))
+    assert per_reps[0] == per_reps[1]
+    # 20 requests per arm, 10 sbd resets, nc arbitrates its own arm and sbd's arrivals
+    assert per_reps[0] == {Strategy.NC: 40, Strategy.SBD: 10, Strategy.P_ES: 20, Strategy.P_MRO: 20, Strategy.QACM: 20}
+
+    exp = small_exp()
+    schedules = {s: compile_arm(s, exp.sim, FIXED_QACM) for s in ALL_STRATEGIES}
+    calls.clear()
+    for strategy, actions in schedules.items():
+        drain(run_replica(strategy, 0, exp, actions))
+    assert not calls
+
+
+@pytest.mark.parametrize("step_ms", [100.0, 100 / 3, 1000 / 7], ids=["100", "100_3", "1000_7"])
+def test_sla_checks_attribute_at_any_step(step_ms):
+    # summed steps of 100/3 ms put the check just past the ledger's 1000 ms
+    # window; the control plane's own clock keeps it on the window's edge
+    exp = ExperimentConfig(SimConfig(n_ues=40, duration_s=20.0, step_ms=step_ms),
+                           strategies=(Strategy.NC, Strategy.SBD), reps=2, base_seed=7)
+    result = run_experiment(exp)
+    for strategy in ("nc", "sbd"):
+        rows = result.rows[strategy]
+        assert sum(r.unattributed for r in rows) == 0
+        assert sum(r.verdicts.get("direct", 0) for r in rows) >= 1
 
 
 # -- calibration ------------------------------------------------------------
