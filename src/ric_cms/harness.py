@@ -207,45 +207,52 @@ def run_replica(
     record_trace: bool = False,
     trajectory: Trajectory | None = None,
 ) -> Generator[Simulator, None, tuple[ReplicaResult, Simulator]]:
-    """One replica replaying its arm's `compile_arm` schedule, a generator
-    that yields its simulator after each tick and returns (result, simulator).
-    At a half-interval tick the SLA check classifies before the tick's change
-    lands, so attribution sees the energy saver's standing change."""
+    """One replica replaying its arm's `compile_arm` schedule, a generator that
+    yields its simulator after each `geometry_rows` window and returns (result,
+    simulator).  At a half-interval tick the SLA check classifies before the tick's
+    change lands, so attribution sees the energy saver's standing change."""
     seed = exp.base_seed + rep
     sim = Simulator(exp.sim, seed, record_trace=record_trace, trajectory=trajectory)
     ledger = Ledger(experiment_topology())
 
-    step = exp.sim.step_ms
+    n, step, w = exp.sim.n_ticks, exp.sim.step_ms, geometry_rows(exp.sim)
     half_ticks = int(round(CONTROL_INTERVAL_MS / step)) // 2
     window_ticks = int(round(DEFAULT_ATTRIBUTION_WINDOW_MS / step))
+    checks = range(half_ticks, n, 2 * half_ticks)  # the SLA checks, at the mobility app's requests
+    # the ticks before which something other than a tick happens, among them each check window's start
+    marks = set(checks) | {max(0, c - window_ticks) for c in checks} | actions.keys() | {0}
 
-    lf_per_tick: list[int] = []
+    lf_at: dict[int, int] = {}  # the link failures before each mark
     phases: defaultdict[float, PhaseStats] = defaultdict(PhaseStats)
     verdicts: Counter = Counter()
     unattributed = 0
 
-    for tick_i in range(exp.sim.n_ticks):
-        k, into_half = divmod(tick_i, half_ticks)
-        if k % 2 and not into_half:
-            lf_window = sum(lf_per_tick[-window_ticks:])
-            if lf_window > LF_SLA_THRESHOLD:
-                ev = DegradationEvent(k * CONTROL_INTERVAL_MS / 2, LF_KPI, MRO_XAPP_ID, float(lf_window))
-                ledger.record_degradation(ev)
-                try:
-                    verdicts[ledger.classify(ev).kind.value] += 1
-                except UnattributableDegradationError:
-                    unattributed += 1
+    for a in range(0, n, w):
+        for tick_i in range(a, min(a + w, n)):
+            if tick_i in marks:
+                lf_at[tick_i] = sim.link_failures
+                if tick_i in checks:
+                    lf_window = sim.link_failures - lf_at[max(0, tick_i - window_ticks)]
+                    if lf_window > LF_SLA_THRESHOLD:
+                        t = tick_i // half_ticks * CONTROL_INTERVAL_MS / 2
+                        ev = DegradationEvent(t, LF_KPI, MRO_XAPP_ID, float(lf_window))
+                        ledger.record_degradation(ev)
+                        try:
+                            verdicts[ledger.classify(ev).kind.value] += 1
+                        except UnattributableDegradationError:
+                            unattributed += 1
+                if tick_i in actions:
+                    txp, change = actions[tick_i]
+                    if change is not None:
+                        ledger.record_change(change)
+                    sim.set_txp(txp)
+                phase = phases[sim.txp_dbm]  # the applied level, which only a mark changes
 
-        if tick_i in actions:
-            txp, change = actions[tick_i]
-            if change is not None:
-                ledger.record_change(change)
-            sim.set_txp(txp)
-
-        applied = sim.txp_dbm
-        stats = sim.tick()
-        lf_per_tick.append(stats.link_failures)
-        phases[applied].add(step, stats.bits, stats.joules, stats.link_failures)
+            bits, joules, lf, _, _ = sim.tick()
+            phase.time_ms += step
+            phase.bits += bits
+            phase.joules += joules
+            phase.link_failures += lf
         yield sim
 
     report = sim.kpi_report()
@@ -384,8 +391,7 @@ def run_experiment(
                 for j, (strategy, actions) in enumerate(zip(group, schedules)):
                     if not a:
                         replicas.append(run_replica(strategy, rep, exp, actions, record_trace=rep == 0, trajectory=trajectory))
-                    for _ in range(min(k, n - a)):
-                        trajectory = next(replicas[j]).trajectory
+                    trajectory = next(replicas[j]).trajectory
             for strategy, replica in zip(group, replicas):
                 res, sim = drain(replica)
                 arm_rows[strategy].append(res)

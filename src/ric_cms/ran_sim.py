@@ -210,6 +210,7 @@ class TraceRow:
 # tick through in lockstep.
 GEOMETRY_BUDGET_BYTES = 4 << 20
 GEOMETRY_WINDOW_BYTES = 256 << 10
+SCAN_ROWS = 8  # the most ticks of a held run one scan computes ahead
 
 
 def geometry_rows(cfg: SimConfig) -> int:
@@ -284,17 +285,25 @@ class Simulator:
     Levels, the A3 and receivability conditions and throughput are computed for
     every UE; each event condition is one selection, and TTT counts, cell changes,
     ping-pongs and trace rows are kept for the UEs it selected alone.
+    Quiet stretches (no UE on A3 or changing receivability) of a run held in one block are
+    scanned ahead: one tick computes up to SCAN_ROWS ticks at the current cells and TXP and
+    serves them up to the first event; a new level drops them.  The update order is unchanged.
+    So after the first tick only `set_txp` may change a simulator's state between ticks.
     """
 
     def __init__(self, cfg: SimConfig, seed: int, record_trace: bool = True, trajectory: Trajectory | None = None):
         self.cfg = cfg
         self.gnbs = cfg.resolved_gnbs()
         self._n_ticks, self._dt_s, self._gain_db = cfg.n_ticks, cfg.step_ms / 1000.0, antenna_gain_db(cfg.ret_deg)
+        # the last scan's first tick, quiet rows and rows; the quiet ticks just before; the ticks with an event
+        self._b0 = self._e = self._rows = self._quiet = self._events = 0
+        self.txp_dbm = math.nan
         self.set_txp(cfg.txp_dbm)
         self._lim = np.asarray(cfg.area_m)
         self.trajectory, self._i = trajectory, 0  # the geometry, and the next tick's index into it
         self._gx, self._gy = self.gnbs.T[:, None, :]      # (1, n_gnbs) each
-        self._row0 = np.arange(cfg.n_ues) * len(self.gnbs)  # flat index of each UE's row
+        self._flat = np.arange(SCAN_ROWS * cfg.n_ues).reshape(SCAN_ROWS, -1) * len(self.gnbs)  # a UE's row in a scan
+        self._row0 = self._flat[0]  # and in a tick
         self.t_ms = 0.0
         self.record_trace = record_trace
         rng = np.random.default_rng(seed)
@@ -346,6 +355,8 @@ class Simulator:
     def set_txp(self, txp_dbm: float) -> None:
         if not _is_number(txp_dbm):
             raise ValueError(f"transmit power must be a finite number of dBm, got {txp_dbm!r}")
+        if txp_dbm != self.txp_dbm:  # the scanned rows hold for one level only
+            self._e = self._rows = self._quiet = 0
         self.txp_dbm = float(txp_dbm)
         self._eirp_dbm = self.txp_dbm + self._gain_db  # a receive level before path loss
         self._tick_joules = len(self.gnbs) * gnb_power_w(self.txp_dbm) * self._dt_s
@@ -375,62 +386,95 @@ class Simulator:
     def tick(self) -> TickStats:
         cfg, i, traj = self.cfg, self._i, self.trajectory
         t = self.t_ms + cfg.step_ms
-        row0, g = self._row0, len(self.gnbs)
 
         if i == 0:
             start = (cfg, self.pos.tobytes(), self.vel.tobytes())
             if traj is None or traj.start != start or traj.base:
-                traj = self.trajectory = Trajectory(start, geometry_rows(cfg), cfg.n_ues, g)
+                traj = self.trajectory = Trajectory(start, geometry_rows(cfg), cfg.n_ues, len(self.gnbs))
         self._i = i + 1
         whole = len(traj.pos) == self._n_ticks  # the run in one block; else a window, whose rows get overwritten
         held = whole and i < traj.end and not traj.base  # built at the first tick: read the row in place
-        pos, self.vel, pl = (traj.pos[i], traj.vel[i], traj.pl[i]) if held else traj.row(i, self)
+        pos, self.vel, pl = (traj.pos[i], traj.vel[i], None) if held else traj.row(i, self)
         # a simulator keeps a read-only copy of its own row of a window
         self.pos = pos if whole else np.frombuffer(pos.tobytes()).reshape(pos.shape)
-        r = self._eirp_dbm - pl  # receive levels
-        serving = self.serving  # updated in place below
+        k = i - self._b0  # this tick's row of the last scan
+        # after q quiet ticks, where quiet runs average m > 2 ticks so far, scan min(2q, m, SCAN_ROWS) rows ahead
+        if k >= self._rows and held and self._quiet and (m := (i - self._events) // (self._events + 1)) > 2:
+            self._scan(traj.pl[i:i + min(SCAN_ROWS, 2 * self._quiet, m)])
+            self._b0, k = i, 0
 
-        # A3 handovers.  No event resets the TTT state: a detached UE never
-        # meets the condition, and a handover leaves the new serving cell as the
-        # stored target, which A3 never picks, so the next count starts at 1.
-        att = serving >= 0
-        srv = row0 + np.where(att, serving, g - 1)  # flat index into r; a detached UE reads its last column
-        rs = r.take(srv)
-        masked = r.copy()
-        masked.put(srv, -np.inf)
-        tgt = masked.argmax(axis=1)
-        rn = masked.take(row0 + tgt)
-        a3 = (att & (rn + cfg.cio_db > rs + cfg.hys_db) & (rn > rs)).nonzero()[0]
-        ok = np.maximum(rs, rn) >= cfg.min_rsrp_dbm  # some cell is receivable
-        ho, count, n_pp = a3, self._no_ttt, 0
-        if a3.size:  # the count: 0 off A3, else one more than before on the same target, else 1
-            count = np.zeros_like(count)
-            count[a3] = c = (self._ttt_target[a3] == tgt[a3]) * self._ttt_count[a3] + 1
-            ho = a3[c >= self.required_ttt_ticks]
-            n_pp = self._change_cell("HO", t, r, ho, tgt, rs)
-        self._ttt_count, self._ttt_target = count, tgt
+        if k < self._e:  # a quiet row of the scan; the tick before was quiet too, so every TTT count is 0
+            self._ttt_target = self._tgt[k]
+            bits, n_lf, n_ho, n_pp = self._bits[k], 0, 0, 0
+            self._quiet += 1
+        else:  # the scan's first event row, or a tick on its own
+            att, r, rs, tgt, a3, ok = (self._att, *(x[k] for x in self._ahead)) if k < self._rows else \
+                self._levels(traj.pl[i] if held else pl, self._row0)
 
-        # link failures (attached, nothing receivable), then re-attachments, from the state before handovers
-        lf = back = (att != ok).nonzero()[0]
-        if lf.size:
-            was = att[lf]
-            lf, back = lf[was], lf[~was]
-            self._change_cell("LF", t, r, lf, serving)
-            n_pp += self._change_cell("REATTACH", t, r, back, rs=rs)
+            # A3 handovers.  No event resets the TTT state: a detached UE never
+            # meets the condition, and a handover leaves the new serving cell as the
+            # stored target, which A3 never picks, so the next count starts at 1.
+            a3 = a3.nonzero()[0]
+            ho, count, n_pp = a3, self._no_ttt, 0
+            if a3.size:  # the count: 0 off A3, else one more than before on the same target, else 1
+                count = np.zeros_like(count)
+                count[a3] = c = (self._ttt_target[a3] == tgt[a3]) * self._ttt_count[a3] + 1
+                ho = a3[c >= self.required_ttt_ticks]
+                n_pp = self._change_cell("HO", t, r, ho, tgt, rs)
+            self._ttt_count, self._ttt_target = count, tgt
 
-        # throughput for attached UEs (now exactly ok, rs their serving levels), energy for all sites
-        cap = self.bw_hz * np.log2(1.0 + 10.0 ** ((rs - cfg.noise_floor_dbm) / 10.0))
-        bits = float(np.add.reduce(cap[ok]) * self._dt_s)
-        joules = self._tick_joules
+            # link failures (attached, nothing receivable), then re-attachments, from the state before handovers
+            lf = back = (att != ok).nonzero()[0]
+            self._quiet = 0 if a3.size or lf.size else self._quiet + 1
+            self._events += not self._quiet  # this tick's event ended the quiet run
+            if lf.size:
+                was = att[lf]
+                lf, back = lf[was], lf[~was]
+                self._change_cell("LF", t, r, lf, self.serving)
+                n_pp += self._change_cell("REATTACH", t, r, back, rs=rs)
 
-        n_ho = ho.size + back.size
+            # throughput for attached UEs (now exactly ok, rs their serving levels)
+            cap = self.bw_hz * np.log2(1.0 + 10.0 ** ((rs - cfg.noise_floor_dbm) / 10.0))
+            bits = float(np.add.reduce(cap[ok]) * self._dt_s)
+            n_lf, n_ho = lf.size, ho.size + back.size
+
+        joules = self._tick_joules  # energy for all sites
         self.total_bits += bits
         self.total_joules += joules
-        self.link_failures += lf.size
+        self.link_failures += n_lf
         self.total_handovers += n_ho
         self.pingpong_handovers += n_pp
         self.t_ms = t
-        return TickStats(bits, joules, lf.size, n_ho, n_pp)
+        return TickStats(bits, joules, n_lf, n_ho, n_pp)
+
+    def _levels(self, pl: np.ndarray, rows: np.ndarray) -> tuple:
+        """At the current cells and TXP, from path loss `pl` (..., n_ues, n_gnbs) with each UE's row at flat
+        index `rows`: attached, levels, serving levels, best other cells, A3 and receivability conditions."""
+        cfg, serving = self.cfg, self.serving
+        att = serving >= 0
+        r = self._eirp_dbm - pl
+        srv = rows + np.where(att, serving, len(self.gnbs) - 1)  # flat index into r; a detached UE reads its last column
+        rs = r.take(srv)
+        masked = r.copy()
+        masked.put(srv, -np.inf)
+        tgt = masked.argmax(axis=-1)
+        rn = masked.take(rows + tgt)
+        a3 = att & (rn + cfg.cio_db > rs + cfg.hys_db) & (rn > rs)
+        return att, r, rs, tgt, a3, np.maximum(rs, rn) >= cfg.min_rsrp_dbm  # the last: some cell is receivable
+
+    def _scan(self, pl: np.ndarray) -> None:
+        """`_levels` of h ticks of path loss `pl` (h, n_ues, n_gnbs), and the bits of those before the first event:
+        row sums over a C-contiguous take, which add as the tick's cap[ok] (a boolean column mask does not)."""
+        h, n = len(pl), self.cfg.n_ues
+        att, *self._ahead = self._levels(pl, self._flat[:h])
+        _, rs, self._tgt, a3, ok = self._ahead
+        ev = (a3 | (ok != att)).ravel()
+        first = int(ev.argmax())  # the first event's flat index, 0 if there is none
+        self._e = e = first // n if ev[first] else h
+        self._att, self._rows = att, min(e + 1, h)
+        if e:  # a quiet row's attached UEs are exactly its receivable ones
+            cap = self.bw_hz * np.log2(1.0 + 10.0 ** ((rs[:e] - self.cfg.noise_floor_dbm) / 10.0))
+            self._bits = (np.add.reduce(cap.take(att.nonzero()[0], axis=1), axis=1) * self._dt_s).tolist()
 
     def _change_cell(self, event: str, t: float, r: np.ndarray, idx: np.ndarray,
                      cells: np.ndarray | None = None, rs: np.ndarray | None = None) -> int:

@@ -182,6 +182,34 @@ def test_oracle_agrees_on_time_to_trigger_counts_that_never_fire():
     assert sim.required_ttt_ticks == 3 and unfired > 0 and "HO" in {row.event for row in trace}
 
 
+@pytest.mark.parametrize("cfg, txps", [
+    # 3 and 50 dBm in turn every 10 ticks, as the no-coordination arm switches
+    (SimConfig(n_ues=20, duration_s=120.0), (3.0,) * 10 + (50.0,) * 10),
+    # one level, set again before every tick
+    (SimConfig(n_ues=20, duration_s=120.0), (30.0,)),
+    (SimConfig(n_ues=20, duration_s=120.0, ttt_ms=300.0), (30.0,)),
+    (SimConfig(n_ues=200, duration_s=30.0, min_rsrp_dbm=-100.0), (30.0,)),
+])
+def test_ticks_served_from_a_scan_match_the_reference_tick(cfg, txps, monkeypatch):
+    # a tick served from a scan computes no receive levels of its own
+    levels, tick, counts = Simulator._levels, Simulator.tick, Counter()
+
+    def counted_levels(self, *args):
+        counts["levels"] += 1
+        return levels(self, *args)
+
+    def counted_tick(self):
+        before = counts["levels"]
+        stats = tick(self)
+        counts["served"] += counts["levels"] == before
+        return stats
+
+    monkeypatch.setattr(Simulator, "_levels", counted_levels)
+    monkeypatch.setattr(Simulator, "tick", counted_tick)
+    run_beside_the_oracle(cfg, 0, txps)
+    assert 0 < counts["served"] < cfg.n_ticks
+
+
 @st.composite
 def ledger_streams(draw):
     """Time-ordered changes and degradations against the experiment topology."""

@@ -309,6 +309,26 @@ def test_set_txp_lands_a_finite_power_unchanged(power):
     assert sim.txp_dbm == power and type(sim.txp_dbm) is float
 
 
+def test_set_txp_drops_the_scanned_rows_only_for_a_new_level():
+    def pending(sim):  # the quiet rows of the last scan that no tick has served yet
+        return max(0, sim._e - (sim._i - sim._b0))
+
+    sim = Simulator(SimConfig(n_ues=5, duration_s=30.0), seed=0)
+    for _ in range(sim.cfg.n_ticks - 1):
+        if pending(sim) >= 2:
+            break
+        sim.tick()
+    rows = pending(sim)
+    assert rows >= 2
+    sim.set_txp(30.0)  # the level it already has
+    assert pending(sim) == rows
+    with pytest.raises(ValueError, match="transmit power"):
+        sim.set_txp(math.nan)
+    assert sim.txp_dbm == 30.0 and pending(sim) == rows
+    sim.set_txp(31.0)
+    assert sim.txp_dbm == 31.0 and pending(sim) == 0
+
+
 def test_detached_ue_earns_no_bits():
     cfg = _one_ue_config(
         area_m=(300.0, 10.0),
