@@ -264,19 +264,9 @@ class MitigationDecision:
     satisfied_all: bool | None = None  # qacm only
 
 
-def _last_writer(requests: Sequence[ParameterRequest]) -> ParameterRequest:
-    # max() keeps the first maximum; iterate in reverse so timestamp ties
-    # resolve to the later list entry.
-    best = requests[-1]
-    for r in reversed(requests[:-1]):
-        if r.t_ms > best.t_ms:
-            best = r
-    return best
-
-
 def _priority_winner(requests: Sequence[ParameterRequest], priorities: Mapping[str, int]) -> ParameterRequest:
     # Highest priority wins; among equals the most recent request, then
-    # the later list entry (same convention as _last_writer).
+    # the later list entry.  With no priorities (NC) the last writer wins.
     best = requests[-1]
     best_p = priorities.get(best.xapp, 0)
     for r in reversed(requests[:-1]):
@@ -299,7 +289,7 @@ def mitigate(
         raise MitigationError("requests span multiple parameters")
 
     if strategy is Strategy.NC:
-        r = _last_writer(requests)
+        r = _priority_winner(requests, {})
         return MitigationDecision(param, ctx.clamp(param, r.value), strategy, winner=r.xapp)
 
     if strategy is Strategy.SBD:

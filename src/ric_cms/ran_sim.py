@@ -222,7 +222,7 @@ def geometry_rows(cfg: SimConfig) -> int:
 
 
 class GeometryWindowError(LookupError):
-    """A shared trajectory was asked for a tick its window has left or not reached."""
+    """A shared trajectory was asked for a tick its window has left or not reached, or past the run."""
 
 
 class Trajectory:
@@ -231,7 +231,7 @@ class Trajectory:
     t's read-only position, velocity and path loss.  It holds `geometry_rows(cfg)` ticks: the
     whole run, built at once, or a window sliding along it, each row computed by the first
     simulator to ask for it.  Sharers tick inside the window: a tick it no longer or not yet
-    holds raises GeometryWindowError."""
+    holds, or one past the run, raises GeometryWindowError; a whole-run block never slides."""
 
     def __init__(self, start: tuple, rows: int, n_ues: int, n_gnbs: int):
         self.start, self.base, self.end = start, 0, 0  # the tick in row 0; the ticks computed
@@ -240,7 +240,7 @@ class Trajectory:
         self.pos.flags.writeable = self.pl.flags.writeable = False
 
     def row(self, t: int, sim: Simulator) -> tuple:
-        if t == self.end:  # sim is the first to reach tick t: it computes it (at 0, a whole run)
+        if t == self.end < sim._n_ticks:  # sim is the first to reach tick t: it computes it (at 0, a whole run)
             j, k = t - self.base, len(self.pos) if len(self.pos) == sim._n_ticks else 1
             if j == len(self.pos):  # slide on: the rows of the window are overwritten from here
                 self.base, j = t, 0
@@ -285,9 +285,10 @@ class Simulator:
     Levels, the A3 and receivability conditions and throughput are computed for
     every UE; each event condition is one selection, and TTT counts, cell changes,
     ping-pongs and trace rows are kept for the UEs it selected alone.
-    Quiet stretches (no UE on A3 or changing receivability) of a run held in one block are
-    scanned ahead: one tick computes up to SCAN_ROWS ticks at the current cells and TXP and
-    serves them up to the first event; a new level drops them.  The update order is unchanged.
+    A run held in one block is scanned ahead: whenever the last scan is used up, one tick
+    computes the next SCAN_ROWS ticks at the current cells and TXP; the ticks up to the first
+    event are served from it, and the event's tick reads its levels from it; a new level drops
+    them.  The update order is unchanged.
     So after the first tick only `set_txp` may change a simulator's state between ticks.
     """
 
@@ -295,8 +296,7 @@ class Simulator:
         self.cfg = cfg
         self.gnbs = cfg.resolved_gnbs()
         self._n_ticks, self._dt_s, self._gain_db = cfg.n_ticks, cfg.step_ms / 1000.0, antenna_gain_db(cfg.ret_deg)
-        # the last scan's first tick, quiet rows and rows; the quiet ticks just before; the ticks with an event
-        self._b0 = self._e = self._rows = self._quiet = self._events = 0
+        self._b0 = self._e = self._rows = 0  # the last scan's first tick, quiet rows and rows
         self.txp_dbm = math.nan
         self.set_txp(cfg.txp_dbm)
         self._lim = np.asarray(cfg.area_m)
@@ -356,7 +356,7 @@ class Simulator:
         if not _is_number(txp_dbm):
             raise ValueError(f"transmit power must be a finite number of dBm, got {txp_dbm!r}")
         if txp_dbm != self.txp_dbm:  # the scanned rows hold for one level only
-            self._e = self._rows = self._quiet = 0
+            self._e = self._rows = 0
         self.txp_dbm = float(txp_dbm)
         self._eirp_dbm = self.txp_dbm + self._gain_db  # a receive level before path loss
         self._tick_joules = len(self.gnbs) * gnb_power_w(self.txp_dbm) * self._dt_s
@@ -393,23 +393,21 @@ class Simulator:
                 traj = self.trajectory = Trajectory(start, geometry_rows(cfg), cfg.n_ues, len(self.gnbs))
         self._i = i + 1
         whole = len(traj.pos) == self._n_ticks  # the run in one block; else a window, whose rows get overwritten
-        held = whole and i < traj.end and not traj.base  # built at the first tick: read the row in place
+        held = whole and i < traj.end  # built at the first tick: read the row in place
         pos, self.vel, pl = (traj.pos[i], traj.vel[i], None) if held else traj.row(i, self)
         # a simulator keeps a read-only copy of its own row of a window
         self.pos = pos if whole else np.frombuffer(pos.tobytes()).reshape(pos.shape)
         k = i - self._b0  # this tick's row of the last scan
-        # after q quiet ticks, where quiet runs average m > 2 ticks so far, scan min(2q, m, SCAN_ROWS) rows ahead
-        if k >= self._rows and held and self._quiet and (m := (i - self._events) // (self._events + 1)) > 2:
-            self._scan(traj.pl[i:i + min(SCAN_ROWS, 2 * self._quiet, m)])
+        if k >= self._rows and held:  # the last scan is used up
+            self._scan(traj.pl[i:i + SCAN_ROWS])
             self._b0, k = i, 0
 
-        if k < self._e:  # a quiet row of the scan; the tick before was quiet too, so every TTT count is 0
-            self._ttt_target = self._tgt[k]
+        if k < self._e:  # a quiet row of the scan: no UE is on A3, so every TTT count is 0
+            self._ttt_count, self._ttt_target = self._no_ttt, self._tgt[k]
             bits, n_lf, n_ho, n_pp = self._bits[k], 0, 0, 0
-            self._quiet += 1
         else:  # the scan's first event row, or a tick on its own
             att, r, rs, tgt, a3, ok = (self._att, *(x[k] for x in self._ahead)) if k < self._rows else \
-                self._levels(traj.pl[i] if held else pl, self._row0)
+                self._levels(pl, self._row0)
 
             # A3 handovers.  No event resets the TTT state: a detached UE never
             # meets the condition, and a handover leaves the new serving cell as the
@@ -425,8 +423,6 @@ class Simulator:
 
             # link failures (attached, nothing receivable), then re-attachments, from the state before handovers
             lf = back = (att != ok).nonzero()[0]
-            self._quiet = 0 if a3.size or lf.size else self._quiet + 1
-            self._events += not self._quiet  # this tick's event ended the quiet run
             if lf.size:
                 was = att[lf]
                 lf, back = lf[was], lf[~was]

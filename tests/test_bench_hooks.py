@@ -14,7 +14,7 @@ from ric_cms.conflict_model import KpiDirection, five_xapp_topology
 from ric_cms.detection import ChangeRecord, DegradationEvent, Ledger, VerdictKind
 from ric_cms.harness import ExperimentConfig, run_experiment
 from ric_cms.mitigation import KpiResponseModel, ResponseModelSet
-from ric_cms.ran_sim import SimConfig
+from ric_cms.ran_sim import SimConfig, geometry_rows
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,6 +40,16 @@ def traced(tracer, fn):
     finally:
         t.uninstall()
     return result, tracer.summarize(t)
+
+
+def test_benchmark_sizes_keep_their_geometry_shape():
+    # perfbench's TickClock times a tick only when the same simulator made the tick before it;
+    # one-tick lockstep windows would leave dense with no latency samples, and np.percentile([])
+    # raises IndexError, failing the run
+    assert geometry_rows(SimConfig(n_ues=2000, duration_s=40.0)) >= 2
+    # desk and the paper preset are held in one block, so their ticks are served from scans
+    for cfg in (SimConfig(), SimConfig(duration_s=600.0)):
+        assert geometry_rows(cfg) == cfg.n_ticks
 
 
 def test_every_patch_point_resolves(tracer):

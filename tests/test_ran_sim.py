@@ -490,6 +490,20 @@ def test_a_sharer_outside_the_window_raises(monkeypatch):
     assert c.trajectory is not a.trajectory
 
 
+def test_a_tick_past_the_run_raises_and_leaves_a_shared_block_alone():
+    cfg = SimConfig(n_ues=5, duration_s=1.0)
+    a, solo = Simulator(cfg, seed=3), Simulator(cfg, seed=3)
+    run(a)
+    b = Simulator(cfg, seed=3, trajectory=a.trajectory)
+    run(b, 5)
+    with pytest.raises(GeometryWindowError, match="tick 10 is outside"):
+        a.tick()
+    run(b, 5)
+    run(solo)
+    assert b.trajectory is a.trajectory
+    assert repr(b.kpi_report()) == repr(solo.kpi_report())
+
+
 def test_a_waiting_sharer_reads_its_own_state(monkeypatch):
     cfg = SimConfig(n_ues=5, duration_s=2.0)
     two_tick_windows(monkeypatch, cfg)
