@@ -23,7 +23,6 @@ from .detection import bench_detection
 from .files import write_json
 from .harness import (
     ALL_STRATEGIES,
-    ExperimentConfig,
     PRESETS,
     export_csv,
     export_summary_json,
@@ -83,15 +82,12 @@ def _cmd_detect_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.preset:
-        exp = PRESETS[args.preset](base_seed=args.seed)
-    elif args.config:
-        exp = ExperimentConfig(sim=load_sim_config(args.config), base_seed=args.seed)
-    else:
+    if not (args.preset or args.config):
         raise ValueError("simulate needs --preset or --config")
+    exp = PRESETS[args.preset or "desk"](base_seed=args.seed)
+    if args.config:  # checked before the strategies
+        exp = replace(exp, sim=load_sim_config(args.config))
     overrides: dict = {"strategies": tuple(Strategy(s.strip()) for s in args.strategies.split(",") if s.strip())}
-    if args.config and args.preset:
-        overrides["sim"] = load_sim_config(args.config)
     if args.reps is not None:
         overrides["reps"] = args.reps
     exp = replace(exp, **overrides)
@@ -140,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=_cmd_detect_bench)
 
     ps = sub.add_parser("simulate", help="run the strategy comparison")
-    ps.add_argument("--config", help="scenario JSON; optional when --preset is given")
+    ps.add_argument("--config", help="scenario JSON, replacing the preset's; alone, it runs the desk design over it")
     ps.add_argument("--preset", choices=sorted(PRESETS), help="desk: quick; paper: long form")
     ps.add_argument(
         "--strategies",

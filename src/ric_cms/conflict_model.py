@@ -12,6 +12,7 @@ at runtime are folded in with `promote_implicit`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -178,20 +179,14 @@ def build_topology(
 
 
 def direct_conflicts(t: ConflictTopology) -> list[StaticConflict]:
-    """Every xApp pair with intersecting ICP sets, in lexicographic order."""
+    """Every xApp pair with intersecting ICP sets, in lexicographic order
+    (the topology holds its xApps sorted by id)."""
     out: list[StaticConflict] = []
     for i, a in enumerate(t.xapps):
         for b in t.xapps[i + 1 :]:
             shared = t.icps[a.id] & t.icps[b.id]
             if shared:
-                out.append(
-                    StaticConflict(
-                        kind=ConflictKind.DIRECT,
-                        xapps=tuple(sorted((a.id, b.id))),
-                        params=tuple(sorted(shared)),
-                    )
-                )
-    out.sort(key=lambda c: (c.xapps, c.params))
+                out.append(StaticConflict(ConflictKind.DIRECT, (a.id, b.id), tuple(sorted(shared))))
     return out
 
 
@@ -318,10 +313,13 @@ def topology_from_dict(d: Mapping) -> ConflictTopology:
             direction = k.get("direction")
             if direction not in [m.value for m in KpiDirection]:
                 raise TopologyError(f"KPI {kid!r} direction must be 'maximize' or 'minimize', got {direction!r}")
+            sla = k.get("sla_threshold")  # null, or a finite number that is not a bool
+            if isinstance(sla, bool) or not (sla is None or isinstance(sla, int) or isinstance(sla, float) and math.isfinite(sla)):
+                raise TopologyError(f"KPI {kid!r} 'sla_threshold' must be a finite number or null, got {sla!r}")
             kpis.append(KpiSpec(
                 id=kid,
                 direction=KpiDirection(direction),
-                sla_threshold=_typed(k.get("sla_threshold"), (int, float, type(None)), f"KPI {kid!r} 'sla_threshold'"),
+                sla_threshold=sla,
                 sla_sensitive=_typed(k.get("sla_sensitive", False), bool, f"KPI {kid!r} 'sla_sensitive'"),
             ))
         icps = _typed(item.get("icps", []), list, f"xApp {xid!r} 'icps'")

@@ -172,9 +172,8 @@ Schedule = dict[int, tuple[float, ChangeRecord | None]]  # tick -> (TXP to set b
 
 def compile_arm(strategy: Strategy, sim_cfg: SimConfig, model_set: ResponseModelSet | None = None) -> Schedule:
     """The arm's control schedule: its request cadence through `mitigate` once,
-    on the control clock (half interval k at k * CONTROL_INTERVAL_MS / 2, not
-    the simulator's summed steps).  The sbd reset is a controller action: it
-    sets TXP and lands no change."""
+    on the control clock (half interval k at k * CONTROL_INTERVAL_MS / 2).
+    The sbd reset is a controller action: it sets TXP and lands no change."""
     if strategy is Strategy.QACM and model_set is None:
         raise ValueError("qacm arm needs calibrated response models")
     ranks = {Strategy.P_ES: {ES_XAPP_ID: 2, MRO_XAPP_ID: 1}, Strategy.P_MRO: {MRO_XAPP_ID: 2, ES_XAPP_ID: 1}}
@@ -281,20 +280,10 @@ def drain(replica: Generator[Simulator, None, tuple[ReplicaResult, Simulator]]) 
 # Calibration from the no-coordination arm
 # ===========================================================================
 
-def derive_qacm_thresholds(nc_rows: Sequence[ReplicaResult]) -> dict[str, float]:
-    """Satisfaction targets: do at least as well as the typical
-    uncoordinated replica on both fronts."""
-    ee = [r.energy_efficiency_bits_per_joule for r in nc_rows]
-    lf = [r.link_failures for r in nc_rows]
-    return {
-        EE_KPI: float(np.median(ee)),
-        LF_KPI: float(np.median(lf)),
-    }
-
-
 def derive_qacm_models(nc_rows: Sequence[ReplicaResult], exp: ExperimentConfig) -> ResponseModelSet:
     """Two-point response curves from the NC arm's phase statistics,
-    with the NC medians as thresholds.
+    with the NC medians as thresholds: do at least as well as the typical
+    uncoordinated replica on both fronts.
 
     Under no coordination the network dwells at exactly the two requested
     power levels, so each level gets a direct measurement: energy
@@ -302,7 +291,8 @@ def derive_qacm_models(nc_rows: Sequence[ReplicaResult], exp: ExperimentConfig) 
     replica horizon.  Linear interpolation between the two anchors is a
     deliberately conservative reading of the middle ground.
     """
-    thresholds = derive_qacm_thresholds(nc_rows)
+    ee_median = float(np.median([r.energy_efficiency_bits_per_joule for r in nc_rows]))
+    lf_median = float(np.median([r.link_failures for r in nc_rows]))
     agg: defaultdict[float, PhaseStats] = defaultdict(PhaseStats)
     for row in nc_rows:
         for v, ph in row.phases.items():
@@ -317,7 +307,7 @@ def derive_qacm_models(nc_rows: Sequence[ReplicaResult], exp: ExperimentConfig) 
     ee_curve = tuple((v, agg[v].bits / agg[v].joules) for v in anchors)
     lf_curve = tuple((v, agg[v].link_failures / agg[v].time_ms * horizon_ms) for v in anchors)
 
-    if thresholds[EE_KPI] <= 0:
+    if ee_median <= 0:
         raise ValueError("degenerate calibration: no-coordination efficiency median is zero")
 
     return ResponseModelSet(
@@ -325,8 +315,8 @@ def derive_qacm_models(nc_rows: Sequence[ReplicaResult], exp: ExperimentConfig) 
         bounds=TXP_BOUNDS_DBM,
         grid_step=TXP_GRID_STEP_DB,
         models=(
-            KpiResponseModel(EE_KPI, KpiDirection.MAXIMIZE, thresholds[EE_KPI], ee_curve),
-            KpiResponseModel(LF_KPI, KpiDirection.MINIMIZE, thresholds[LF_KPI], lf_curve),
+            KpiResponseModel(EE_KPI, KpiDirection.MAXIMIZE, ee_median, ee_curve),
+            KpiResponseModel(LF_KPI, KpiDirection.MINIMIZE, lf_median, lf_curve),
         ),
     )
 

@@ -309,28 +309,22 @@ class Simulator:
         rng = np.random.default_rng(seed)
         n = cfg.n_ues
 
+        def draw_labels(classes: tuple) -> np.ndarray:  # each UE's class index: exact class sizes, shuffled
+            counts = largest_remainder_counts([c[1] for c in classes], n)
+            return np.repeat(np.arange(len(classes)), counts)[rng.permutation(n)]
+
         # -- population ----------------------------------------------------
         # Draw order is part of the determinism contract: positions, speed
         # labels, speeds, headings, service labels.
         w, h = cfg.area_m
         self.pos = rng.uniform((0.0, 0.0), (w, h), size=(n, 2))
-
-        speed_fracs = [c[1] for c in cfg.speed_classes]
-        counts = largest_remainder_counts(speed_fracs, n)
-        labels = np.repeat(np.arange(len(counts)), counts)
-        labels = labels[rng.permutation(n)]
+        self.speed_class = labels = draw_labels(cfg.speed_classes)
         vmin = np.asarray([c[2] for c in cfg.speed_classes])[labels]
         vmax = np.asarray([c[3] for c in cfg.speed_classes])[labels]
         speeds = rng.uniform(vmin, vmax)
         angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
         self.vel = np.stack([speeds * np.cos(angles), speeds * np.sin(angles)], axis=1)
-        self.speed_class = labels
-
-        svc_fracs = [c[1] for c in cfg.service_classes]
-        svc_counts = largest_remainder_counts(svc_fracs, n)
-        svc = np.repeat(np.arange(len(svc_counts)), svc_counts)
-        svc = svc[rng.permutation(n)]
-        self.service_class = svc
+        self.service_class = svc = draw_labels(cfg.service_classes)
         self.bw_hz = cfg.ue_bandwidth_hz * np.asarray([c[2] for c in cfg.service_classes])[svc]
 
         # -- attachment state ----------------------------------------------
@@ -385,7 +379,7 @@ class Simulator:
 
     def tick(self) -> TickStats:
         cfg, i, traj = self.cfg, self._i, self.trajectory
-        t = self.t_ms + cfg.step_ms
+        t = (i + 1) * cfg.step_ms
 
         if i == 0:
             start = (cfg, self.pos.tobytes(), self.vel.tobytes())

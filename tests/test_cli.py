@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -53,6 +54,8 @@ _X1 = {"id": "x1", "icps": ["p1"], "kpis": [{"id": "k1", "direction": "maximize"
         {"xapps": [{**_X1, "kpis": [{"direction": "maximize"}]}]},
         {"xapps": [{**_X1, "kpis": [{"id": "k1"}]}]},
         {"xapps": [{**_X1, "kpis": [{"id": "k1", "direction": "up"}]}]},
+        *({"xapps": [{**_X1, "kpis": [{"id": "k1", "direction": "maximize", "sla_threshold": v}]}]}
+          for v in (True, math.nan, math.inf)),
         {"xapps": [_X1], "extra_kp_edges": [["k1"]]},
         {"xapps": [_X1], "extra_kp_edges": ["k1p1"]},
     ],
@@ -67,6 +70,9 @@ _X1 = {"id": "x1", "icps": ["p1"], "kpis": [{"id": "k1", "direction": "maximize"
         "kpi-without-id",
         "kpi-without-direction",
         "kpi-unknown-direction",
+        "sla-threshold-bool",
+        "sla-threshold-nan",
+        "sla-threshold-infinity",
         "edge-one-element",
         "edge-string",
     ],

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ric_cms import harness, mitigation, ran_sim
@@ -14,7 +15,6 @@ from ric_cms.harness import (
     box_stats,
     compile_arm,
     derive_qacm_models,
-    derive_qacm_thresholds,
     desk_preset,
     drain,
     export_csv,
@@ -297,9 +297,10 @@ def fake_row(rep, ee, lf, phases):
 
 
 def test_thresholds_are_medians():
-    rows = [fake_row(i, ee, lf, {}) for i, (ee, lf) in enumerate([(1.0, 10), (2.0, 20), (3.0, 30)])]
-    th = derive_qacm_thresholds(rows)
-    assert th == {EE_KPI: 2.0, LF_KPI: 20.0}
+    phases = {v: PhaseStats(1000.0, 100.0, 50.0, 1) for v in (3.0, 50.0)}
+    rows = [fake_row(i, ee, lf, phases) for i, (ee, lf) in enumerate([(1.0, 10), (2.0, 20), (3.0, 30)])]
+    ms = derive_qacm_models(rows, small_exp())
+    assert {m.kpi: m.threshold for m in ms.models} == {EE_KPI: 2.0, LF_KPI: 20.0}
 
 
 def test_model_curves_come_from_phase_anchors():
@@ -443,7 +444,9 @@ def test_summary_json_content(tmp_path, small_result):
     assert payload["config"]["reps"] == 2
     assert payload["config"]["interval_ms"] == 2000.0
     assert payload["thresholds"] == {m.kpi: m.threshold for m in small_result.model_set.models}
-    assert payload["thresholds"] == derive_qacm_thresholds(small_result.rows["nc"])
+    nc = small_result.rows["nc"]
+    assert payload["thresholds"] == {EE_KPI: float(np.median([r.energy_efficiency_bits_per_joule for r in nc])),
+                                     LF_KPI: float(np.median([r.link_failures for r in nc]))}
 
 
 def test_trace_export(tmp_path, small_result):

@@ -636,6 +636,13 @@ def test_top_speed_may_cross_exactly_the_field():
     assert np.all(sim.pos >= 0.0) and np.all(sim.pos <= np.asarray(cfg.area_m))
 
 
+def test_the_clock_is_the_tick_count_times_the_step():
+    # summing 100/3 thirty times gives 1000.0000000000005; 30 * (100 / 3) is 1000.0000000000001
+    sim = Simulator(SimConfig(n_ues=5, duration_s=1.0, step_ms=100 / 3), seed=0)
+    run(sim)
+    assert sim.t_ms == 30 * (100 / 3)
+
+
 def test_n_ticks():
     assert SimConfig(duration_s=120.0, step_ms=100.0).n_ticks == 1200
 
