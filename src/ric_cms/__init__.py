@@ -9,6 +9,7 @@ The package splits along the lifecycle of a conflict:
   xapps           the competing apps and synthetic detector workloads
   harness         paired-seed strategy comparison experiments
   files           the one CSV and the one JSON writer every output goes through
+  checks          the finite and integer rules every input number meets
 """
 
 from .conflict_model import (

@@ -12,13 +12,13 @@ at runtime are folded in with `promote_implicit`.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from .checks import finite
 from .files import write_csv
 
 
@@ -35,8 +35,8 @@ class KpiDirection(Enum):
 class KpiSpec:
     """A KPI monitored by exactly one xApp.
 
-    sla_threshold is the value whose violation counts as a degradation;
-    required whenever sla_sensitive is set.
+    sla_threshold is the value whose violation counts as a degradation,
+    a finite number or None; required whenever sla_sensitive is set.
     """
 
     id: str
@@ -47,6 +47,10 @@ class KpiSpec:
     def __post_init__(self):
         if not self.id:
             raise TopologyError("KPI id must be non-empty")
+        if not (self.sla_threshold is None or finite(self.sla_threshold)):
+            raise TopologyError(f"KPI {self.id!r} 'sla_threshold' must be a finite number or null, got {self.sla_threshold!r}")
+        if not isinstance(self.sla_sensitive, bool):
+            raise TopologyError(f"KPI {self.id!r} 'sla_sensitive' must be a bool, got {self.sla_sensitive!r}")
         if self.sla_sensitive and self.sla_threshold is None:
             raise TopologyError(f"KPI {self.id!r} is SLA-sensitive but has no threshold")
 
@@ -313,15 +317,7 @@ def topology_from_dict(d: Mapping) -> ConflictTopology:
             direction = k.get("direction")
             if direction not in [m.value for m in KpiDirection]:
                 raise TopologyError(f"KPI {kid!r} direction must be 'maximize' or 'minimize', got {direction!r}")
-            sla = k.get("sla_threshold")  # null, or a finite number that is not a bool
-            if isinstance(sla, bool) or not (sla is None or isinstance(sla, int) or isinstance(sla, float) and math.isfinite(sla)):
-                raise TopologyError(f"KPI {kid!r} 'sla_threshold' must be a finite number or null, got {sla!r}")
-            kpis.append(KpiSpec(
-                id=kid,
-                direction=KpiDirection(direction),
-                sla_threshold=sla,
-                sla_sensitive=_typed(k.get("sla_sensitive", False), bool, f"KPI {kid!r} 'sla_sensitive'"),
-            ))
+            kpis.append(KpiSpec(kid, KpiDirection(direction), k.get("sla_threshold"), k.get("sla_sensitive", False)))
         icps = _typed(item.get("icps", []), list, f"xApp {xid!r} 'icps'")
         xapps.append(XAppDescriptor(xid, tuple(_typed(p, str, f"an ICP of {xid!r}") for p in icps), tuple(kpis)))
     extra = []

@@ -17,23 +17,17 @@ then on.
 
 from __future__ import annotations
 
-import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
 from statistics import mean, median
 from typing import Iterable, Sequence
 
+from .checks import finite
 from .conflict_model import ConflictTopology, promote_implicit
 
 DEFAULT_ATTRIBUTION_WINDOW_MS = 1000.0
-
-
-def _finite_real(x) -> bool:
-    """A finite real number, not a bool.  Ingest tests a plain float inline first; this ABC check is far slower."""
-    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 class DetectionError(Exception):
@@ -106,7 +100,7 @@ class Ledger:
     """
 
     def __init__(self, topology: ConflictTopology, window_ms: float = DEFAULT_ATTRIBUTION_WINDOW_MS):
-        if not (_finite_real(window_ms) and window_ms > 0):
+        if not (finite(window_ms) and window_ms > 0):
             raise DetectionError(f"attribution window must be a finite positive number, got {window_ms!r}")
         self.topology = topology
         self.window_ms = window_ms
@@ -122,7 +116,7 @@ class Ledger:
             raise DetectionError(f"change by unknown xApp {rec.xapp!r}")
         if rec.param not in icps:
             raise DetectionError(f"change of {rec.param!r} by {rec.xapp!r}, which does not control it")
-        if not (math.isfinite(rec.t_ms) if rec.t_ms.__class__ is float else _finite_real(rec.t_ms)):
+        if not finite(rec.t_ms):
             raise DetectionError(f"change at non-finite time {rec.t_ms!r}")
         if self._change_times and rec.t_ms < self._change_times[-1]:
             raise ClockRegressionError(
@@ -133,7 +127,7 @@ class Ledger:
         return self
 
     def record_degradation(self, ev: DegradationEvent) -> "Ledger":
-        if not (math.isfinite(ev.t_ms) if ev.t_ms.__class__ is float else _finite_real(ev.t_ms)):
+        if not finite(ev.t_ms):
             raise DetectionError(f"degradation at non-finite time {ev.t_ms!r}")
         if self._degradations and ev.t_ms < self._degradations[-1].t_ms:
             raise ClockRegressionError(

@@ -28,7 +28,6 @@ curves, and its medians become the satisfaction thresholds.
 
 from __future__ import annotations
 
-import numbers
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +35,7 @@ from typing import Callable, Generator, Sequence
 
 import numpy as np
 
+from .checks import integer
 from .detection import (
     DEFAULT_ATTRIBUTION_WINDOW_MS,
     ChangeRecord,
@@ -109,7 +109,7 @@ class ExperimentConfig:
             raise ValueError(f"interval_ms ({CONTROL_INTERVAL_MS:g}) must be an even multiple of the simulation step")
         for name in ("reps", "base_seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.reps <= 0:
             raise ValueError("reps must be positive")

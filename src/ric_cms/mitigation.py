@@ -19,7 +19,6 @@ at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -27,12 +26,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .checks import finite, integer
 from .conflict_model import KpiDirection
 
 # The experiment's grid has 51 points; a scan this long means bounds or
 # a step in the wrong unit, and is refused before anything is allocated.
 MAX_GRID_POINTS = 1_000_000
-_INF = math.inf
 
 
 class MitigationError(Exception):
@@ -41,13 +40,9 @@ class MitigationError(Exception):
 
 def _finite(x, what: str) -> float:
     """x as a float; MitigationError unless it is a finite number."""
-    try:
-        f = float(x)
-    except (TypeError, ValueError, OverflowError):
-        f = math.nan
-    if not math.isfinite(f):
+    if not finite(x):
         raise MitigationError(f"{what} must be a finite number, got {x!r}")
-    return f
+    return float(x)
 
 
 def _pair(x, what: str) -> tuple[float, float]:
@@ -77,15 +72,9 @@ class ParameterRequest:
     t_ms: float
 
     def __post_init__(self):
-        # Chained comparisons, which NaN and the infinities fail, keep
-        # this cheap: requests are built in bulk.
-        try:
-            if -_INF < self.value < _INF and -_INF < self.t_ms < _INF:
-                return
-        except (TypeError, ValueError):
-            pass
-        raise MitigationError(
-            f"request by {self.xapp!r} needs a finite value and t_ms, got {self.value!r} and {self.t_ms!r}")
+        if not (finite(self.value) and finite(self.t_ms)):
+            raise MitigationError(
+                f"request by {self.xapp!r} needs a finite value and t_ms, got {self.value!r} and {self.t_ms!r}")
 
 
 @dataclass(frozen=True)
@@ -224,7 +213,7 @@ class MitigationContext:
     """Deployment-level inputs the strategies draw on.
 
     defaults:        param -> standards default (sbd), a finite number
-    priorities:      xapp -> rank, higher wins (p-es, p-mro)
+    priorities:      xapp -> integer rank, higher wins (p-es, p-mro)
     response_models: param -> ResponseModelSet (qacm)
     bounds:          param -> allowed range (lo, hi), finite with lo <= hi,
                      applied to every decision
@@ -236,17 +225,19 @@ class MitigationContext:
     bounds: dict[str, tuple[float, float]]
 
     def __post_init__(self):
-        # inline chained comparisons, as in ParameterRequest
-        try:
-            for param, v in self.defaults.items():
-                if not -_INF < v < _INF:
-                    raise MitigationError(f"default for {param!r} must be a finite number, got {v!r}")
-            for param, (lo, hi) in self.bounds.items():
-                if not -_INF < lo <= hi < _INF:
-                    raise MitigationError(f"bounds for {param!r} must be finite with lo <= hi, got {(lo, hi)!r}")
-        except (TypeError, ValueError):
-            raise MitigationError(f"defaults must be finite numbers and bounds finite (lo, hi) pairs, "
-                                  f"got {self.defaults!r} and {self.bounds!r}") from None
+        for param, v in self.defaults.items():
+            if not finite(v):
+                raise MitigationError(f"default for {param!r} must be a finite number, got {v!r}")
+        for xapp, p in self.priorities.items():
+            if not integer(p):
+                raise MitigationError(f"priority of {xapp!r} must be an integer, got {p!r}")
+        for param, b in self.bounds.items():
+            try:
+                lo, hi = b
+            except (TypeError, ValueError):
+                lo = hi = None
+            if not (finite(lo) and finite(hi) and lo <= hi):
+                raise MitigationError(f"bounds for {param!r} must be finite with lo <= hi, as a (lo, hi) pair; got {b!r}")
 
     def clamp(self, param: str, value: float) -> float:
         if param in self.bounds:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
@@ -26,6 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .checks import finite, integer
 from .files import write_csv
 
 # ===========================================================================
@@ -47,15 +47,11 @@ DEFAULT_SERVICE_CLASSES = (
 )
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _row(value, kinds: str, shape: str) -> tuple:
     """`value` as a tuple of len(kinds) entries, a string where kinds has
     "s" and a finite number where it has "n"; ValueError otherwise."""
     if isinstance(value, (list, tuple)) and len(value) == len(kinds) and all(
-            isinstance(v, str) if k == "s" else _is_number(v) for k, v in zip(kinds, value)):
+            isinstance(v, str) if k == "s" else finite(v) for k, v in zip(kinds, value)):
         return tuple(value)
     raise ValueError(f"expected {shape}, got {value!r}")
 
@@ -96,12 +92,14 @@ class SimConfig:
         object.__setattr__(self, "speed_classes", _rows(self.speed_classes, "snnn", "speed_classes [name, fraction, vmin, vmax]"))
         object.__setattr__(self, "service_classes", _rows(self.service_classes, "snn", "service_classes [name, fraction, weight]"))
         for f in fields(self):
-            if f.type == "float" and not _is_number(getattr(self, f.name)):
+            if f.type == "float" and not finite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be a finite number, got {getattr(self, f.name)!r}")
-        if not isinstance(self.n_ues, numbers.Integral) or isinstance(self.n_ues, bool) or self.n_ues <= 0:
+        if not integer(self.n_ues) or self.n_ues <= 0:
             raise ValueError(f"n_ues must be a positive integer, got {self.n_ues!r}")
         if self.step_ms <= 0 or self.duration_s <= 0:
             raise ValueError("step_ms and duration_s must be positive")
+        if self.ttt_ms < 0 or self.pingpong_window_ms < 0:
+            raise ValueError("ttt_ms and pingpong_window_ms must not be negative")
         if self.n_ticks < 1:
             raise ValueError("duration_s must cover at least one step_ms")
         for classes, label in ((self.speed_classes, "speed"), (self.service_classes, "service")):
@@ -347,7 +345,7 @@ class Simulator:
     # -- radio ------------------------------------------------------------
 
     def set_txp(self, txp_dbm: float) -> None:
-        if not _is_number(txp_dbm):
+        if not finite(txp_dbm):
             raise ValueError(f"transmit power must be a finite number of dBm, got {txp_dbm!r}")
         if txp_dbm != self.txp_dbm:  # the scanned rows hold for one level only
             self._e = self._rows = 0

@@ -13,10 +13,10 @@ every degradation attributes to exactly its own change.
 
 from __future__ import annotations
 
-import numbers
 import random
 from dataclasses import dataclass
 
+from .checks import integer
 from .conflict_model import (
     ConflictTopology,
     KpiDirection,
@@ -109,7 +109,7 @@ def gen_stochastic_events(
     window later, so attribution is unambiguous: the previous event's
     change has already fallen out of the window.
     """
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+    if not integer(n) or n < 1:
         raise ValueError(f"the event count must be a positive integer, got {n!r}")
     pools = _instance_pools(topology)
     missing = [k.value for k in VerdictKind if not pools[k]]

@@ -33,6 +33,10 @@ FIVE_XAPP_TOPOLOGY_JSON = {
     "extra_kp_edges": [["k41", "p2"], ["k42", "p2"]],
 }
 
+# Values every number boundary refuses: a bool, a numeric string, None,
+# NaN, both infinities and an integer past the float range.
+BAD_NUMBERS = [True, "1.5", None, math.nan, math.inf, -math.inf, 10**400]
+
 
 def random_topology_inputs(rng: random.Random, max_xapps=10, max_params=12, max_kpis=8):
     """Random descriptor set: params drawn from a shared pool (overlap is

@@ -55,7 +55,7 @@ _X1 = {"id": "x1", "icps": ["p1"], "kpis": [{"id": "k1", "direction": "maximize"
         {"xapps": [{**_X1, "kpis": [{"id": "k1"}]}]},
         {"xapps": [{**_X1, "kpis": [{"id": "k1", "direction": "up"}]}]},
         *({"xapps": [{**_X1, "kpis": [{"id": "k1", "direction": "maximize", "sla_threshold": v}]}]}
-          for v in (True, math.nan, math.inf)),
+          for v in (True, math.nan, math.inf, 10**400)),
         {"xapps": [_X1], "extra_kp_edges": [["k1"]]},
         {"xapps": [_X1], "extra_kp_edges": ["k1p1"]},
     ],
@@ -73,6 +73,7 @@ _X1 = {"id": "x1", "icps": ["p1"], "kpis": [{"id": "k1", "direction": "maximize"
         "sla-threshold-bool",
         "sla-threshold-nan",
         "sla-threshold-infinity",
+        "sla-threshold-huge-int",
         "edge-one-element",
         "edge-string",
     ],
@@ -229,6 +230,10 @@ def test_simulate_rejects_invalid_experiment(tmp_path, capsys, flags, detail):
         ({"step_ms": "100"}, "step_ms"),
         ([{"n_ues": 20}], "JSON object"),
         ({"n_uez": 20}, "'n_uez'"),
+        ({"txp_dbm": 10**400}, "txp_dbm"),
+        ({"area_m": [10**400, 400]}, "area_m"),
+        ({"ttt_ms": -1.0}, "ttt_ms"),
+        ({"pingpong_window_ms": -1.0}, "pingpong_window_ms"),
     ],
     ids=[
         "speed-class-short",
@@ -244,6 +249,10 @@ def test_simulate_rejects_invalid_experiment(tmp_path, capsys, flags, detail):
         "step-string",
         "not-an-object",
         "unknown-key",
+        "txp-huge-int",
+        "area-huge-int",
+        "ttt-negative",
+        "pingpong-window-negative",
     ],
 )
 def test_simulate_rejects_malformed_scenario(tmp_path, capsys, scenario, detail):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import FIVE_XAPP_TOPOLOGY_JSON, oracle_direct_pairs, oracle_param_groups, random_topology_inputs
+from conftest import BAD_NUMBERS, FIVE_XAPP_TOPOLOGY_JSON, oracle_direct_pairs, oracle_param_groups, random_topology_inputs
 from ric_cms.conflict_model import (
     ConflictKind,
     KpiDirection,
@@ -99,6 +99,17 @@ def test_extra_edge_must_reference_known_nodes():
 def test_sla_sensitive_kpi_needs_threshold():
     with pytest.raises(TopologyError, match="no threshold"):
         KpiSpec("k", KpiDirection.MINIMIZE, sla_threshold=None, sla_sensitive=True)
+
+
+@pytest.mark.parametrize("bad", [b for b in BAD_NUMBERS if b is not None])  # None: no threshold
+def test_kpi_spec_rejects_a_bad_sla_threshold(bad):
+    with pytest.raises(TopologyError, match="'sla_threshold' must be a finite number or null"):
+        KpiSpec("k", KpiDirection.MINIMIZE, sla_threshold=bad)
+
+
+def test_kpi_spec_rejects_an_sla_sensitive_that_is_not_a_bool():
+    with pytest.raises(TopologyError, match="'sla_sensitive' must be a bool"):
+        KpiSpec("k", KpiDirection.MINIMIZE, sla_threshold=1.0, sla_sensitive="yes")
 
 
 def test_promote_implicit_is_copy_on_write():

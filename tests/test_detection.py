@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from conftest import BAD_NUMBERS
 from ric_cms.conflict_model import five_xapp_topology
 from ric_cms.detection import (
     ChangeRecord,
@@ -174,8 +176,8 @@ def test_non_finite_timestamps_rejected(t):
     assert len(led.changes) == 1 and led.degradations == ()
 
 
-@pytest.mark.parametrize("bad", ["x", None, [1], True, math.nan, math.inf],
-                         ids=["string", "none", "list", "bool", "nan", "inf"])
+@pytest.mark.parametrize("bad", ["x", [1], *BAD_NUMBERS],
+                         ids=["string", "list", "bool", "numeric-string", "none", "nan", "inf", "-inf", "huge-int"])
 def test_ingest_and_window_reject_what_is_not_a_finite_real_number(bad):
     # a NaN window would attribute every degradation to any earlier change
     with pytest.raises(DetectionError, match="attribution window"):
@@ -186,6 +188,15 @@ def test_ingest_and_window_reject_what_is_not_a_finite_real_number(bad):
     with pytest.raises(DetectionError, match="non-finite time"):
         led.record_degradation(DegradationEvent(bad, "k1", "x1", 0.2))
     assert led.changes == () and led.degradations == ()
+
+
+def test_numpy_scalars_are_numbers_at_ingest():
+    led = fresh_ledger(window_ms=np.int64(1000))
+    led.record_change(ChangeRecord(np.float64(100.0), "x2", "p1", 5.0))
+    led.record_change(ChangeRecord(np.int64(200), "x2", "p1", 5.0))
+    ev = DegradationEvent(np.int64(500), "k1", "x1", 0.2)
+    v = led.record_degradation(ev).classify(ev)
+    assert v.kind is VerdictKind.DIRECT and v.t_change_ms == 200 and len(led.degradations) == 1
 
 
 # -- learning ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    BAD_NUMBERS,
     oracle_satisfaction,
     qacm_scan_oracle,
     random_desk_shaped_model_set,
@@ -78,7 +79,7 @@ def test_maximize_zero_threshold_rejected():
         model(direction=KpiDirection.MAXIMIZE, threshold=0.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", None])
+@pytest.mark.parametrize("bad", [*BAD_NUMBERS, "x"])
 def test_non_finite_model_inputs_rejected(bad):
     with pytest.raises(MitigationError, match="threshold must be a finite number"):
         model(threshold=bad)
@@ -162,7 +163,7 @@ def test_qacm_validates_inputs():
         qacm_optimize([model()], (0.0, 50.0), 0.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, "x"])
+@pytest.mark.parametrize("bad", [*BAD_NUMBERS, "x"])
 def test_qacm_rejects_non_finite_bounds_and_step(bad):
     with pytest.raises(MitigationError, match="bound must be a finite number"):
         qacm_optimize([model()], (bad, 50.0), 1.0)
@@ -314,16 +315,21 @@ def test_decision_clamped_to_bounds():
     assert d.value == 40.0
 
 
-@pytest.mark.parametrize("value, t", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (3.0, math.nan),
-                                      (3.0, math.inf), ("3", 0.0), (None, 0.0), (3.0, None)])
+@pytest.mark.parametrize("value, t", [*((bad, 0.0) for bad in BAD_NUMBERS), *((3.0, bad) for bad in BAD_NUMBERS),
+                                      ("3", 0.0)])
 def test_request_needs_a_finite_value_and_time(value, t):
     with pytest.raises(MitigationError, match="finite value and t_ms"):
         req("a", value, t)
 
 
+def test_numpy_scalars_are_numbers_at_a_request():
+    assert mitigate(Strategy.NC, [req("a", np.float64(3.0), np.int64(5))], ctx()).value == 3.0
+    assert mitigate(Strategy.NC, [req("a", np.int64(3), np.float64(5.0))], ctx()).value == 3
+
+
 DEFAULT_NOT_FINITE = "default for 'TXP' must be a finite number"
 BOUNDS_NOT_A_RANGE = "bounds for 'TXP' must be finite with lo <= hi"
-MALFORMED = "defaults must be finite numbers and bounds finite"
+PRIORITY_NOT_AN_INTEGER = "priority of 'es' must be an integer"
 
 
 @pytest.mark.parametrize("kw, detail", [
@@ -335,10 +341,15 @@ MALFORMED = "defaults must be finite numbers and bounds finite"
     ({"bounds": {"TXP": (0.0, math.nan)}}, BOUNDS_NOT_A_RANGE),
     ({"bounds": {"TXP": (-math.inf, 10.0)}}, BOUNDS_NOT_A_RANGE),
     ({"bounds": {"TXP": (0.0, math.inf)}}, BOUNDS_NOT_A_RANGE),
-    ({"bounds": {"TXP": (0.0, 10.0, 20.0)}}, MALFORMED),
-    ({"bounds": {"TXP": 10.0}}, MALFORMED),
-    ({"bounds": {"TXP": ("0", "10")}}, MALFORMED),
-    ({"defaults": {"TXP": "30"}}, MALFORMED),
+    ({"bounds": {"TXP": (0.0, 10.0, 20.0)}}, BOUNDS_NOT_A_RANGE),
+    ({"bounds": {"TXP": 10.0}}, BOUNDS_NOT_A_RANGE),
+    ({"bounds": {"TXP": ("0", "10")}}, BOUNDS_NOT_A_RANGE),
+    ({"defaults": {"TXP": "30"}}, DEFAULT_NOT_FINITE),
+    *(({"defaults": {"TXP": bad}}, DEFAULT_NOT_FINITE) for bad in BAD_NUMBERS),
+    *(({"bounds": {"TXP": (bad, 10.0)}}, BOUNDS_NOT_A_RANGE) for bad in BAD_NUMBERS),
+    *(({"bounds": {"TXP": (0.0, bad)}}, BOUNDS_NOT_A_RANGE) for bad in BAD_NUMBERS),
+    # 10**400 is an integer, so a valid priority
+    *(({"priorities": {"es": bad}}, PRIORITY_NOT_AN_INTEGER) for bad in [*(b for b in BAD_NUMBERS if b != 10**400), 1.5]),
 ])
 def test_context_rejects_bad_defaults_and_bounds(kw, detail):
     with pytest.raises(MitigationError, match=detail):
