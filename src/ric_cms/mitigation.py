@@ -225,6 +225,10 @@ class MitigationContext:
     bounds: dict[str, tuple[float, float]]
 
     def __post_init__(self):
+        for name in ("defaults", "priorities", "response_models", "bounds"):
+            value = getattr(self, name)
+            if value.__class__ is not dict and not isinstance(value, Mapping):  # a dict first: the common case
+                raise MitigationError(f"{name} must be a mapping, got {value!r}")
         for param, v in self.defaults.items():
             if not finite(v):
                 raise MitigationError(f"default for {param!r} must be a finite number, got {v!r}")

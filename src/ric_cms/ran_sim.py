@@ -94,8 +94,9 @@ class SimConfig:
         for f in fields(self):
             if f.type == "float" and not finite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be a finite number, got {getattr(self, f.name)!r}")
-        if not integer(self.n_ues) or self.n_ues <= 0:
-            raise ValueError(f"n_ues must be a positive integer, got {self.n_ues!r}")
+        most = GEOMETRY_BUDGET_BYTES // (8 * len(self.resolved_gnbs()))  # one tick of path loss fits the budget
+        if not integer(self.n_ues) or not 0 < self.n_ues <= most:
+            raise ValueError(f"n_ues must be a positive integer, at most {most} at these cells, got {self.n_ues!r}")
         if self.step_ms <= 0 or self.duration_s <= 0:
             raise ValueError("step_ms and duration_s must be positive")
         if self.ttt_ms < 0 or self.pingpong_window_ms < 0:
@@ -209,6 +210,7 @@ class TraceRow:
 GEOMETRY_BUDGET_BYTES = 4 << 20
 GEOMETRY_WINDOW_BYTES = 256 << 10
 SCAN_ROWS = 8  # the most ticks of a held run one scan computes ahead
+MOVE_ROWS = 256  # the rows Simulator._move sums at once, so a long block's rounds stay linear in its length
 
 
 def geometry_rows(cfg: SimConfig) -> int:
@@ -233,9 +235,9 @@ class Trajectory:
 
     def __init__(self, start: tuple, rows: int, n_ues: int, n_gnbs: int):
         self.start, self.base, self.end = start, 0, 0  # the tick in row 0; the ticks computed
-        self._pos, self.vel, self._pl = np.empty((rows, n_ues, 2)), [None] * rows, np.empty((rows, n_ues, n_gnbs))
-        self.pos, self.pl = self._pos.view(), self._pl.view()
-        self.pos.flags.writeable = self.pl.flags.writeable = False
+        self._pos, self._vel, self._pl = np.empty((rows, n_ues, 2)), np.empty((rows, n_ues, 2)), np.empty((rows, n_ues, n_gnbs))
+        self.pos, self.vel, self.pl = self._pos.view(), self._vel.view(), self._pl.view()
+        self.pos.flags.writeable = self.vel.flags.writeable = self.pl.flags.writeable = False
 
     def row(self, t: int, sim: Simulator) -> tuple:
         if t == self.end < sim._n_ticks:  # sim is the first to reach tick t: it computes it (at 0, a whole run)
@@ -243,9 +245,7 @@ class Trajectory:
             if j == len(self.pos):  # slide on: the rows of the window are overwritten from here
                 self.base, j = t, 0
             p, v = (self.pos[j - 1], self.vel[j - 1]) if t else (sim.pos, sim.vel)
-            for i in range(j, j + k):
-                p, v = self._pos[i], sim._move(p, v, self._pos[i])
-                self.vel[i] = v
+            sim._move(p, v, self._pos[j:j + k], self._vel[j:j + k])
             step = max(1, 2048 // self.pl[0].size)  # a long block in 16 KiB slices: small temporaries
             for a in range(j, j + k, step):
                 sim._path_loss(self.pos[a:min(a + step, j + k)], self._pl[a:min(a + step, j + k)])
@@ -261,8 +261,8 @@ class Simulator:
 
     Geometry (moves and path loss) comes from a `Trajectory` built from the state at
     the first tick, or handed in (`trajectory=`) if it starts from that state and
-    still holds tick 0.  After the first tick pos and vel are read-only, pos a copy
-    of a window's row, so a simulator waiting for its window's sharers reads its own.
+    still holds tick 0.  After the first tick pos and vel are read-only, copies of a
+    window's row, so a simulator waiting for its window's sharers reads its own.
 
     Update order inside a tick, in this exact sequence:
       move -> receive levels -> A3 handovers -> link failures ->
@@ -297,7 +297,7 @@ class Simulator:
         self._b0 = self._e = self._rows = 0  # the last scan's first tick, quiet rows and rows
         self.txp_dbm = math.nan
         self.set_txp(cfg.txp_dbm)
-        self._lim = np.asarray(cfg.area_m)
+        self._lim = np.tile(cfg.area_m, cfg.n_ues)  # each UE axis's limit: flat loops, no 2-element broadcast
         self.trajectory, self._i = trajectory, 0  # the geometry, and the next tick's index into it
         self._gx, self._gy = self.gnbs.T[:, None, :]      # (1, n_gnbs) each
         self._flat = np.arange(SCAN_ROWS * cfg.n_ues).reshape(SCAN_ROWS, -1) * len(self.gnbs)  # a UE's row in a scan
@@ -362,18 +362,38 @@ class Simulator:
 
     # -- dynamics ---------------------------------------------------------
 
-    def _move(self, p: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Move p one step at velocity v into out, reflecting at the field boundary at most once per
-        axis (SimConfig keeps one step inside it; at both ends, v holds); the read-only velocity after."""
-        np.add(p, v * self._dt_s, out=out)
-        low = out < 0.0
-        np.negative(out, out=out, where=low)
-        high = out > self._lim
-        np.subtract(2.0 * self._lim, out, out=out, where=high)
-        if (low ^ high).any():  # velocities change only here; the ticks between share one array
-            v = np.where(low ^ high, -v, v)
-        v.flags.writeable = False
-        return v
+    def _move(self, p: np.ndarray, v: np.ndarray, pos: np.ndarray, vel: np.ndarray) -> None:
+        """Move the UEs from p at velocity v one step per row of pos (k, n_ues, 2), the velocity after each step into vel.
+        A step reflects at most once per axis (SimConfig keeps it inside the field; at both ends, v holds).  Each UE axis
+        is a column that np.add.accumulate sums one step at a time, as a lone step adds, up to its first crossing; that
+        is reflected, and the next round sums on only the columns that crossed.  MOVE_ROWS rows at a time; k = 1 is flat."""
+        p, v, dt, lim = p.ravel(), v.ravel().copy(), self._dt_s, self._lim  # v: each column's velocity so far
+        for a in range(0, len(pos), MOVE_ROWS):
+            x, u = pos[a:a + MOVE_ROWS].reshape(-1, p.size), vel[a:a + MOVE_ROWS].reshape(-1, p.size)
+            u[...], c, r, y, prev = v, slice(None), 0, x, pos[a - 1].ravel() if a else p  # round 1: every column, in x
+            while y.size:
+                d = v[c] * dt
+                np.add(prev, d, out=y[0])  # element by element: prev may be y[0] itself (a one-row window)
+                if len(y) > 1:  # an accumulate down one row costs a lone step's whole move at 2,000 UEs
+                    y[1:] = d
+                    np.add.accumulate(y, axis=0, out=y)
+                np.negative(y, out=y, where=(low := y < 0.0))
+                np.subtract(2.0 * lim[c], y, out=y, where=(high := y > lim[c]))
+                if len(x) == 1:  # a lone step
+                    np.negative(u, out=u, where=low ^ high)
+                    break
+                hit = low | high
+                if y is not x:  # y's row i is x's row r + i; the rows past the chunk are padding
+                    rows = r + np.arange(len(y))[:, None]
+                    hit &= (inside := rows < len(x))
+                    at = (rows * x.shape[1] + c)[inside]
+                    x.reshape(-1)[at], u.reshape(-1)[at] = y[inside], np.broadcast_to(v[c], y.shape)[inside]
+                j = hit.argmax(axis=0)  # each column's first crossing in y
+                i = hit[j, np.arange(j.size)].nonzero()[0]
+                c, r, flip = np.arange(x.shape[1])[c][i], (r + j)[i], (low ^ high)[j[i], i]
+                u[r, c] = v[c] = np.where(flip, -v[c], v[c])
+                c, r = c[r < len(x) - 1], r[r < len(x) - 1] + 1  # the next round sums on from the row after
+                y, prev = np.empty((len(x) - r.min(initial=len(x)), c.size)), x[r - 1, c]
 
     def tick(self) -> TickStats:
         cfg, i, traj = self.cfg, self._i, self.trajectory
@@ -386,9 +406,11 @@ class Simulator:
         self._i = i + 1
         whole = len(traj.pos) == self._n_ticks  # the run in one block; else a window, whose rows get overwritten
         held = whole and i < traj.end  # built at the first tick: read the row in place
-        pos, self.vel, pl = (traj.pos[i], traj.vel[i], None) if held else traj.row(i, self)
-        # a simulator keeps a read-only copy of its own row of a window
-        self.pos = pos if whole else np.frombuffer(pos.tobytes()).reshape(pos.shape)
+        if held:
+            self.pos, self.vel, pl = traj.pos[i], traj.vel[i], None
+        else:  # a simulator keeps a read-only copy of its own row of a window
+            pos, vel, pl = traj.row(i, self)
+            self.pos, self.vel = (pos, vel) if whole else (np.frombuffer(x.tobytes()).reshape(x.shape) for x in (pos, vel))
         k = i - self._b0  # this tick's row of the last scan
         if k >= self._rows and held:  # the last scan is used up
             self._scan(traj.pl[i:i + SCAN_ROWS])

@@ -55,9 +55,9 @@ def test_benchmark_sizes_keep_their_geometry_shape():
 def test_geometry_moves_are_made_one_row_per_tick_of_a_window(monkeypatch):
     # dense's op_p99_us rests on this: a prototype that filled each 4-tick window on its first
     # tick took perfbench dense op_p99_us from 0.85-0.95 ms to 2.20-2.35 ms (2-core Xeon VM)
-    movers = []
+    movers = []  # the simulator that moved each row
     move = Simulator._move
-    monkeypatch.setattr(Simulator, "_move", lambda sim, *args: movers.append(sim) or move(sim, *args))
+    monkeypatch.setattr(Simulator, "_move", lambda sim, p, v, pos, vel: movers.extend([sim] * len(pos)) or move(sim, p, v, pos, vel))
     cfg = SimConfig(n_ues=5, duration_s=1.0)
 
     def tick(sim):
@@ -65,7 +65,7 @@ def test_geometry_moves_are_made_one_row_per_tick_of_a_window(monkeypatch):
         sim.tick()
         return movers.copy()
 
-    # a whole-run block: every move on the builder's first tick
+    # a whole-run block: every row moved on the builder's first tick
     a = Simulator(cfg, seed=3)
     assert tick(a) == [a] * cfg.n_ticks
     b = Simulator(cfg, seed=3, trajectory=a.trajectory)

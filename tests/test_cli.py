@@ -234,6 +234,8 @@ def test_simulate_rejects_invalid_experiment(tmp_path, capsys, flags, detail):
         ({"area_m": [10**400, 400]}, "area_m"),
         ({"ttt_ms": -1.0}, "ttt_ms"),
         ({"pingpong_window_ms": -1.0}, "pingpong_window_ms"),
+        ({"n_ues": 10**400}, "n_ues"),
+        ({"n_ues": 131073}, "at most 131072"),
     ],
     ids=[
         "speed-class-short",
@@ -253,6 +255,8 @@ def test_simulate_rejects_invalid_experiment(tmp_path, capsys, flags, detail):
         "area-huge-int",
         "ttt-negative",
         "pingpong-window-negative",
+        "n-ues-huge-int",
+        "n-ues-over-geometry-budget",
     ],
 )
 def test_simulate_rejects_malformed_scenario(tmp_path, capsys, scenario, detail):

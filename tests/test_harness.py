@@ -371,19 +371,19 @@ def test_each_seed_builds_its_trajectory_once(monkeypatch, strategies, reps, bui
     if window:
         monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)
         monkeypatch.setattr(ran_sim, "GEOMETRY_WINDOW_BYTES", window * exp.sim.n_ues * 4 * 8)
-    moved = []  # the trajectory of every tick computed
+    moved = []  # the trajectory of every row moved
     move = Simulator._move
 
-    def kept(sim, *args):
-        moved.append(sim.trajectory)
-        return move(sim, *args)
+    def kept(sim, p, v, pos, vel):
+        moved.extend([sim.trajectory] * len(pos))
+        return move(sim, p, v, pos, vel)
 
     monkeypatch.setattr(Simulator, "_move", kept)
     run_experiment(exp)
     assert list(Counter(map(id, moved)).values()) == [exp.sim.n_ticks] * builds
 
 
-@pytest.mark.parametrize("window", [None, 3])
+@pytest.mark.parametrize("window", [None, 1, 3])
 def test_windows_change_no_output(monkeypatch, tmp_path, window):
     exp = small_exp()
 

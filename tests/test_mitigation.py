@@ -356,6 +356,13 @@ def test_context_rejects_bad_defaults_and_bounds(kw, detail):
         ctx(**kw)
 
 
+@pytest.mark.parametrize("field", ["defaults", "priorities", "response_models", "bounds"])
+@pytest.mark.parametrize("bad", [None, [("TXP", (0.0, 10.0))]], ids=["none", "list-of-pairs"])
+def test_context_rejects_a_field_that_is_not_a_mapping(field, bad):
+    with pytest.raises(MitigationError, match=f"{field} must be a mapping"):
+        ctx(**{field: bad})
+
+
 def test_context_is_frozen_and_takes_a_one_point_range():
     c = ctx(bounds={"TXP": (10.0, 10.0)})
     with pytest.raises(FrozenInstanceError):

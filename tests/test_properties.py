@@ -50,6 +50,44 @@ def sim_configs(draw):
     )
 
 
+@st.composite
+def move_configs(draw):
+    """Fields and speed mixes for long moves: a parked class (speed 0), a class at SimConfig's one-step
+    bound, which crosses the narrow side of the field in a step, and random classes between; a field's
+    sides are within a factor of two."""
+    w = draw(st.floats(1.0, 500.0))
+    h = w * draw(st.floats(0.5, 2.0))
+    step_ms = draw(st.sampled_from([10.0, 100.0 / 3, 100.0, 1000.0]))
+    top = min(w, h) * 1000.0 / step_ms
+    while top * step_ms / 1000.0 > min(w, h):  # the largest speed the bound takes
+        top = np.nextafter(top, 0.0)
+    classes = [("parked", 0.0, 0.0), ("bound", top, top)]
+    classes += [("c", *sorted(draw(st.floats(0.0, top)) for _ in range(2))) for _ in range(draw(st.integers(0, 2)))]
+    weights = [draw(st.integers(1, 5)) for _ in classes]
+    return SimConfig(n_ues=draw(st.integers(1, 20)), area_m=(w, h), step_ms=step_ms, duration_s=step_ms / 1000.0,
+                     speed_classes=tuple((n, k / sum(weights), lo, hi) for (n, lo, hi), k in zip(classes, weights)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(cfg=move_configs(), seed=st.integers(0, 2**32 - 1), rows=st.integers(1000, 1300))
+def test_a_block_moves_byte_for_byte_as_one_row_a_step(cfg, seed, rows):
+    sim = Simulator(cfg, seed)
+    block = np.empty((2, rows, cfg.n_ues, 2))  # positions, velocities
+    sim._move(sim.pos, sim.vel, *block)
+    p, v = sim.pos, sim.vel
+    for i in range(rows):
+        one = np.empty((2, 1, cfg.n_ues, 2))
+        sim._move(p, v, *one)
+        assert one[:, 0].tobytes() == block[:, i].tobytes(), f"row {i}"
+        p, v = one[:, 0]
+    # on its faster axis a UE of the bound class crosses at least 0.35 of the field a step, so that
+    # axis reflects at each edge over a hundred times
+    vel = block[1][:, sim.speed_class == 1]
+    fast = np.take_along_axis(vel, abs(vel[:1]).argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    turns = np.diff(np.sign(fast), axis=0)
+    assert ((turns < 0).sum(axis=0) >= 100).all() and ((turns > 0).sum(axis=0) >= 100).all()
+
+
 COUNTERS = ("link_failures", "total_handovers", "pingpong_handovers", "total_bits", "total_joules")
 
 
@@ -121,9 +159,11 @@ def test_tick_matches_the_reference_tick(cfg, seed, txps):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(cfg=oracle_scenarios(), seed=st.integers(0, 2**32 - 1), txps=st.lists(st.floats(-20.0, 50.0), max_size=4))
 def test_one_tick_blocks_match_the_reference_tick(cfg, seed, txps):
-    # with no budget every block is one tick long, as in a run too large to share
+    # with no budget and no window every window is one tick long, as in a run whose tick of path
+    # loss fills GEOMETRY_WINDOW_BYTES (over 8,192 UEs at 4 cells): each tick moves from the row it overwrites
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)
+        mp.setattr(ran_sim, "GEOMETRY_WINDOW_BYTES", 0)
         run_beside_the_oracle(cfg, seed, txps)
 
 

@@ -629,6 +629,16 @@ def test_config_rejects_what_tick_cannot_handle(overrides, detail):
         SimConfig(**overrides)
 
 
+def test_one_tick_of_path_loss_must_fit_the_geometry_budget():
+    # 131,072 UEs at the default 4 cells is 4 MiB of float64 path loss a tick, the whole budget
+    most = ran_sim.GEOMETRY_BUDGET_BYTES // (4 * 8)
+    assert most == 131072 and SimConfig(n_ues=most).n_ues == most
+    for n_ues in (most + 1, 10**400):
+        with pytest.raises(ValueError, match=f"n_ues must be a positive integer, at most {most}"):
+            SimConfig(n_ues=n_ues)
+    assert SimConfig(n_ues=4 * most, gnb_positions=((1.0, 1.0),)).n_ues == 4 * most
+
+
 def test_top_speed_may_cross_exactly_the_field():
     cfg = SimConfig(area_m=(50.0, 50.0), speed_classes=(("fast", 1.0, 400.0, 500.0),), duration_s=5.0)
     sim = Simulator(cfg, seed=3)
