@@ -28,6 +28,7 @@ curves, and its medians become the satisfaction thresholds.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -255,6 +256,8 @@ def run_replica(
         yield sim
 
     report = sim.kpi_report()
+    if not math.isfinite(report["energy_efficiency_bits_per_joule"]):
+        raise ValueError("energy efficiency is past float64: ue_bandwidth_hz too large or noise_floor_dbm too low")
     result = ReplicaResult(
         strategy=strategy.value,
         rep=rep,
@@ -348,6 +351,7 @@ class ExperimentResult:
         return {s: stats[metric]["median"] for s, stats in self.summary().items()}
 
 
+@np.errstate(over="ignore")  # an overflowing tick leaves a non-finite efficiency, which run_replica refuses
 def run_experiment(
     exp: ExperimentConfig,
     progress: Callable[[tuple[str, ...], int, int], None] | None = None,

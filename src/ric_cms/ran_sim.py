@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,6 +99,9 @@ class SimConfig:
             raise ValueError(f"n_ues must be a positive integer, at most {most} at these cells, got {self.n_ues!r}")
         if self.step_ms <= 0 or self.duration_s <= 0:
             raise ValueError("step_ms and duration_s must be positive")
+        if not math.isfinite(self.duration_s * 1000.0 / self.step_ms):
+            raise ValueError("duration_s is more steps of step_ms than float64 holds")
+        _step_joules(self.txp_dbm, len(self.resolved_gnbs()), self.step_ms / 1000.0)
         if self.ttt_ms < 0 or self.pingpong_window_ms < 0:
             raise ValueError("ttt_ms and pingpong_window_ms must not be negative")
         if self.n_ticks < 1:
@@ -166,6 +169,17 @@ def gnb_power_w(txp_dbm: float) -> float:
     return 100.0 + 4.0 * 10.0 ** ((txp_dbm - 30.0) / 10.0)
 
 
+def _step_joules(txp_dbm: float, n_gnbs: int, dt_s: float) -> float:
+    """The energy of n_gnbs sites over one step of dt_s seconds; ValueError if float64 cannot hold it."""
+    try:
+        joules = n_gnbs * gnb_power_w(txp_dbm) * dt_s
+    except OverflowError:  # 10.0 ** x past the float range
+        joules = math.inf
+    if not math.isfinite(joules):
+        raise ValueError(f"txp_dbm {txp_dbm!r} draws more energy per step than float64 holds")
+    return joules
+
+
 def largest_remainder_counts(fractions: Sequence[float], n: int) -> list[int]:
     """Integer class sizes matching the fractions exactly in total.
 
@@ -184,16 +198,6 @@ def largest_remainder_counts(fractions: Sequence[float], n: int) -> list[int]:
 # ===========================================================================
 # Simulator
 # ===========================================================================
-
-class TickStats(NamedTuple):
-    """What one tick produced; returned so a driver can bucket by phase."""
-
-    bits: float
-    joules: float
-    link_failures: int
-    handovers: int
-    pingpongs: int
-
 
 @dataclass
 class TraceRow:
@@ -347,11 +351,11 @@ class Simulator:
     def set_txp(self, txp_dbm: float) -> None:
         if not finite(txp_dbm):
             raise ValueError(f"transmit power must be a finite number of dBm, got {txp_dbm!r}")
+        self._tick_joules = _step_joules(float(txp_dbm), len(self.gnbs), self._dt_s)
         if txp_dbm != self.txp_dbm:  # the scanned rows hold for one level only
             self._e = self._rows = 0
         self.txp_dbm = float(txp_dbm)
         self._eirp_dbm = self.txp_dbm + self._gain_db  # a receive level before path loss
-        self._tick_joules = len(self.gnbs) * gnb_power_w(self.txp_dbm) * self._dt_s
 
     def _path_loss(self, pos: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:  # (..., n_ues, 2) -> (..., n_ues, n_gnbs)
         return path_loss_db(np.hypot(pos[..., :1] - self._gx, pos[..., 1:] - self._gy, out=out), out)
@@ -395,7 +399,8 @@ class Simulator:
                 c, r = c[r < len(x) - 1], r[r < len(x) - 1] + 1  # the next round sums on from the row after
                 y, prev = np.empty((len(x) - r.min(initial=len(x)), c.size)), x[r - 1, c]
 
-    def tick(self) -> TickStats:
+    def tick(self) -> tuple:
+        """One tick; returns what it produced, (bits, joules, link_failures, handovers, pingpongs)."""
         cfg, i, traj = self.cfg, self._i, self.trajectory
         t = (i + 1) * cfg.step_ms
 
@@ -455,7 +460,7 @@ class Simulator:
         self.total_handovers += n_ho
         self.pingpong_handovers += n_pp
         self.t_ms = t
-        return TickStats(bits, joules, n_lf, n_ho, n_pp)
+        return bits, joules, n_lf, n_ho, n_pp
 
     def _levels(self, pl: np.ndarray, rows: np.ndarray) -> tuple:
         """At the current cells and TXP, from path loss `pl` (..., n_ues, n_gnbs) with each UE's row at flat

@@ -14,7 +14,7 @@ import numpy as np
 from ric_cms.conflict_model import KpiDirection, KpiSpec, XAppDescriptor
 from ric_cms.files import write_json
 from ric_cms.mitigation import KpiResponseModel
-from ric_cms.ran_sim import SimConfig, Simulator, TickStats, TraceRow, antenna_gain_db, gnb_power_w, path_loss_db
+from ric_cms.ran_sim import SimConfig, Simulator, TraceRow, antenna_gain_db, gnb_power_w, path_loss_db
 
 
 def _kpi_json(kpi_id: str) -> dict:
@@ -255,7 +255,7 @@ class ReferenceSimulator(Simulator):
         d = np.hypot(pos[:, None, 0] - self.gnbs[None, :, 0], pos[:, None, 1] - self.gnbs[None, :, 1])
         return self.txp_dbm + antenna_gain_db(self.cfg.ret_deg) - path_loss_db(d)
 
-    def tick(self) -> TickStats:
+    def tick(self) -> tuple:
         cfg = self.cfg
         dt_s = cfg.step_ms / 1000.0
         t = self.t_ms + cfg.step_ms
@@ -316,7 +316,7 @@ class ReferenceSimulator(Simulator):
         self.total_handovers += n_ho
         self.pingpong_handovers += n_pp
         self.t_ms = t
-        return TickStats(bits, joules, lf.size, n_ho, n_pp)
+        return bits, joules, lf.size, n_ho, n_pp
 
     def _change_cell(self, event: str, t: float, r: np.ndarray, idx: np.ndarray,
                      cells: np.ndarray | None = None) -> int:

@@ -236,6 +236,10 @@ def test_simulate_rejects_invalid_experiment(tmp_path, capsys, flags, detail):
         ({"pingpong_window_ms": -1.0}, "pingpong_window_ms"),
         ({"n_ues": 10**400}, "n_ues"),
         ({"n_ues": 131073}, "at most 131072"),
+        ({"txp_dbm": 1e308}, "txp_dbm"),
+        ({"duration_s": 1e308}, "duration_s"),
+        ({"ue_bandwidth_hz": 1e308}, "ue_bandwidth_hz"),
+        ({"noise_floor_dbm": -1e308}, "noise_floor_dbm"),
     ],
     ids=[
         "speed-class-short",
@@ -257,6 +261,10 @@ def test_simulate_rejects_invalid_experiment(tmp_path, capsys, flags, detail):
         "pingpong-window-negative",
         "n-ues-huge-int",
         "n-ues-over-geometry-budget",
+        "txp-energy-overflows",
+        "duration-ticks-overflow",
+        "bandwidth-efficiency-overflows",
+        "noise-floor-efficiency-overflows",
     ],
 )
 def test_simulate_rejects_malformed_scenario(tmp_path, capsys, scenario, detail):

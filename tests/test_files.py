@@ -1,8 +1,13 @@
 """Every output file goes through the one CSV and the one JSON writer in
 `ric_cms.files`, so the format of each lives in one place."""
 
+import math
 import re
 from pathlib import Path
+
+import pytest
+
+from ric_cms.files import write_json
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ric_cms"
 
@@ -23,3 +28,9 @@ def test_only_the_files_module_writes_files():
     # the pattern still sees the writers' own two opens, csv.writer and json.dump
     writer_lines = [line for line in (SRC / "files.py").read_text().splitlines() if WRITES.search(line)]
     assert len(writer_lines) == 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_what_json_cannot_hold(tmp_path, bad):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json(tmp_path / "x.json", {"median": bad})

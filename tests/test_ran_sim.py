@@ -302,6 +302,13 @@ def test_set_txp_rejects_what_is_not_a_finite_number(bad):
     assert sim.txp_dbm == 30.0
 
 
+def test_set_txp_rejects_a_power_whose_energy_overflows():
+    sim = Simulator(SimConfig(n_ues=5), seed=0)
+    with pytest.raises(ValueError, match="txp_dbm"):
+        sim.set_txp(1e308)
+    assert sim.txp_dbm == 30.0
+
+
 @pytest.mark.parametrize("power", [-20.0, 0.0, 23.5, 46, np.float64(12.25)])
 def test_set_txp_lands_a_finite_power_unchanged(power):
     sim = Simulator(SimConfig(n_ues=5), seed=0)
@@ -390,8 +397,8 @@ def test_a_quiet_tick_does_no_event_bookkeeping(monkeypatch):
     quiet = 0
     for _ in range(sim.cfg.n_ticks):
         before, rows = len(calls), len(sim.trace)
-        stats = sim.tick()
-        if stats.handovers or stats.link_failures:
+        _, _, lf, ho, _ = sim.tick()
+        if ho or lf:
             assert len(calls) > before
             continue
         quiet += 1
@@ -422,8 +429,11 @@ def test_tick_constants_are_set_at_construction_and_by_set_txp(monkeypatch):
         before = dict(counts)
         stats = sim.tick()
         assert counts == before, k
+        # a plain tuple: a NamedTuple built per tick cost about 0.7 us of a 3 us served desk tick
+        assert type(stats) is tuple
+        _, joules, _, _, _ = stats
         if k % 10 == 0:
-            assert repr(stats.joules) == repr(len(sim.gnbs) * gnb_power_w(k % 40) * (cfg.step_ms / 1000.0))
+            assert repr(joules) == repr(len(sim.gnbs) * gnb_power_w(k % 40) * (cfg.step_ms / 1000.0))
 
 
 # -- shared geometry --------------------------------------------------------
@@ -611,6 +621,8 @@ def test_config_validation():
         (dict(ue_bandwidth_hz=0.0), "bandwidth"),
         (dict(ue_bandwidth_hz=-1.0e6), "bandwidth"),
         (dict(service_classes=(("embb", 1.0, -1.5),)), "weights"),
+        (dict(txp_dbm=3110.0), "txp_dbm"),
+        (dict(step_ms=1e-320), "duration_s"),
     ],
     ids=[
         "field-crossed-in-one-step",
@@ -622,6 +634,8 @@ def test_config_validation():
         "bandwidth-zero",
         "bandwidth-negative",
         "weight-negative",
+        "energy-per-step-infinite",
+        "ticks-past-float64",
     ],
 )
 def test_config_rejects_what_tick_cannot_handle(overrides, detail):
