@@ -59,11 +59,7 @@ from .mitigation import (
     mitigate,
     qacm_optimize,
 )
-from .ran_sim import (
-    SimConfig,
-    Simulator,
-    load_sim_config,
-)
+from .ran_sim import SimConfig, Simulator, Trajectory, load_sim_config
 from .xapps import LabeledEvent, gen_stochastic_events
 
 __version__ = "0.1.0"
@@ -110,6 +106,7 @@ __all__ = [
     "qacm_optimize",
     "SimConfig",
     "Simulator",
+    "Trajectory",
     "load_sim_config",
     "LabeledEvent",
     "gen_stochastic_events",

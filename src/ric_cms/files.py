@@ -3,7 +3,7 @@
 CSV files use the csv module's default dialect (comma-separated, CRLF
 row ends).  JSON files are indented by 2 with sorted keys and end in one
 newline, so the same payload always gives the same bytes; a NaN or an
-infinity, which JSON cannot hold, is a ValueError.
+infinity, which JSON cannot hold, is a ValueError that leaves no file.
 """
 
 from __future__ import annotations
@@ -22,6 +22,6 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> N
 
 
 def write_json(path: str | Path, payload) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)  # refused before the file is opened
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+        f.write(text + "\n")

@@ -204,15 +204,17 @@ def run_replica(
     rep: int,
     exp: ExperimentConfig,
     actions: Schedule,
+    trajectory: Trajectory,
     record_trace: bool = False,
-    trajectory: Trajectory | None = None,
 ) -> Generator[Simulator, None, tuple[ReplicaResult, Simulator]]:
-    """One replica replaying its arm's `compile_arm` schedule, a generator that
-    yields its simulator after each `geometry_rows` window and returns (result,
-    simulator).  At a half-interval tick the SLA check classifies before the tick's
-    change lands, so attribution sees the energy saver's standing change."""
+    """One replica replaying its arm's `compile_arm` schedule over its seed's trajectory, a
+    generator that yields its simulator after each `geometry_rows` window and returns (result,
+    simulator).  At a half-interval tick the SLA check classifies before the tick's change
+    lands, so attribution sees the energy saver's standing change."""
     seed = exp.base_seed + rep
-    sim = Simulator(exp.sim, seed, record_trace=record_trace, trajectory=trajectory)
+    if (trajectory.cfg, trajectory.seed) != (exp.sim, seed):
+        raise ValueError(f"replica {rep} needs the trajectory of seed {seed} under the experiment's scenario")
+    sim = Simulator(trajectory, record_trace)
     ledger = Ledger(experiment_topology())
 
     n, step, w = exp.sim.n_ticks, exp.sim.step_ms, geometry_rows(exp.sim)
@@ -360,11 +362,12 @@ def run_experiment(
 
     Each arm is compiled once per pass (`compile_arm`), and its replicas
     only replay that schedule.  The no-coordination arm runs whenever it
-    is requested or the QACM arm needs it; the arms but QACM run replica
-    by replica, sharing each seed's `Simulator.trajectory` in lockstep:
-    arm by arm through each window of `geometry_rows` ticks.  QACM
-    calibrates from the NC replicas, which are reused, never re-run, so a
-    repeated call with the same config is bit-reproducible.
+    is requested or the QACM arm needs it.  Each pass builds one `Trajectory`
+    per seed, and the arms but QACM run over it in lockstep: arm by arm
+    through each window of `geometry_rows` ticks.  QACM calibrates from the
+    NC replicas, which are reused, never re-run, so a repeated call with the
+    same config is bit-reproducible.  It reuses the last trajectory if that
+    is its seed's and still holds tick 0, as in a one-replica run.
     `progress(arms, rep, reps)` precedes each replica.
     """
     arms = [s for s in exp.strategies if s is not Strategy.NC]
@@ -373,19 +376,19 @@ def run_experiment(
     arm_rows: dict[Strategy, list[ReplicaResult]] = {s: [] for s in arms}
     traces: dict[str, Simulator] = dict.fromkeys(s.value for s in arms)  # rep-0 sims, in arm order
     n, k = exp.sim.n_ticks, geometry_rows(exp.sim)
-    trajectory = None  # handed on; a simulator takes it only if its seed matches
+    trajectory = None
     for group in ([s for s in arms if s is not Strategy.QACM], [s for s in arms if s is Strategy.QACM]):
         model_set = derive_qacm_models(arm_rows[Strategy.NC], exp) if Strategy.QACM in group else None
         schedules = [compile_arm(s, exp.sim, model_set) for s in group]
         for rep in range(exp.reps if group else 0):
             if progress:
                 progress(tuple(s.value for s in group), rep, exp.reps)
-            replicas = []
-            for a in range(0, n, k):  # a window: each arm in turn ticks its rows
-                for j, (strategy, actions) in enumerate(zip(group, schedules)):
-                    if not a:
-                        replicas.append(run_replica(strategy, rep, exp, actions, record_trace=rep == 0, trajectory=trajectory))
-                    trajectory = next(replicas[j]).trajectory
+            if trajectory is None or trajectory.seed != exp.base_seed + rep or trajectory.base:
+                trajectory = Trajectory(exp.sim, exp.base_seed + rep)
+            replicas = [run_replica(s, rep, exp, actions, trajectory, record_trace=rep == 0) for s, actions in zip(group, schedules)]
+            for _ in range(0, n, k):  # a window: each arm in turn ticks its rows
+                for replica in replicas:
+                    next(replica)
             for strategy, replica in zip(group, replicas):
                 res, sim = drain(replica)
                 arm_rows[strategy].append(res)

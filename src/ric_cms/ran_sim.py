@@ -214,7 +214,7 @@ class TraceRow:
 GEOMETRY_BUDGET_BYTES = 4 << 20
 GEOMETRY_WINDOW_BYTES = 256 << 10
 SCAN_ROWS = 8  # the most ticks of a held run one scan computes ahead
-MOVE_ROWS = 256  # the rows Simulator._move sums at once, so a long block's rounds stay linear in its length
+MOVE_ROWS = 256  # the rows Trajectory._move sums at once, so a long block's rounds stay linear in its length
 
 
 def geometry_rows(cfg: SimConfig) -> int:
@@ -230,141 +230,61 @@ class GeometryWindowError(LookupError):
 
 
 class Trajectory:
-    """A seed's geometry (moves and path loss, which transmit power never changes) from `start`,
-    the config and the bytes of pos and vel at a simulator's first tick.  `row(t, sim)` is tick
-    t's read-only position, velocity and path loss.  It holds `geometry_rows(cfg)` ticks: the
+    """A seed's population and geometry, which every arm of the seed ticks through.  It draws the
+    UEs from (cfg, seed) and holds their classes, bandwidths and read-only `start` (pos, vel).
+    Draw order is part of the determinism contract: positions, speed labels, speeds, headings,
+    service labels.  `row(t)` is tick t's read-only position, velocity and path loss (moves and
+    path loss, which transmit power never changes).  It holds `geometry_rows(cfg)` ticks: the
     whole run, built at once, or a window sliding along it, each row computed by the first
     simulator to ask for it.  Sharers tick inside the window: a tick it no longer or not yet
     holds, or one past the run, raises GeometryWindowError; a whole-run block never slides."""
 
-    def __init__(self, start: tuple, rows: int, n_ues: int, n_gnbs: int):
-        self.start, self.base, self.end = start, 0, 0  # the tick in row 0; the ticks computed
-        self._pos, self._vel, self._pl = np.empty((rows, n_ues, 2)), np.empty((rows, n_ues, 2)), np.empty((rows, n_ues, n_gnbs))
-        self.pos, self.vel, self.pl = self._pos.view(), self._vel.view(), self._pl.view()
-        self.pos.flags.writeable = self.vel.flags.writeable = self.pl.flags.writeable = False
-
-    def row(self, t: int, sim: Simulator) -> tuple:
-        if t == self.end < sim._n_ticks:  # sim is the first to reach tick t: it computes it (at 0, a whole run)
-            j, k = t - self.base, len(self.pos) if len(self.pos) == sim._n_ticks else 1
-            if j == len(self.pos):  # slide on: the rows of the window are overwritten from here
-                self.base, j = t, 0
-            p, v = (self.pos[j - 1], self.vel[j - 1]) if t else (sim.pos, sim.vel)
-            sim._move(p, v, self._pos[j:j + k], self._vel[j:j + k])
-            step = max(1, 2048 // self.pl[0].size)  # a long block in 16 KiB slices: small temporaries
-            for a in range(j, j + k, step):
-                sim._path_loss(self.pos[a:min(a + step, j + k)], self._pl[a:min(a + step, j + k)])
-            self.end += k
-        if not self.base <= t < self.end:
-            raise GeometryWindowError(f"tick {t} is outside the ticks {self.base}-{self.end - 1} held")
-        return self.pos[t - self.base], self.vel[t - self.base], self.pl[t - self.base]
-
-
-class Simulator:
-    """One seeded run.  Drive it with `tick()`, adjust transmit power between
-    ticks with `set_txp`, which sets the tick's constants that depend on it.
-
-    Geometry (moves and path loss) comes from a `Trajectory` built from the state at
-    the first tick, or handed in (`trajectory=`) if it starts from that state and
-    still holds tick 0.  After the first tick pos and vel are read-only, copies of a
-    window's row, so a simulator waiting for its window's sharers reads its own.
-
-    Update order inside a tick, in this exact sequence:
-      move -> receive levels -> A3 handovers -> link failures ->
-      re-attachments -> throughput and energy accounting.
-    Each event phase takes its UEs, and writes their trace rows, in
-    ascending index order.  Trace events: HO, an A3 handover (the best
-    neighbour beats serving by cio_db - hys_db and is strictly stronger,
-    on ttt_ms worth of ticks toward one target); PP, a handover that is a
-    ping-pong; LF, a link failure (no cell reaches min_rsrp_dbm, the UE
-    detaches); REATTACH, a detached UE attaching to its strongest cell.
-    Handovers and re-attachments both count toward total_handovers (the
-    network pays the signalling either way).  A move away from the last
-    cell held is a ping-pong when it returns to the cell held before it
-    within pingpong_window_ms; re-attaching to the last cell held is no
-    move.  A re-attachment ping-pong is counted but traced as REATTACH.
-    A tick relies on two identities: a row's maximum is max(rs, rn), serving
-    and best other cell, and the UEs attached after it are the receivable ones.
-    Levels, the A3 and receivability conditions and throughput are computed for
-    every UE; each event condition is one selection, and TTT counts, cell changes,
-    ping-pongs and trace rows are kept for the UEs it selected alone.
-    A run held in one block is scanned ahead: whenever the last scan is used up, one tick
-    computes the next SCAN_ROWS ticks at the current cells and TXP; the ticks up to the first
-    event are served from it, and the event's tick reads its levels from it; a new level drops
-    them.  The update order is unchanged.
-    So after the first tick only `set_txp` may change a simulator's state between ticks.
-    """
-
-    def __init__(self, cfg: SimConfig, seed: int, record_trace: bool = True, trajectory: Trajectory | None = None):
-        self.cfg = cfg
-        self.gnbs = cfg.resolved_gnbs()
-        self._n_ticks, self._dt_s, self._gain_db = cfg.n_ticks, cfg.step_ms / 1000.0, antenna_gain_db(cfg.ret_deg)
-        self._b0 = self._e = self._rows = 0  # the last scan's first tick, quiet rows and rows
-        self.txp_dbm = math.nan
-        self.set_txp(cfg.txp_dbm)
-        self._lim = np.tile(cfg.area_m, cfg.n_ues)  # each UE axis's limit: flat loops, no 2-element broadcast
-        self.trajectory, self._i = trajectory, 0  # the geometry, and the next tick's index into it
-        self._gx, self._gy = self.gnbs.T[:, None, :]      # (1, n_gnbs) each
-        self._flat = np.arange(SCAN_ROWS * cfg.n_ues).reshape(SCAN_ROWS, -1) * len(self.gnbs)  # a UE's row in a scan
-        self._row0 = self._flat[0]  # and in a tick
-        self.t_ms = 0.0
-        self.record_trace = record_trace
+    def __init__(self, cfg: SimConfig, seed: int):
+        self.cfg, self.seed, self.gnbs, n = cfg, seed, cfg.resolved_gnbs(), cfg.n_ues
+        self._n_ticks, self._dt_s = cfg.n_ticks, cfg.step_ms / 1000.0
+        self._lim = np.tile(cfg.area_m, n)  # each UE axis's limit: flat loops, no 2-element broadcast
+        self._gx, self._gy = self.gnbs.T[:, None, :]  # (1, n_gnbs) each
         rng = np.random.default_rng(seed)
-        n = cfg.n_ues
 
         def draw_labels(classes: tuple) -> np.ndarray:  # each UE's class index: exact class sizes, shuffled
             counts = largest_remainder_counts([c[1] for c in classes], n)
             return np.repeat(np.arange(len(classes)), counts)[rng.permutation(n)]
 
-        # -- population ----------------------------------------------------
-        # Draw order is part of the determinism contract: positions, speed
-        # labels, speeds, headings, service labels.
-        w, h = cfg.area_m
-        self.pos = rng.uniform((0.0, 0.0), (w, h), size=(n, 2))
+        pos = rng.uniform((0.0, 0.0), cfg.area_m, size=(n, 2))
         self.speed_class = labels = draw_labels(cfg.speed_classes)
         vmin = np.asarray([c[2] for c in cfg.speed_classes])[labels]
         vmax = np.asarray([c[3] for c in cfg.speed_classes])[labels]
         speeds = rng.uniform(vmin, vmax)
         angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        self.vel = np.stack([speeds * np.cos(angles), speeds * np.sin(angles)], axis=1)
+        vel = np.stack([speeds * np.cos(angles), speeds * np.sin(angles)], axis=1)
         self.service_class = svc = draw_labels(cfg.service_classes)
         self.bw_hz = cfg.ue_bandwidth_hz * np.asarray([c[2] for c in cfg.service_classes])[svc]
+        pos.flags.writeable = vel.flags.writeable = False
+        self.start = pos, vel
 
-        # -- attachment state ----------------------------------------------
-        self.serving = self._rsrp_matrix(self.pos).argmax(axis=1).astype(int)
-        self.last_cell = self.serving.copy()      # serving, or the cell lost on a failure
-        self.prev_gnb = np.full(n, -1, dtype=int)  # cell left by the last move, for ping-pong
-        self.last_ho_ms = np.full(n, -np.inf)     # time of that move
-        self.required_ttt_ticks = max(1, math.ceil(cfg.ttt_ms / cfg.step_ms))
-        self._ttt_count = self._no_ttt = np.zeros(n, dtype=int)  # never written: the counts of a tick off A3
-        self._ttt_target = np.full(n, -1, dtype=int)
+        rows = geometry_rows(cfg)
+        self.base, self.end = 0, 0  # the tick in row 0; the ticks computed
+        self._pos, self._vel, self._pl = np.empty((rows, n, 2)), np.empty((rows, n, 2)), np.empty((rows, n, len(self.gnbs)))
+        self.pos, self.vel, self.pl = self._pos.view(), self._vel.view(), self._pl.view()
+        self.pos.flags.writeable = self.vel.flags.writeable = self.pl.flags.writeable = False
 
-        # -- accounting ----------------------------------------------------
-        self.total_bits = 0.0
-        self.total_joules = 0.0
-        self.link_failures = 0
-        self.total_handovers = 0
-        self.pingpong_handovers = 0
-        self.trace: list[TraceRow] = []
-
-    # -- radio ------------------------------------------------------------
-
-    def set_txp(self, txp_dbm: float) -> None:
-        if not finite(txp_dbm):
-            raise ValueError(f"transmit power must be a finite number of dBm, got {txp_dbm!r}")
-        self._tick_joules = _step_joules(float(txp_dbm), len(self.gnbs), self._dt_s)
-        if txp_dbm != self.txp_dbm:  # the scanned rows hold for one level only
-            self._e = self._rows = 0
-        self.txp_dbm = float(txp_dbm)
-        self._eirp_dbm = self.txp_dbm + self._gain_db  # a receive level before path loss
+    def row(self, t: int) -> tuple:
+        if t == self.end < self._n_ticks:  # the first sharer to reach tick t computes it (at 0, a whole run)
+            j, k = t - self.base, len(self.pos) if len(self.pos) == self._n_ticks else 1
+            if j == len(self.pos):  # slide on: the rows of the window are overwritten from here
+                self.base, j = t, 0
+            p, v = (self.pos[j - 1], self.vel[j - 1]) if t else self.start
+            self._move(p, v, self._pos[j:j + k], self._vel[j:j + k])
+            step = max(1, 2048 // self.pl[0].size)  # a long block in 16 KiB slices: small temporaries
+            for a in range(j, j + k, step):
+                self._path_loss(self.pos[a:min(a + step, j + k)], self._pl[a:min(a + step, j + k)])
+            self.end += k
+        if not self.base <= t < self.end:
+            raise GeometryWindowError(f"tick {t} is outside the ticks {self.base}-{self.end - 1} held")
+        return self.pos[t - self.base], self.vel[t - self.base], self.pl[t - self.base]
 
     def _path_loss(self, pos: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:  # (..., n_ues, 2) -> (..., n_ues, n_gnbs)
         return path_loss_db(np.hypot(pos[..., :1] - self._gx, pos[..., 1:] - self._gy, out=out), out)
-
-    def _rsrp_matrix(self, pos: np.ndarray) -> np.ndarray:
-        """(n_ues, n_gnbs) receive levels at the current transmit power."""
-        return self._eirp_dbm - self._path_loss(pos)
-
-    # -- dynamics ---------------------------------------------------------
 
     def _move(self, p: np.ndarray, v: np.ndarray, pos: np.ndarray, vel: np.ndarray) -> None:
         """Move the UEs from p at velocity v one step per row of pos (k, n_ues, 2), the velocity after each step into vel.
@@ -399,22 +319,98 @@ class Simulator:
                 c, r = c[r < len(x) - 1], r[r < len(x) - 1] + 1  # the next round sums on from the row after
                 y, prev = np.empty((len(x) - r.min(initial=len(x)), c.size)), x[r - 1, c]
 
+
+class Simulator:
+    """One run of a seed's `Trajectory`, which it shares with the seed's other arms and
+    ticks from its start.  Drive it with `tick()`, adjust transmit power between
+    ticks with `set_txp`, which sets the tick's constants that depend on it.
+
+    pos and vel are read-only: the trajectory's start, then each tick's row, a copy if
+    the trajectory is a window, so a simulator waiting for its window's sharers reads its own.
+
+    Update order inside a tick, in this exact sequence:
+      move -> receive levels -> A3 handovers -> link failures ->
+      re-attachments -> throughput and energy accounting.
+    Each event phase takes its UEs, and writes their trace rows, in
+    ascending index order.  Trace events: HO, an A3 handover (the best
+    neighbour beats serving by cio_db - hys_db and is strictly stronger,
+    on ttt_ms worth of ticks toward one target); PP, a handover that is a
+    ping-pong; LF, a link failure (no cell reaches min_rsrp_dbm, the UE
+    detaches); REATTACH, a detached UE attaching to its strongest cell.
+    Handovers and re-attachments both count toward total_handovers (the
+    network pays the signalling either way).  A move away from the last
+    cell held is a ping-pong when it returns to the cell held before it
+    within pingpong_window_ms; re-attaching to the last cell held is no
+    move.  A re-attachment ping-pong is counted but traced as REATTACH.
+    A tick relies on two identities: a row's maximum is max(rs, rn), serving
+    and best other cell, and the UEs attached after it are the receivable ones.
+    Levels, the A3 and receivability conditions and throughput are computed for
+    every UE; each event condition is one selection, and TTT counts, cell changes,
+    ping-pongs and trace rows are kept for the UEs it selected alone.
+    A run held in one block is scanned ahead: whenever the last scan is used up, one tick
+    computes the next SCAN_ROWS ticks at the current cells and TXP; the ticks up to the first
+    event are served from it, and the event's tick reads its levels from it; a new level drops
+    them.  The update order is unchanged.
+    So after the first tick only `set_txp` may change a simulator's state between ticks.
+    """
+
+    def __init__(self, trajectory: Trajectory, record_trace: bool = True):
+        self.trajectory, self._i = trajectory, 0  # the geometry, and the next tick's index into it
+        self.cfg = cfg = trajectory.cfg
+        self.gnbs, n = trajectory.gnbs, cfg.n_ues
+        self._n_ticks, self._dt_s, self._gain_db = cfg.n_ticks, cfg.step_ms / 1000.0, antenna_gain_db(cfg.ret_deg)
+        self._b0 = self._e = self._rows = 0  # the last scan's first tick, quiet rows and rows
+        self.txp_dbm = math.nan
+        self.set_txp(cfg.txp_dbm)
+        self._flat = np.arange(SCAN_ROWS * n).reshape(SCAN_ROWS, -1) * len(self.gnbs)  # a UE's row in a scan
+        self._row0 = self._flat[0]  # and in a tick
+        self.t_ms = 0.0
+        self.record_trace = record_trace
+        self.pos, self.vel = trajectory.start
+
+        # -- attachment state ----------------------------------------------
+        self.serving = self._rsrp_matrix(self.pos).argmax(axis=1).astype(int)
+        self.last_cell = self.serving.copy()      # serving, or the cell lost on a failure
+        self.prev_gnb = np.full(n, -1, dtype=int)  # cell left by the last move, for ping-pong
+        self.last_ho_ms = np.full(n, -np.inf)     # time of that move
+        self.required_ttt_ticks = max(1, math.ceil(cfg.ttt_ms / cfg.step_ms))
+        self._ttt_count = self._no_ttt = np.zeros(n, dtype=int)  # never written: the counts of a tick off A3
+        self._ttt_target = np.full(n, -1, dtype=int)
+
+        # -- accounting ----------------------------------------------------
+        self.total_bits = 0.0
+        self.total_joules = 0.0
+        self.link_failures = 0
+        self.total_handovers = 0
+        self.pingpong_handovers = 0
+        self.trace: list[TraceRow] = []
+
+    # -- radio ------------------------------------------------------------
+
+    def set_txp(self, txp_dbm: float) -> None:
+        if not finite(txp_dbm):
+            raise ValueError(f"transmit power must be a finite number of dBm, got {txp_dbm!r}")
+        self._tick_joules = _step_joules(float(txp_dbm), len(self.gnbs), self._dt_s)
+        if txp_dbm != self.txp_dbm:  # the scanned rows hold for one level only
+            self._e = self._rows = 0
+        self.txp_dbm = float(txp_dbm)
+        self._eirp_dbm = self.txp_dbm + self._gain_db  # a receive level before path loss
+
+    def _rsrp_matrix(self, pos: np.ndarray) -> np.ndarray:
+        """(n_ues, n_gnbs) receive levels at the current transmit power."""
+        return self._eirp_dbm - self.trajectory._path_loss(pos)
+
     def tick(self) -> tuple:
         """One tick; returns what it produced, (bits, joules, link_failures, handovers, pingpongs)."""
         cfg, i, traj = self.cfg, self._i, self.trajectory
         t = (i + 1) * cfg.step_ms
-
-        if i == 0:
-            start = (cfg, self.pos.tobytes(), self.vel.tobytes())
-            if traj is None or traj.start != start or traj.base:
-                traj = self.trajectory = Trajectory(start, geometry_rows(cfg), cfg.n_ues, len(self.gnbs))
         self._i = i + 1
         whole = len(traj.pos) == self._n_ticks  # the run in one block; else a window, whose rows get overwritten
         held = whole and i < traj.end  # built at the first tick: read the row in place
         if held:
             self.pos, self.vel, pl = traj.pos[i], traj.vel[i], None
         else:  # a simulator keeps a read-only copy of its own row of a window
-            pos, vel, pl = traj.row(i, self)
+            pos, vel, pl = traj.row(i)
             self.pos, self.vel = (pos, vel) if whole else (np.frombuffer(x.tobytes()).reshape(x.shape) for x in (pos, vel))
         k = i - self._b0  # this tick's row of the last scan
         if k >= self._rows and held:  # the last scan is used up
@@ -449,7 +445,7 @@ class Simulator:
                 n_pp += self._change_cell("REATTACH", t, r, back, rs=rs)
 
             # throughput for attached UEs (now exactly ok, rs their serving levels)
-            cap = self.bw_hz * np.log2(1.0 + 10.0 ** ((rs - cfg.noise_floor_dbm) / 10.0))
+            cap = traj.bw_hz * np.log2(1.0 + 10.0 ** ((rs - cfg.noise_floor_dbm) / 10.0))
             bits = float(np.add.reduce(cap[ok]) * self._dt_s)
             n_lf, n_ho = lf.size, ho.size + back.size
 
@@ -488,7 +484,7 @@ class Simulator:
         self._e = e = first // n if ev[first] else h
         self._att, self._rows = att, min(e + 1, h)
         if e:  # a quiet row's attached UEs are exactly its receivable ones
-            cap = self.bw_hz * np.log2(1.0 + 10.0 ** ((rs[:e] - self.cfg.noise_floor_dbm) / 10.0))
+            cap = self.trajectory.bw_hz * np.log2(1.0 + 10.0 ** ((rs[:e] - self.cfg.noise_floor_dbm) / 10.0))
             self._bits = (np.add.reduce(cap.take(att.nonzero()[0], axis=1), axis=1) * self._dt_s).tolist()
 
     def _change_cell(self, event: str, t: float, r: np.ndarray, idx: np.ndarray,

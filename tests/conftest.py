@@ -14,7 +14,7 @@ import numpy as np
 from ric_cms.conflict_model import KpiDirection, KpiSpec, XAppDescriptor
 from ric_cms.files import write_json
 from ric_cms.mitigation import KpiResponseModel
-from ric_cms.ran_sim import SimConfig, Simulator, TraceRow, antenna_gain_db, gnb_power_w, path_loss_db
+from ric_cms.ran_sim import SimConfig, Simulator, TraceRow, Trajectory, antenna_gain_db, gnb_power_w, path_loss_db
 
 
 def _kpi_json(kpi_id: str) -> dict:
@@ -205,6 +205,17 @@ def save_sim_config(cfg: SimConfig, path: str | Path) -> None:
     write_json(path, asdict(cfg))
 
 
+def placed(cfg: SimConfig, pos, vel=None, seed: int = 0) -> Trajectory:
+    """The seed's trajectory with its UEs starting at `pos`, moving at `vel` (by
+    default as drawn): its start replaced before anything reads it."""
+    traj = Trajectory(cfg, seed)
+    start = tuple(np.array(x, dtype=float) for x in (pos, traj.start[1] if vel is None else vel))
+    for x in start:
+        x.flags.writeable = False
+    traj.start = start
+    return traj
+
+
 def run(sim: Simulator, n_ticks: int | None = None) -> None:
     """Tick `sim` n_ticks times, by default through its whole duration."""
     for _ in range(sim.cfg.n_ticks if n_ticks is None else n_ticks):
@@ -305,7 +316,7 @@ class ReferenceSimulator(Simulator):
         if att_idx.size:
             rs = r[att_idx, serving[att_idx]]
             snr_db = rs - cfg.noise_floor_dbm
-            cap = self.bw_hz[att_idx] * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
+            cap = self.trajectory.bw_hz[att_idx] * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
             bits = float(np.sum(cap) * dt_s)
         joules = len(self.gnbs) * gnb_power_w(self.txp_dbm) * dt_s
 

@@ -14,7 +14,7 @@ from ric_cms.conflict_model import KpiDirection, five_xapp_topology
 from ric_cms.detection import ChangeRecord, DegradationEvent, Ledger, VerdictKind
 from ric_cms.harness import ExperimentConfig, run_experiment
 from ric_cms.mitigation import KpiResponseModel, ResponseModelSet
-from ric_cms.ran_sim import SimConfig, Simulator, geometry_rows
+from ric_cms.ran_sim import SimConfig, Simulator, Trajectory, geometry_rows
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -55,33 +55,32 @@ def test_benchmark_sizes_keep_their_geometry_shape():
 def test_geometry_moves_are_made_one_row_per_tick_of_a_window(monkeypatch):
     # dense's op_p99_us rests on this: a prototype that filled each 4-tick window on its first
     # tick took perfbench dense op_p99_us from 0.85-0.95 ms to 2.20-2.35 ms (2-core Xeon VM)
-    movers = []  # the simulator that moved each row
-    move = Simulator._move
-    monkeypatch.setattr(Simulator, "_move", lambda sim, p, v, pos, vel: movers.extend([sim] * len(pos)) or move(sim, p, v, pos, vel))
+    moved = []  # the rows of each move
+    move = Trajectory._move
+    monkeypatch.setattr(Trajectory, "_move", lambda traj, p, v, pos, vel: moved.append(len(pos)) or move(traj, p, v, pos, vel))
     cfg = SimConfig(n_ues=5, duration_s=1.0)
 
-    def tick(sim):
-        movers.clear()
+    def tick(sim):  # sim once for each row its tick moved
+        moved.clear()
         sim.tick()
-        return movers.copy()
+        return [sim] * sum(moved)
 
-    # a whole-run block: every row moved on the builder's first tick
-    a = Simulator(cfg, seed=3)
+    # a whole-run block: every row moved on the first sharer's first tick
+    a = Simulator(Trajectory(cfg, 3))
     assert tick(a) == [a] * cfg.n_ticks
-    b = Simulator(cfg, seed=3, trajectory=a.trajectory)
+    b = Simulator(a.trajectory)
     assert [tick(a) for _ in range(cfg.n_ticks - 1)] + [tick(b) for _ in range(cfg.n_ticks)] == [[]] * (2 * cfg.n_ticks - 1)
-    assert b.trajectory is a.trajectory
 
     # two-tick windows, ticked in lockstep as the harness does: the first sharer moves once a tick
     monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)
     monkeypatch.setattr(ran_sim, "GEOMETRY_WINDOW_BYTES", 2 * cfg.n_ues * len(cfg.resolved_gnbs()) * 8)
     assert geometry_rows(cfg) == 2
-    a = Simulator(cfg, seed=3)
+    a = Simulator(Trajectory(cfg, 3))
     assert [tick(a), tick(a)] == [[a], [a]]
-    b = Simulator(cfg, seed=3, trajectory=a.trajectory)
+    b = Simulator(a.trajectory)
     for _ in range(cfg.n_ticks // 2 - 1):
         assert [tick(b), tick(b), tick(a), tick(a)] == [[], [], [a], [a]]
-    assert [tick(b), tick(b)] == [[], []] and b.trajectory is a.trajectory
+    assert [tick(b), tick(b)] == [[], []]
 
 
 def test_every_patch_point_resolves(tracer):

@@ -3,7 +3,10 @@ bytes, so a change to the engine that keeps its behaviour has to
 reproduce results.csv, summary.json and every trace exactly.  None of
 these runs has a ping-pong; test_ran_sim pins that rule.  float64
 `log10`/`hypot` may differ in the last bit across numpy versions, so the
-check runs only on the version the digests were taken with.
+check runs only on the version the digests were taken with.  Within it,
+`power`, `log2` and `log10` round the last bit differently under numpy's
+AVX-512 and AVX2 kernels, so the digests are keyed on the kernel set
+numpy dispatches to, and any other set skips.
 """
 
 import hashlib
@@ -12,12 +15,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy before 2.0, which the version check skips anyway
+    __cpu_dispatch__, __cpu_features__ = (), {}
+
 from ric_cms.harness import (
     ExperimentConfig, desk_preset, export_csv, export_summary_json, export_traces, run_experiment)
 from ric_cms.mitigation import Strategy
 from ric_cms.ran_sim import SimConfig
 
 GOLDEN_NUMPY = "2.4.6"
+# numpy's enabled dispatch targets, in its own order
+KERNELS = " ".join(k for k in __cpu_dispatch__ if __cpu_features__[k])
 
 RUNS = {
     "desk": replace(desk_preset(0), reps=1),
@@ -32,8 +42,8 @@ RUNS = {
     "step100_3": ExperimentConfig(SimConfig(n_ues=40, duration_s=20.0, step_ms=100 / 3), reps=2, base_seed=7),
 }
 
-# file name -> sha256 of its bytes, per run
-DIGESTS = {
+# file name -> sha256 of its bytes, per run, under numpy's AVX-512 kernels
+AVX512_DIGESTS = {
     "desk": {
         "results.csv": "8ca1ac452111eb3cdfe332dfaad7e29c122ba97ba9d573ee6ee3eb2b8e4b365c",
         "summary.json": "8baab9bb828029e0528507c23eb7cd0bae922eb43c310cd01e0e31f50ee7da50",
@@ -89,6 +99,27 @@ DIGESTS = {
 }
 
 
+# kernel set -> run -> file name -> sha256.  The AVX2 set is what a CPU without AVX-512 runs;
+# its digests were taken on an AVX-512 Xeon with NPY_DISABLE_CPU_FEATURES="AVX512_SPR
+# AVX512_ICL X86_V4".  Only energy efficiency's last digits differ, in two runs.
+DIGESTS = {
+    "X86_V3 X86_V4 AVX512_ICL AVX512_SPR": AVX512_DIGESTS,
+    "X86_V3": {
+        **AVX512_DIGESTS,
+        "min_rsrp_100": {
+            **AVX512_DIGESTS["min_rsrp_100"],
+            "results.csv": "ab5fc8fd3ff640599215d29bf7940a7b933e6a49494ba362e276fd6019e04bc5",
+            "summary.json": "a23a28acf7940f59642758d548cdc35554ab1398064a972a51aa89b0c01e09f4",
+        },
+        "step500_ttt1000": {
+            **AVX512_DIGESTS["step500_ttt1000"],
+            "results.csv": "c765c7ba170609254caec4957ce57f2d3818267a1768dc729f51bfee362a105b",
+            "summary.json": "c159b9153006725bce725d3f91e19ef6493594cc224bbf6f0fbf94e6c9aafbf3",
+        },
+    },
+}
+
+
 def output_digests(exp: ExperimentConfig, outdir) -> dict[str, str]:
     """Run exp, write its three exports into outdir, hash every file."""
     result = run_experiment(exp)
@@ -100,6 +131,7 @@ def output_digests(exp: ExperimentConfig, outdir) -> dict[str, str]:
 
 @pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
                     reason=f"digests taken with numpy {GOLDEN_NUMPY}, running numpy {np.__version__}")
+@pytest.mark.skipif(KERNELS not in DIGESTS, reason=f"no digests for numpy's dispatch targets {KERNELS.split()}")
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_exports_keep_their_bytes(name, tmp_path):
-    assert output_digests(RUNS[name], tmp_path) == DIGESTS[name]
+    assert output_digests(RUNS[name], tmp_path) == DIGESTS[KERNELS][name]

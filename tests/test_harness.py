@@ -25,7 +25,7 @@ from ric_cms.harness import (
     run_replica,
 )
 from ric_cms.mitigation import KpiResponseModel, ResponseModelSet, Strategy
-from ric_cms.ran_sim import SimConfig, Simulator
+from ric_cms.ran_sim import SimConfig, Trajectory
 from ric_cms.xapps import EE_KPI, LF_KPI, TXP_BOUNDS_DBM
 
 
@@ -99,7 +99,7 @@ def test_reps_and_seed_must_be_integers_in_range(field, bad):
 def run_one(strategy, model_set=None, **kw):
     exp = small_exp(**kw)
     actions = compile_arm(strategy, exp.sim, model_set)
-    return drain(run_replica(strategy, 0, exp, actions))
+    return drain(run_replica(strategy, 0, exp, actions, Trajectory(exp.sim, exp.base_seed)))
 
 
 def test_nc_alternates_between_the_two_requests():
@@ -173,7 +173,7 @@ def test_write_through_records_every_request(monkeypatch, strategy):
 
     monkeypatch.setattr(harness, "Ledger", keep)
     exp = small_exp(sim=SimConfig(duration_s=20.0, txp_dbm=3.0))
-    drain(run_replica(strategy, 0, exp, compile_arm(strategy, exp.sim)))
+    drain(run_replica(strategy, 0, exp, compile_arm(strategy, exp.sim), Trajectory(exp.sim, exp.base_seed)))
     (ledger,) = ledgers
     assert [c.xapp for c in ledger.changes] == ["es", "mro"] * 10
     assert [c.value for c in ledger.changes] == [3.0, 50.0] * 10
@@ -264,7 +264,7 @@ def test_arbitration_does_not_scale_with_replicas(monkeypatch):
     schedules = {s: compile_arm(s, exp.sim, FIXED_QACM) for s in ALL_STRATEGIES}
     calls.clear()
     for strategy, actions in schedules.items():
-        drain(run_replica(strategy, 0, exp, actions))
+        drain(run_replica(strategy, 0, exp, actions, Trajectory(exp.sim, exp.base_seed)))
     assert not calls
 
 
@@ -372,15 +372,31 @@ def test_each_seed_builds_its_trajectory_once(monkeypatch, strategies, reps, bui
         monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)
         monkeypatch.setattr(ran_sim, "GEOMETRY_WINDOW_BYTES", window * exp.sim.n_ues * 4 * 8)
     moved = []  # the trajectory of every row moved
-    move = Simulator._move
+    move = Trajectory._move
 
-    def kept(sim, p, v, pos, vel):
-        moved.extend([sim.trajectory] * len(pos))
-        return move(sim, p, v, pos, vel)
+    def kept(traj, p, v, pos, vel):
+        moved.extend([traj] * len(pos))
+        return move(traj, p, v, pos, vel)
 
-    monkeypatch.setattr(Simulator, "_move", kept)
+    monkeypatch.setattr(Trajectory, "_move", kept)
     run_experiment(exp)
     assert list(Counter(map(id, moved)).values()) == [exp.sim.n_ticks] * builds
+
+
+def test_each_seed_draws_its_population_once_per_pass(monkeypatch):
+    seeds = []  # the seed of every population drawn
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeds.append(seed) or default_rng(seed))
+    run_experiment(small_exp(reps=2))
+    assert seeds == [5, 6, 5, 6]  # the four arms before qacm, then qacm
+
+
+@pytest.mark.parametrize("seed, sim", [(6, SimConfig(duration_s=20.0)), (5, SimConfig(duration_s=10.0))])
+def test_a_replica_refuses_another_seeds_trajectory(seed, sim):
+    exp = small_exp()
+    replica = run_replica(Strategy.NC, 0, exp, compile_arm(Strategy.NC, exp.sim), Trajectory(sim, seed))
+    with pytest.raises(ValueError, match="trajectory of seed 5"):
+        next(replica)
 
 
 @pytest.mark.parametrize("window", [None, 1, 3])

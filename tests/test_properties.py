@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ric_cms import ran_sim
 from ric_cms.detection import ChangeRecord, DegradationEvent, Ledger, UnattributableDegradationError
-from ric_cms.ran_sim import SimConfig, Simulator
+from ric_cms.ran_sim import SimConfig, Simulator, Trajectory
 from ric_cms.xapps import EE_KPI, ES_XAPP_ID, LF_KPI, MRO_XAPP_ID, TXP_PARAM, experiment_topology
 
 from conftest import ReferenceSimulator
@@ -71,18 +71,18 @@ def move_configs(draw):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(cfg=move_configs(), seed=st.integers(0, 2**32 - 1), rows=st.integers(1000, 1300))
 def test_a_block_moves_byte_for_byte_as_one_row_a_step(cfg, seed, rows):
-    sim = Simulator(cfg, seed)
+    traj = Trajectory(cfg, seed)
     block = np.empty((2, rows, cfg.n_ues, 2))  # positions, velocities
-    sim._move(sim.pos, sim.vel, *block)
-    p, v = sim.pos, sim.vel
+    traj._move(*traj.start, *block)
+    p, v = traj.start
     for i in range(rows):
         one = np.empty((2, 1, cfg.n_ues, 2))
-        sim._move(p, v, *one)
+        traj._move(p, v, *one)
         assert one[:, 0].tobytes() == block[:, i].tobytes(), f"row {i}"
         p, v = one[:, 0]
     # on its faster axis a UE of the bound class crosses at least 0.35 of the field a step, so that
     # axis reflects at each edge over a hundred times
-    vel = block[1][:, sim.speed_class == 1]
+    vel = block[1][:, traj.speed_class == 1]
     fast = np.take_along_axis(vel, abs(vel[:1]).argmax(axis=-1)[..., None], axis=-1)[..., 0]
     turns = np.diff(np.sign(fast), axis=0)
     assert ((turns < 0).sum(axis=0) >= 100).all() and ((turns > 0).sum(axis=0) >= 100).all()
@@ -94,7 +94,7 @@ COUNTERS = ("link_failures", "total_handovers", "pingpong_handovers", "total_bit
 @FEW
 @given(cfg=sim_configs(), seed=st.integers(0, 2**32 - 1), txps=st.lists(st.floats(0.0, 50.0), max_size=4))
 def test_tick_keeps_its_invariants(cfg, seed, txps):
-    sim = Simulator(cfg, seed, record_trace=True)
+    sim = Simulator(Trajectory(cfg, seed), record_trace=True)
     lim = np.asarray(cfg.area_m)
     last = {c: getattr(sim, c) for c in COUNTERS}
     for k in range(cfg.n_ticks):
@@ -122,7 +122,7 @@ def run_beside_the_oracle(cfg, seed, txps=()):
     """Tick a Simulator and the ReferenceSimulator in step, setting the
     transmit power from `txps` in turn before each tick; every tick's tuple,
     state array and trace row must agree bit for bit.  Returns the trace."""
-    sim, ref = Simulator(cfg, seed), ReferenceSimulator(cfg, seed)
+    sim, ref = Simulator(Trajectory(cfg, seed)), ReferenceSimulator(Trajectory(cfg, seed))
     for k in range(cfg.n_ticks):
         if txps:
             sim.set_txp(txps[k % len(txps)])
@@ -173,7 +173,7 @@ def test_block_size_changes_no_result():
     for budget in (ran_sim.GEOMETRY_BUDGET_BYTES, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", budget)
-            sim = Simulator(cfg, 7)
+            sim = Simulator(Trajectory(cfg, 7))
             for k in range(cfg.n_ticks):
                 sim.set_txp((30.0, 12.0, 45.0)[k // 50 % 3])
                 sim.tick()
@@ -213,7 +213,7 @@ def test_oracle_agrees_on_time_to_trigger_counts_that_never_fire():
     # which ends the counts of 1 and 2 that A3 had started on them
     cfg, txps = SimConfig(n_ues=200, duration_s=10.0, ttt_ms=300.0), (30.0,) * 4 + (-20.0,)
     trace = run_beside_the_oracle(cfg, 0, txps)
-    sim, unfired = Simulator(cfg, 0, record_trace=False), 0
+    sim, unfired = Simulator(Trajectory(cfg, 0), record_trace=False), 0
     for k in range(cfg.n_ticks):
         before = sim._ttt_count
         sim.set_txp(txps[k % len(txps)])

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BAD_NUMBERS, HandoverDecision, evaluate_handover, rsrp_dbm, run, save_sim_config
+from conftest import BAD_NUMBERS, HandoverDecision, evaluate_handover, placed, rsrp_dbm, run, save_sim_config
 from ric_cms import ran_sim
 from ric_cms.ran_sim import (
     GeometryWindowError,
     SimConfig,
     Simulator,
+    Trajectory,
     antenna_gain_db,
     gnb_power_w,
     largest_remainder_counts,
@@ -80,26 +81,26 @@ def test_largest_remainder_always_sums_to_n():
 # -- population -------------------------------------------------------------
 
 def test_population_is_stratified_exactly():
-    sim = Simulator(SimConfig(), seed=0)
-    speed_counts = np.bincount(sim.speed_class, minlength=3).tolist()
-    svc_counts = np.bincount(sim.service_class, minlength=3).tolist()
+    traj = Trajectory(SimConfig(), seed=0)
+    speed_counts = np.bincount(traj.speed_class, minlength=3).tolist()
+    svc_counts = np.bincount(traj.service_class, minlength=3).tolist()
     assert speed_counts == [7, 6, 7]
     assert svc_counts == [8, 6, 6]
     # speeds fall inside their class band
     for i, (_, _, vmin, vmax) in enumerate(SimConfig().speed_classes):
-        speeds = np.hypot(sim.vel[:, 0], sim.vel[:, 1])[sim.speed_class == i]
+        speeds = np.hypot(traj.start[1][:, 0], traj.start[1][:, 1])[traj.speed_class == i]
         assert np.all(speeds >= vmin - 1e-9) and np.all(speeds <= vmax + 1e-9)
 
 
 def test_bandwidth_follows_service_class():
-    sim = Simulator(SimConfig(), seed=0)
+    traj = Trajectory(SimConfig(), seed=0)
     weights = {0: 1.5e6, 1: 0.75e6, 2: 0.25e6}
-    for i in range(sim.cfg.n_ues):
-        assert sim.bw_hz[i] == weights[int(sim.service_class[i])]
+    for i in range(traj.cfg.n_ues):
+        assert traj.bw_hz[i] == weights[int(traj.service_class[i])]
 
 
 def test_everyone_starts_attached_to_strongest_cell():
-    sim = Simulator(SimConfig(), seed=1)
+    sim = Simulator(Trajectory(SimConfig(), 1))
     r = sim._rsrp_matrix(sim.pos)
     assert np.array_equal(sim.serving, np.argmax(r, axis=1))
 
@@ -113,7 +114,7 @@ def test_default_grid_positions():
 
 def test_mobility_stays_in_bounds():
     cfg = SimConfig(duration_s=30.0)
-    sim = Simulator(cfg, seed=4)
+    sim = Simulator(Trajectory(cfg, 4))
     run(sim)
     assert np.all(sim.pos >= 0.0) and np.all(sim.pos <= np.asarray(cfg.area_m))
 
@@ -121,16 +122,14 @@ def test_mobility_stays_in_bounds():
 def test_reflection_reverses_velocity():
     cfg = SimConfig(n_ues=1, area_m=(50.0, 50.0), gnb_positions=((25.0, 25.0),),
                     speed_classes=(("fixed", 1.0, 10.0, 10.0),))
-    sim = Simulator(cfg, seed=0)
-    sim.pos[:] = [[49.5, 25.0]]
-    sim.vel[:] = [[10.0, 0.0]]
+    sim = Simulator(placed(cfg, [[49.5, 25.0]], [[10.0, 0.0]]))
     sim.tick()
     assert sim.pos[0, 0] == pytest.approx(49.5)  # 50.5 folded back
     assert sim.vel[0, 0] == -10.0
 
 
 def test_vectorized_rsrp_matches_scalar():
-    sim = Simulator(SimConfig(), seed=5)
+    sim = Simulator(Trajectory(SimConfig(), 5))
     run(sim, 10)
     r = sim._rsrp_matrix(sim.pos)
     for i in range(sim.cfg.n_ues):
@@ -153,9 +152,7 @@ def _crossing_run(**kw):
     # one UE pushed straight from cell A toward cell B
     cfg = _one_ue_config(area_m=(400.0, 100.0), gnb_positions=((100.0, 50.0), (300.0, 50.0)),
                          duration_s=40.0, **kw)
-    sim = Simulator(cfg, seed=0)
-    sim.pos[:] = [[100.0, 50.0]]
-    sim.vel[:] = [[5.0, 0.0]]
+    sim = Simulator(placed(cfg, [[100.0, 50.0]], [[5.0, 0.0]]))
     sim.serving[:] = 0
     sim.last_cell[:] = 0
     run(sim)  # 40 s at 5 m/s: ends at x=300, never reflects
@@ -185,7 +182,7 @@ def test_tick_follows_the_scalar_a3_oracle():
     # every UE attached before a tick that still receives some cell must
     # end the tick where evaluate_handover sends it (one-tick TTT)
     cfg = SimConfig(n_ues=200, duration_s=30.0)
-    sim = Simulator(cfg, seed=3, record_trace=False)
+    sim = Simulator(Trajectory(cfg, 3), record_trace=False)
     checked = moved = 0
     for _ in range(cfg.n_ticks):
         before = sim.serving.copy()
@@ -209,9 +206,7 @@ def test_link_failure_and_reattach_cycle():
         duration_s=60.0,
         speed_classes=(("fixed", 1.0, 10.0, 10.0),),
     )
-    sim = Simulator(cfg, seed=0)
-    sim.pos[:] = [[5.0, 5.0]]
-    sim.vel[:] = [[10.0, 0.0]]
+    sim = Simulator(placed(cfg, [[5.0, 5.0]], [[10.0, 0.0]]))
     sim.serving[:] = 0
     sim.last_cell[:] = 0
     run(sim)
@@ -232,9 +227,7 @@ def test_pingpong_detected_on_quick_return():
         duration_s=2.0,
         speed_classes=(("fixed", 1.0, 15.0, 15.0),),
     )
-    sim = Simulator(cfg, seed=0)
-    sim.pos[:] = [[5.9, 2.0]]
-    sim.vel[:] = [[15.0, 0.0]]
+    sim = Simulator(placed(cfg, [[5.9, 2.0]], [[15.0, 0.0]]))
     sim.serving[:] = 0
     sim.last_cell[:] = 0
     run(sim)
@@ -256,8 +249,7 @@ def test_reattachment_follows_the_pingpong_rule(x, last_ho_ms, cell, pingpongs, 
         ttt_ms=1000.0,
         speed_classes=(("still", 1.0, 0.0, 0.0),),
     )
-    sim = Simulator(cfg, seed=0)
-    sim.pos[:] = [[x, 5.0]]
+    sim = Simulator(placed(cfg, [[x, 5.0]]))
     sim.serving[:] = 0
     sim.last_cell[:] = 0
     sim.prev_gnb[:] = 1
@@ -281,8 +273,7 @@ def test_throughput_and_energy_accounting():
         duration_s=1.0,
         speed_classes=(("still", 1.0, 0.0, 0.0),),
     )
-    sim = Simulator(cfg, seed=0)
-    sim.pos[:] = [[100.0, 0.0]]
+    sim = Simulator(placed(cfg, [[100.0, 0.0]]))
     sim.serving[:] = 0
     run(sim)
     # static UE at 100 m: rsrp -80.05, snr 19.95 dB, eMBB weight 1.5 MHz
@@ -296,14 +287,14 @@ def test_throughput_and_energy_accounting():
 
 @pytest.mark.parametrize("bad", [*BAD_NUMBERS, "30"])
 def test_set_txp_rejects_what_is_not_a_finite_number(bad):
-    sim = Simulator(SimConfig(n_ues=5), seed=0)
+    sim = Simulator(Trajectory(SimConfig(n_ues=5), 0))
     with pytest.raises(ValueError, match="transmit power"):
         sim.set_txp(bad)
     assert sim.txp_dbm == 30.0
 
 
 def test_set_txp_rejects_a_power_whose_energy_overflows():
-    sim = Simulator(SimConfig(n_ues=5), seed=0)
+    sim = Simulator(Trajectory(SimConfig(n_ues=5), 0))
     with pytest.raises(ValueError, match="txp_dbm"):
         sim.set_txp(1e308)
     assert sim.txp_dbm == 30.0
@@ -311,7 +302,7 @@ def test_set_txp_rejects_a_power_whose_energy_overflows():
 
 @pytest.mark.parametrize("power", [-20.0, 0.0, 23.5, 46, np.float64(12.25)])
 def test_set_txp_lands_a_finite_power_unchanged(power):
-    sim = Simulator(SimConfig(n_ues=5), seed=0)
+    sim = Simulator(Trajectory(SimConfig(n_ues=5), 0))
     sim.set_txp(power)
     assert sim.txp_dbm == power and type(sim.txp_dbm) is float
 
@@ -320,7 +311,7 @@ def test_set_txp_drops_the_scanned_rows_only_for_a_new_level():
     def pending(sim):  # the quiet rows of the last scan that no tick has served yet
         return max(0, sim._e - (sim._i - sim._b0))
 
-    sim = Simulator(SimConfig(n_ues=5, duration_s=30.0), seed=0)
+    sim = Simulator(Trajectory(SimConfig(n_ues=5, duration_s=30.0), 0))
     for _ in range(sim.cfg.n_ticks - 1):
         if pending(sim) >= 2:
             break
@@ -344,8 +335,7 @@ def test_detached_ue_earns_no_bits():
         duration_s=1.0,
         speed_classes=(("still", 1.0, 0.0, 0.0),),
     )
-    sim = Simulator(cfg, seed=0)
-    sim.pos[:] = [[250.0, 5.0]]  # far outside the ~121 m coverage radius
+    sim = Simulator(placed(cfg, [[250.0, 5.0]]))  # far outside the ~121 m coverage radius
     sim.serving[:] = 0
     run(sim)
     assert sim.link_failures == 1
@@ -354,8 +344,8 @@ def test_detached_ue_earns_no_bits():
 
 
 def test_same_seed_reproduces_run_exactly():
-    a = Simulator(SimConfig(duration_s=20.0), seed=11)
-    b = Simulator(SimConfig(duration_s=20.0), seed=11)
+    a = Simulator(Trajectory(SimConfig(duration_s=20.0), 11))
+    b = Simulator(Trajectory(SimConfig(duration_s=20.0), 11))
     run(a)
     run(b)
     assert a.kpi_report() == b.kpi_report()
@@ -364,15 +354,15 @@ def test_same_seed_reproduces_run_exactly():
 
 
 def test_different_seed_differs():
-    a = Simulator(SimConfig(duration_s=20.0), seed=11)
-    b = Simulator(SimConfig(duration_s=20.0), seed=12)
+    a = Simulator(Trajectory(SimConfig(duration_s=20.0), 11))
+    b = Simulator(Trajectory(SimConfig(duration_s=20.0), 12))
     run(a)
     run(b)
     assert not np.array_equal(a.pos, b.pos)
 
 
 def test_txp_change_midrun_shifts_levels():
-    sim = Simulator(SimConfig(n_ues=5, duration_s=1.0), seed=2)
+    sim = Simulator(Trajectory(SimConfig(n_ues=5, duration_s=1.0), 2))
     run(sim, 5)
     r_before = sim._rsrp_matrix(sim.pos).copy()
     sim.set_txp(50.0)
@@ -381,8 +371,8 @@ def test_txp_change_midrun_shifts_levels():
 
 
 def test_trace_disabled_keeps_counters():
-    a = Simulator(SimConfig(duration_s=20.0), seed=11)
-    b = Simulator(SimConfig(duration_s=20.0), seed=11, record_trace=False)
+    a = Simulator(Trajectory(SimConfig(duration_s=20.0), 11))
+    b = Simulator(Trajectory(SimConfig(duration_s=20.0), 11), record_trace=False)
     run(a)
     run(b)
     assert b.trace == []
@@ -393,7 +383,7 @@ def test_a_quiet_tick_does_no_event_bookkeeping(monkeypatch):
     calls = []
     change_cell = Simulator._change_cell
     monkeypatch.setattr(Simulator, "_change_cell", lambda self, *a, **kw: calls.append(a[0]) or change_cell(self, *a, **kw))
-    sim = Simulator(SimConfig(duration_s=60.0), seed=0)  # a one-tick TTT: every A3 UE hands over
+    sim = Simulator(Trajectory(SimConfig(duration_s=60.0), 0))  # a one-tick TTT: every A3 UE hands over
     quiet = 0
     for _ in range(sim.cfg.n_ticks):
         before, rows = len(calls), len(sim.trace)
@@ -420,7 +410,7 @@ def test_tick_constants_are_set_at_construction_and_by_set_txp(monkeypatch):
     for name in ("antenna_gain_db", "gnb_power_w"):
         monkeypatch.setattr(ran_sim, name, counted(name, getattr(ran_sim, name)))
     cfg = SimConfig(duration_s=10.0)
-    sim = Simulator(cfg, seed=4)
+    sim = Simulator(Trajectory(cfg, 4))
     assert counts["n_ticks"] and counts["antenna_gain_db"] and counts["gnb_power_w"]
     sim.tick()  # the first tick builds the run's geometry
     for k in range(1, 100):
@@ -439,42 +429,15 @@ def test_tick_constants_are_set_at_construction_and_by_set_txp(monkeypatch):
 # -- shared geometry --------------------------------------------------------
 
 def test_geometry_is_read_only_after_the_first_tick():
-    sim = Simulator(SimConfig(n_ues=5, duration_s=2.0), seed=0)
-    sim.pos[0, 0] = 50.0  # still the simulator's own state
-    sim.tick()
-    for name in ("pos", "vel"):
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(sim, name)[0, 0] = 1.0
+    sim = Simulator(Trajectory(SimConfig(n_ues=5, duration_s=2.0), 0))
+    assert sim.pos is sim.trajectory.start[0] and sim.vel is sim.trajectory.start[1]  # read-only from construction
+    for _ in range(2):
+        for name in ("pos", "vel"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sim, name)[0, 0] = 1.0
+        sim.tick()
     with pytest.raises(ValueError, match="read-only"):
         sim.trajectory.pl[0, 0, 0] = 1.0
-
-
-def test_simulator_ticks_through_a_shared_trajectory_from_its_own_start():
-    cfg = SimConfig(n_ues=5, duration_s=2.0)
-    a = Simulator(cfg, seed=3)
-    run(a)
-    b = Simulator(cfg, seed=3, trajectory=a.trajectory)
-    b.tick()
-    assert b.trajectory is a.trajectory
-    c = Simulator(cfg, seed=4, trajectory=a.trajectory)
-    c.tick()
-    assert c.trajectory is not a.trajectory
-    d = Simulator(SimConfig(n_ues=5, duration_s=2.0, area_m=(500.0, 400.0)), seed=3, trajectory=a.trajectory)
-    d.tick()
-    assert d.trajectory is not a.trajectory
-
-
-def test_simulator_moved_off_a_shared_trajectory_builds_its_own():
-    cfg = SimConfig(n_ues=5, duration_s=2.0)
-    a = Simulator(cfg, seed=3)
-    a.tick()
-    b, ref = Simulator(cfg, seed=3, trajectory=a.trajectory), Simulator(cfg, seed=3)
-    for sim in (b, ref):
-        sim.pos[2] = [10.0, 20.0]
-        run(sim)
-    assert b.trajectory is not a.trajectory
-    assert b.pos.tobytes() == ref.pos.tobytes() != a.trajectory.pos[-1].tobytes()
-    assert repr(b.kpi_report()) == repr(ref.kpi_report())
 
 
 def two_tick_windows(monkeypatch, cfg):
@@ -485,45 +448,41 @@ def two_tick_windows(monkeypatch, cfg):
 def test_a_sharer_outside_the_window_raises(monkeypatch):
     cfg = SimConfig(n_ues=5, duration_s=2.0)
     two_tick_windows(monkeypatch, cfg)
-    a = Simulator(cfg, seed=3)
+    a = Simulator(Trajectory(cfg, 3))
     a.tick()
-    b = Simulator(cfg, seed=3, trajectory=a.trajectory)
+    b = Simulator(a.trajectory)
     b.tick()
-    assert b.trajectory is a.trajectory
     run(a, 2)  # a's third tick slides the window past b's second
     with pytest.raises(GeometryWindowError, match="tick 1 is outside"):
         b.tick()
     with pytest.raises(GeometryWindowError, match="tick 4 is outside"):
-        a.trajectory.row(4, a)
-    c = Simulator(cfg, seed=3, trajectory=a.trajectory)
-    c.tick()  # the window no longer holds tick 0, so c builds its own
-    assert c.trajectory is not a.trajectory
+        a.trajectory.row(4)
+    with pytest.raises(GeometryWindowError, match="tick 0 is outside"):
+        Simulator(a.trajectory).tick()  # the window no longer holds tick 0
 
 
 def test_a_tick_past_the_run_raises_and_leaves_a_shared_block_alone():
     cfg = SimConfig(n_ues=5, duration_s=1.0)
-    a, solo = Simulator(cfg, seed=3), Simulator(cfg, seed=3)
+    a, solo = Simulator(Trajectory(cfg, 3)), Simulator(Trajectory(cfg, 3))
     run(a)
-    b = Simulator(cfg, seed=3, trajectory=a.trajectory)
+    b = Simulator(a.trajectory)
     run(b, 5)
     with pytest.raises(GeometryWindowError, match="tick 10 is outside"):
         a.tick()
     run(b, 5)
     run(solo)
-    assert b.trajectory is a.trajectory
     assert repr(b.kpi_report()) == repr(solo.kpi_report())
 
 
 def test_a_waiting_sharer_reads_its_own_state(monkeypatch):
     cfg = SimConfig(n_ues=5, duration_s=2.0)
     two_tick_windows(monkeypatch, cfg)
-    a, solo = Simulator(cfg, seed=3), Simulator(cfg, seed=3)
+    a, solo = Simulator(Trajectory(cfg, 3)), Simulator(Trajectory(cfg, 3))
     run(a, 1)
-    b = Simulator(cfg, seed=3, trajectory=a.trajectory)
+    b = Simulator(a.trajectory)
     run(b, 2)
     run(a, 3)  # rewrites the rows b ticked through
     run(solo, 2)
-    assert b.trajectory is a.trajectory
     assert b.pos.tobytes() == solo.pos.tobytes() != a.pos.tobytes()
     assert b.vel.tobytes() == solo.vel.tobytes()
 
@@ -655,14 +614,14 @@ def test_one_tick_of_path_loss_must_fit_the_geometry_budget():
 
 def test_top_speed_may_cross_exactly_the_field():
     cfg = SimConfig(area_m=(50.0, 50.0), speed_classes=(("fast", 1.0, 400.0, 500.0),), duration_s=5.0)
-    sim = Simulator(cfg, seed=3)
+    sim = Simulator(Trajectory(cfg, 3))
     run(sim)
     assert np.all(sim.pos >= 0.0) and np.all(sim.pos <= np.asarray(cfg.area_m))
 
 
 def test_the_clock_is_the_tick_count_times_the_step():
     # summing 100/3 thirty times gives 1000.0000000000005; 30 * (100 / 3) is 1000.0000000000001
-    sim = Simulator(SimConfig(n_ues=5, duration_s=1.0, step_ms=100 / 3), seed=0)
+    sim = Simulator(Trajectory(SimConfig(n_ues=5, duration_s=1.0, step_ms=100 / 3), 0))
     run(sim)
     assert sim.t_ms == 30 * (100 / 3)
 
@@ -672,7 +631,7 @@ def test_n_ticks():
 
 
 def test_trace_csv_format(tmp_path):
-    sim = Simulator(SimConfig(duration_s=30.0), seed=4)
+    sim = Simulator(Trajectory(SimConfig(duration_s=30.0), 4))
     run(sim)
     path = tmp_path / "trace.csv"
     write_trace_csv(sim.trace, path)
