@@ -206,11 +206,11 @@ def run_replica(
     actions: Schedule,
     trajectory: Trajectory,
     record_trace: bool = False,
-) -> Generator[Simulator, None, tuple[ReplicaResult, Simulator]]:
+) -> Generator[tuple[ReplicaResult, Simulator] | None, None, None]:
     """One replica replaying its arm's `compile_arm` schedule over its seed's trajectory, a
-    generator that yields its simulator after each `geometry_rows` window and returns (result,
-    simulator).  At a half-interval tick the SLA check classifies before the tick's change
-    lands, so attribution sees the energy saver's standing change."""
+    generator that yields None between `geometry_rows` windows and (result, simulator) last.
+    At a half-interval tick the SLA check classifies before the tick's change lands, so
+    attribution sees the energy saver's standing change."""
     seed = exp.base_seed + rep
     if (trajectory.cfg, trajectory.seed) != (exp.sim, seed):
         raise ValueError(f"replica {rep} needs the trajectory of seed {seed} under the experiment's scenario")
@@ -255,7 +255,8 @@ def run_replica(
             phase.bits += bits
             phase.joules += joules
             phase.link_failures += lf
-        yield sim
+        if a + w < n:
+            yield None  # the seed's other arms tick this window
 
     report = sim.kpi_report()
     if not math.isfinite(report["energy_efficiency_bits_per_joule"]):
@@ -269,16 +270,7 @@ def run_replica(
         unattributed=unattributed,
         phases=dict(phases),
     )
-    return result, sim
-
-
-def drain(replica: Generator[Simulator, None, tuple[ReplicaResult, Simulator]]) -> tuple[ReplicaResult, Simulator]:
-    """Tick a `run_replica` generator to its end; its (result, simulator)."""
-    while True:
-        try:
-            next(replica)
-        except StopIteration as done:
-            return done.value
+    yield result, sim
 
 
 # ===========================================================================
@@ -375,7 +367,6 @@ def run_experiment(
         arms.insert(0, Strategy.NC)
     arm_rows: dict[Strategy, list[ReplicaResult]] = {s: [] for s in arms}
     traces: dict[str, Simulator] = dict.fromkeys(s.value for s in arms)  # rep-0 sims, in arm order
-    n, k = exp.sim.n_ticks, geometry_rows(exp.sim)
     trajectory = None
     for group in ([s for s in arms if s is not Strategy.QACM], [s for s in arms if s is Strategy.QACM]):
         model_set = derive_qacm_models(arm_rows[Strategy.NC], exp) if Strategy.QACM in group else None
@@ -386,11 +377,8 @@ def run_experiment(
             if trajectory is None or trajectory.seed != exp.base_seed + rep or trajectory.base:
                 trajectory = Trajectory(exp.sim, exp.base_seed + rep)
             replicas = [run_replica(s, rep, exp, actions, trajectory, record_trace=rep == 0) for s, actions in zip(group, schedules)]
-            for _ in range(0, n, k):  # a window: each arm in turn ticks its rows
-                for replica in replicas:
-                    next(replica)
-            for strategy, replica in zip(group, replicas):
-                res, sim = drain(replica)
+            *_, ends = zip(*replicas)  # window by window, each arm in turn ticks its rows
+            for strategy, (res, sim) in zip(group, ends):
                 arm_rows[strategy].append(res)
                 if rep == 0:
                     traces[strategy.value] = sim

@@ -233,11 +233,12 @@ class Trajectory:
     """A seed's population and geometry, which every arm of the seed ticks through.  It draws the
     UEs from (cfg, seed) and holds their classes, bandwidths and read-only `start` (pos, vel).
     Draw order is part of the determinism contract: positions, speed labels, speeds, headings,
-    service labels.  `row(t)` is tick t's read-only position, velocity and path loss (moves and
-    path loss, which transmit power never changes).  It holds `geometry_rows(cfg)` ticks: the
-    whole run, built at once, or a window sliding along it, each row computed by the first
-    simulator to ask for it.  Sharers tick inside the window: a tick it no longer or not yet
-    holds, or one past the run, raises GeometryWindowError; a whole-run block never slides."""
+    service labels.  Geometry is path loss, which transmit power never changes: `row(t)` is tick
+    t's read-only row of `pl`.  `pl` holds `geometry_rows(cfg)` ticks: the whole run, built at
+    once, or a window sliding along it, each row computed by the first simulator to ask for it
+    from the positions and velocities after the last tick computed.  Sharers tick inside the
+    window: a tick it no longer or not yet holds, or one past the run, raises
+    GeometryWindowError; a whole-run block never slides."""
 
     def __init__(self, cfg: SimConfig, seed: int):
         self.cfg, self.seed, self.gnbs, n = cfg, seed, cfg.resolved_gnbs(), cfg.n_ues
@@ -262,71 +263,69 @@ class Trajectory:
         pos.flags.writeable = vel.flags.writeable = False
         self.start = pos, vel
 
-        rows = geometry_rows(cfg)
         self.base, self.end = 0, 0  # the tick in row 0; the ticks computed
-        self._pos, self._vel, self._pl = np.empty((rows, n, 2)), np.empty((rows, n, 2)), np.empty((rows, n, len(self.gnbs)))
-        self.pos, self.vel, self.pl = self._pos.view(), self._vel.view(), self._pl.view()
-        self.pos.flags.writeable = self.vel.flags.writeable = self.pl.flags.writeable = False
+        self._pl = np.empty((geometry_rows(cfg), n, len(self.gnbs)))
+        self.pl = self._pl.view()
+        self.pl.flags.writeable = False
 
-    def row(self, t: int) -> tuple:
+    def row(self, t: int) -> np.ndarray:
         if t == self.end < self._n_ticks:  # the first sharer to reach tick t computes it (at 0, a whole run)
-            j, k = t - self.base, len(self.pos) if len(self.pos) == self._n_ticks else 1
-            if j == len(self.pos):  # slide on: the rows of the window are overwritten from here
+            j, k = t - self.base, len(self.pl) if len(self.pl) == self._n_ticks else 1
+            if j == len(self.pl):  # slide on: the rows of the window are overwritten from here
                 self.base, j = t, 0
-            p, v = (self.pos[j - 1], self.vel[j - 1]) if t else self.start
-            self._move(p, v, self._pos[j:j + k], self._vel[j:j + k])
+            pos = np.empty((k, self.cfg.n_ues, 2))
+            vel = self._move(*(self._carry if t else self.start), pos)
+            self._carry = pos[-1].copy(), vel  # the UEs after tick t + k - 1; a copy, so the moved block is freed
             step = max(1, 2048 // self.pl[0].size)  # a long block in 16 KiB slices: small temporaries
-            for a in range(j, j + k, step):
-                self._path_loss(self.pos[a:min(a + step, j + k)], self._pl[a:min(a + step, j + k)])
+            for a in range(0, k, step):
+                self._path_loss(pos[a:a + step], self._pl[j + a:j + min(a + step, k)])
             self.end += k
         if not self.base <= t < self.end:
             raise GeometryWindowError(f"tick {t} is outside the ticks {self.base}-{self.end - 1} held")
-        return self.pos[t - self.base], self.vel[t - self.base], self.pl[t - self.base]
+        return self.pl[t - self.base]
 
     def _path_loss(self, pos: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:  # (..., n_ues, 2) -> (..., n_ues, n_gnbs)
         return path_loss_db(np.hypot(pos[..., :1] - self._gx, pos[..., 1:] - self._gy, out=out), out)
 
-    def _move(self, p: np.ndarray, v: np.ndarray, pos: np.ndarray, vel: np.ndarray) -> None:
-        """Move the UEs from p at velocity v one step per row of pos (k, n_ues, 2), the velocity after each step into vel.
+    def _move(self, p: np.ndarray, v: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Move the UEs from p at velocity v one step per row of pos (k, n_ues, 2); the velocity after the last step.
         A step reflects at most once per axis (SimConfig keeps it inside the field; at both ends, v holds).  Each UE axis
         is a column that np.add.accumulate sums one step at a time, as a lone step adds, up to its first crossing; that
         is reflected, and the next round sums on only the columns that crossed.  MOVE_ROWS rows at a time; k = 1 is flat."""
         p, v, dt, lim = p.ravel(), v.ravel().copy(), self._dt_s, self._lim  # v: each column's velocity so far
         for a in range(0, len(pos), MOVE_ROWS):
-            x, u = pos[a:a + MOVE_ROWS].reshape(-1, p.size), vel[a:a + MOVE_ROWS].reshape(-1, p.size)
-            u[...], c, r, y, prev = v, slice(None), 0, x, pos[a - 1].ravel() if a else p  # round 1: every column, in x
+            x = pos[a:a + MOVE_ROWS].reshape(-1, p.size)
+            c, r, y, prev = slice(None), 0, x, pos[a - 1].ravel() if a else p  # round 1: every column, in x
             while y.size:
                 d = v[c] * dt
-                np.add(prev, d, out=y[0])  # element by element: prev may be y[0] itself (a one-row window)
+                np.add(prev, d, out=y[0])
                 if len(y) > 1:  # an accumulate down one row costs a lone step's whole move at 2,000 UEs
                     y[1:] = d
                     np.add.accumulate(y, axis=0, out=y)
                 np.negative(y, out=y, where=(low := y < 0.0))
                 np.subtract(2.0 * lim[c], y, out=y, where=(high := y > lim[c]))
                 if len(x) == 1:  # a lone step
-                    np.negative(u, out=u, where=low ^ high)
+                    np.negative(v, out=v, where=(low ^ high)[0])
                     break
                 hit = low | high
                 if y is not x:  # y's row i is x's row r + i; the rows past the chunk are padding
                     rows = r + np.arange(len(y))[:, None]
                     hit &= (inside := rows < len(x))
-                    at = (rows * x.shape[1] + c)[inside]
-                    x.reshape(-1)[at], u.reshape(-1)[at] = y[inside], np.broadcast_to(v[c], y.shape)[inside]
+                    x.reshape(-1)[(rows * x.shape[1] + c)[inside]] = y[inside]
                 j = hit.argmax(axis=0)  # each column's first crossing in y
                 i = hit[j, np.arange(j.size)].nonzero()[0]
                 c, r, flip = np.arange(x.shape[1])[c][i], (r + j)[i], (low ^ high)[j[i], i]
-                u[r, c] = v[c] = np.where(flip, -v[c], v[c])
+                v[c] = np.where(flip, -v[c], v[c])
                 c, r = c[r < len(x) - 1], r[r < len(x) - 1] + 1  # the next round sums on from the row after
                 y, prev = np.empty((len(x) - r.min(initial=len(x)), c.size)), x[r - 1, c]
+        return v.reshape(-1, 2)
 
 
 class Simulator:
     """One run of a seed's `Trajectory`, which it shares with the seed's other arms and
     ticks from its start.  Drive it with `tick()`, adjust transmit power between
-    ticks with `set_txp`, which sets the tick's constants that depend on it.
-
-    pos and vel are read-only: the trajectory's start, then each tick's row, a copy if
-    the trajectory is a window, so a simulator waiting for its window's sharers reads its own.
+    ticks with `set_txp`, which sets the tick's constants that depend on it.  Tick i
+    reads only the trajectory's path loss of tick i and ends at (i + 1) * step_ms.
 
     Update order inside a tick, in this exact sequence:
       move -> receive levels -> A3 handovers -> link failures ->
@@ -364,12 +363,10 @@ class Simulator:
         self.set_txp(cfg.txp_dbm)
         self._flat = np.arange(SCAN_ROWS * n).reshape(SCAN_ROWS, -1) * len(self.gnbs)  # a UE's row in a scan
         self._row0 = self._flat[0]  # and in a tick
-        self.t_ms = 0.0
         self.record_trace = record_trace
-        self.pos, self.vel = trajectory.start
 
         # -- attachment state ----------------------------------------------
-        self.serving = self._rsrp_matrix(self.pos).argmax(axis=1).astype(int)
+        self.serving = self._rsrp_matrix(trajectory.start[0]).argmax(axis=1).astype(int)
         self.last_cell = self.serving.copy()      # serving, or the cell lost on a failure
         self.prev_gnb = np.full(n, -1, dtype=int)  # cell left by the last move, for ping-pong
         self.last_ho_ms = np.full(n, -np.inf)     # time of that move
@@ -405,13 +402,8 @@ class Simulator:
         cfg, i, traj = self.cfg, self._i, self.trajectory
         t = (i + 1) * cfg.step_ms
         self._i = i + 1
-        whole = len(traj.pos) == self._n_ticks  # the run in one block; else a window, whose rows get overwritten
-        held = whole and i < traj.end  # built at the first tick: read the row in place
-        if held:
-            self.pos, self.vel, pl = traj.pos[i], traj.vel[i], None
-        else:  # a simulator keeps a read-only copy of its own row of a window
-            pos, vel, pl = traj.row(i)
-            self.pos, self.vel = (pos, vel) if whole else (np.frombuffer(x.tobytes()).reshape(x.shape) for x in (pos, vel))
+        held = len(traj.pl) == self._n_ticks and i < traj.end  # the run in one block, built at the first tick
+        pl = None if held else traj.row(i)
         k = i - self._b0  # this tick's row of the last scan
         if k >= self._rows and held:  # the last scan is used up
             self._scan(traj.pl[i:i + SCAN_ROWS])
@@ -455,7 +447,6 @@ class Simulator:
         self.link_failures += n_lf
         self.total_handovers += n_ho
         self.pingpong_handovers += n_pp
-        self.t_ms = t
         return bits, joules, n_lf, n_ho, n_pp
 
     def _levels(self, pl: np.ndarray, rows: np.ndarray) -> tuple:

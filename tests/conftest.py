@@ -216,6 +216,15 @@ def placed(cfg: SimConfig, pos, vel=None, seed: int = 0) -> Trajectory:
     return traj
 
 
+def moved(traj: Trajectory, n_ticks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The UEs' positions (n_ticks + 1, n_ues, 2), row t after t ticks (row 0 the start), and
+    their velocities after the last tick: moved in one block through `Trajectory._move`, as a
+    whole-run block is."""
+    pos = np.empty((n_ticks + 1, traj.cfg.n_ues, 2))
+    pos[0] = traj.start[0]
+    return pos, traj._move(*traj.start, pos[1:])
+
+
 def run(sim: Simulator, n_ticks: int | None = None) -> None:
     """Tick `sim` n_ticks times, by default through its whole duration."""
     for _ in range(sim.cfg.n_ticks if n_ticks is None else n_ticks):
@@ -258,8 +267,14 @@ class ReferenceSimulator(Simulator):
     """The simulator with its earlier tick: 2-D fancy indexing, a masked
     copy for the best neighbour, one `np.nonzero` per event set and a
     row maximum taken over the whole receive matrix.  Kept verbatim as
-    the oracle the flat-index tick must match bit for bit; it shares
-    `__init__` with `Simulator`."""
+    the oracle the flat-index tick must match bit for bit.  It moves its
+    own positions and velocities, one step a tick from the trajectory's
+    start, and counts its clock as (i + 1) * step_ms; the rest of its
+    state it shares with `Simulator.__init__`."""
+
+    def __init__(self, trajectory: Trajectory, record_trace: bool = True):
+        super().__init__(trajectory, record_trace)
+        self.pos, self.vel = trajectory.start
 
     def _rsrp_matrix(self, pos: np.ndarray) -> np.ndarray:
         """(n_ues, n_gnbs) receive levels at the current transmit power."""
@@ -269,7 +284,8 @@ class ReferenceSimulator(Simulator):
     def tick(self) -> tuple:
         cfg = self.cfg
         dt_s = cfg.step_ms / 1000.0
-        t = self.t_ms + cfg.step_ms
+        self._i += 1
+        t = self._i * cfg.step_ms
 
         # move, reflecting at the field boundary.  One reflection per axis
         # is enough: SimConfig keeps max speed times one step within the field.
@@ -326,7 +342,6 @@ class ReferenceSimulator(Simulator):
         self.link_failures += lf.size
         self.total_handovers += n_ho
         self.pingpong_handovers += n_pp
-        self.t_ms = t
         return bits, joules, lf.size, n_ho, n_pp
 
     def _change_cell(self, event: str, t: float, r: np.ndarray, idx: np.ndarray,

@@ -57,7 +57,7 @@ def test_geometry_moves_are_made_one_row_per_tick_of_a_window(monkeypatch):
     # tick took perfbench dense op_p99_us from 0.85-0.95 ms to 2.20-2.35 ms (2-core Xeon VM)
     moved = []  # the rows of each move
     move = Trajectory._move
-    monkeypatch.setattr(Trajectory, "_move", lambda traj, p, v, pos, vel: moved.append(len(pos)) or move(traj, p, v, pos, vel))
+    monkeypatch.setattr(Trajectory, "_move", lambda traj, p, v, pos: moved.append(len(pos)) or move(traj, p, v, pos))
     cfg = SimConfig(n_ues=5, duration_s=1.0)
 
     def tick(sim):  # sim once for each row its tick moved

@@ -16,7 +16,6 @@ from ric_cms.harness import (
     compile_arm,
     derive_qacm_models,
     desk_preset,
-    drain,
     export_csv,
     export_summary_json,
     export_traces,
@@ -99,7 +98,8 @@ def test_reps_and_seed_must_be_integers_in_range(field, bad):
 def run_one(strategy, model_set=None, **kw):
     exp = small_exp(**kw)
     actions = compile_arm(strategy, exp.sim, model_set)
-    return drain(run_replica(strategy, 0, exp, actions, Trajectory(exp.sim, exp.base_seed)))
+    *_, end = run_replica(strategy, 0, exp, actions, Trajectory(exp.sim, exp.base_seed))
+    return end
 
 
 def test_nc_alternates_between_the_two_requests():
@@ -173,7 +173,7 @@ def test_write_through_records_every_request(monkeypatch, strategy):
 
     monkeypatch.setattr(harness, "Ledger", keep)
     exp = small_exp(sim=SimConfig(duration_s=20.0, txp_dbm=3.0))
-    drain(run_replica(strategy, 0, exp, compile_arm(strategy, exp.sim), Trajectory(exp.sim, exp.base_seed)))
+    *_, _ = run_replica(strategy, 0, exp, compile_arm(strategy, exp.sim), Trajectory(exp.sim, exp.base_seed))
     (ledger,) = ledgers
     assert [c.xapp for c in ledger.changes] == ["es", "mro"] * 10
     assert [c.value for c in ledger.changes] == [3.0, 50.0] * 10
@@ -264,7 +264,7 @@ def test_arbitration_does_not_scale_with_replicas(monkeypatch):
     schedules = {s: compile_arm(s, exp.sim, FIXED_QACM) for s in ALL_STRATEGIES}
     calls.clear()
     for strategy, actions in schedules.items():
-        drain(run_replica(strategy, 0, exp, actions, Trajectory(exp.sim, exp.base_seed)))
+        *_, _ = run_replica(strategy, 0, exp, actions, Trajectory(exp.sim, exp.base_seed))
     assert not calls
 
 
@@ -374,9 +374,9 @@ def test_each_seed_builds_its_trajectory_once(monkeypatch, strategies, reps, bui
     moved = []  # the trajectory of every row moved
     move = Trajectory._move
 
-    def kept(traj, p, v, pos, vel):
+    def kept(traj, p, v, pos):
         moved.extend([traj] * len(pos))
-        return move(traj, p, v, pos, vel)
+        return move(traj, p, v, pos)
 
     monkeypatch.setattr(Trajectory, "_move", kept)
     run_experiment(exp)

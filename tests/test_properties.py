@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from ric_cms import ran_sim
 from ric_cms.detection import ChangeRecord, DegradationEvent, Ledger, UnattributableDegradationError
-from ric_cms.ran_sim import SimConfig, Simulator, Trajectory
+from ric_cms.ran_sim import SimConfig, Simulator, Trajectory, path_loss_db
 from ric_cms.xapps import EE_KPI, ES_XAPP_ID, LF_KPI, MRO_XAPP_ID, TXP_PARAM, experiment_topology
 
-from conftest import ReferenceSimulator
+from conftest import ReferenceSimulator, moved
 
 # Derandomized so a tier-1 run is a function of the code; raise
 # max_examples locally to search wider.
@@ -25,10 +25,11 @@ FEW = settings(max_examples=50, deadline=None, derandomize=True)
 @st.composite
 def sim_configs(draw):
     """Small scenarios SimConfig accepts: a random field, cell layout,
-    step, power and speed mix, with the top speed inside one step."""
+    step (100/3 ms among them, which is no binary fraction), power and
+    speed mix, with the top speed inside one step."""
     w = draw(st.floats(20.0, 600.0))
     h = draw(st.floats(20.0, 600.0))
-    step_ms = draw(st.sampled_from([50.0, 100.0, 250.0, 500.0]))
+    step_ms = draw(st.sampled_from([50.0, 100.0 / 3, 100.0, 250.0, 500.0]))
     top = min(w, h) * 1000.0 / step_ms * 0.999
     n_classes = draw(st.integers(1, 3))
     weights = [draw(st.integers(1, 5)) for _ in range(n_classes)]
@@ -72,17 +73,20 @@ def move_configs(draw):
 @given(cfg=move_configs(), seed=st.integers(0, 2**32 - 1), rows=st.integers(1000, 1300))
 def test_a_block_moves_byte_for_byte_as_one_row_a_step(cfg, seed, rows):
     traj = Trajectory(cfg, seed)
-    block = np.empty((2, rows, cfg.n_ues, 2))  # positions, velocities
-    traj._move(*traj.start, *block)
+    block = np.empty((rows, cfg.n_ues, 2))
+    last = traj._move(*traj.start, block)
     p, v = traj.start
+    vel = []  # the velocity after each step
     for i in range(rows):
-        one = np.empty((2, 1, cfg.n_ues, 2))
-        traj._move(p, v, *one)
-        assert one[:, 0].tobytes() == block[:, i].tobytes(), f"row {i}"
-        p, v = one[:, 0]
+        one = np.empty((1, cfg.n_ues, 2))
+        v = traj._move(p, v, one)
+        assert one[0].tobytes() == block[i].tobytes(), f"row {i}"
+        p = one[0]
+        vel.append(v)
+    assert v.tobytes() == last.tobytes()
     # on its faster axis a UE of the bound class crosses at least 0.35 of the field a step, so that
     # axis reflects at each edge over a hundred times
-    vel = block[1][:, traj.speed_class == 1]
+    vel = np.asarray(vel)[:, traj.speed_class == 1]
     fast = np.take_along_axis(vel, abs(vel[:1]).argmax(axis=-1)[..., None], axis=-1)[..., 0]
     turns = np.diff(np.sign(fast), axis=0)
     assert ((turns < 0).sum(axis=0) >= 100).all() and ((turns > 0).sum(axis=0) >= 100).all()
@@ -95,19 +99,19 @@ COUNTERS = ("link_failures", "total_handovers", "pingpong_handovers", "total_bit
 @given(cfg=sim_configs(), seed=st.integers(0, 2**32 - 1), txps=st.lists(st.floats(0.0, 50.0), max_size=4))
 def test_tick_keeps_its_invariants(cfg, seed, txps):
     sim = Simulator(Trajectory(cfg, seed), record_trace=True)
-    lim = np.asarray(cfg.area_m)
+    pos, _ = moved(sim.trajectory, cfg.n_ticks)
+    assert np.all(pos >= 0.0) and np.all(pos <= np.asarray(cfg.area_m))
     last = {c: getattr(sim, c) for c in COUNTERS}
     for k in range(cfg.n_ticks):
         if txps:
             sim.set_txp(txps[k % len(txps)])
         rows = len(sim.trace)
         _, _, lf, ho, pp = sim.tick()
-        assert np.all(sim.pos >= 0.0) and np.all(sim.pos <= lim)
         now = {c: getattr(sim, c) for c in COUNTERS}
         assert all(now[c] >= last[c] for c in COUNTERS)
         last = now
         attached = sim.serving >= 0
-        assert np.all(sim._rsrp_matrix(sim.pos)[attached].max(axis=1, initial=-np.inf) >= cfg.min_rsrp_dbm)
+        assert np.all(sim._rsrp_matrix(pos[k + 1])[attached].max(axis=1, initial=-np.inf) >= cfg.min_rsrp_dbm)
         assert np.array_equal(sim.last_cell[attached], sim.serving[attached])
         events = Counter(row.event for row in sim.trace[rows:])
         assert lf == events["LF"]
@@ -115,19 +119,23 @@ def test_tick_keeps_its_invariants(cfg, seed, txps):
         assert pp >= events["PP"]
 
 
-STATE = ("pos", "vel", "serving", "last_cell", "prev_gnb", "last_ho_ms", "_ttt_count", "_ttt_target")
+STATE = ("serving", "last_cell", "prev_gnb", "last_ho_ms", "_ttt_count", "_ttt_target")
 
 
 def run_beside_the_oracle(cfg, seed, txps=()):
     """Tick a Simulator and the ReferenceSimulator in step, setting the
     transmit power from `txps` in turn before each tick; every tick's tuple,
-    state array and trace row must agree bit for bit.  Returns the trace."""
+    state array and trace row must agree bit for bit, and so must the
+    trajectory's path loss and that of the oracle's positions.  Returns the trace."""
     sim, ref = Simulator(Trajectory(cfg, seed)), ReferenceSimulator(Trajectory(cfg, seed))
+    g = sim.gnbs
     for k in range(cfg.n_ticks):
         if txps:
             sim.set_txp(txps[k % len(txps)])
             ref.set_txp(txps[k % len(txps)])
         assert repr(sim.tick()) == repr(ref.tick()), k
+        pl = path_loss_db(np.hypot(ref.pos[:, None, 0] - g[None, :, 0], ref.pos[:, None, 1] - g[None, :, 1]))
+        assert sim.trajectory.row(k).tobytes() == pl.tobytes(), k
         for name in STATE:
             a, b = getattr(sim, name), getattr(ref, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (k, name)
@@ -178,8 +186,8 @@ def test_block_size_changes_no_result():
                 sim.set_txp((30.0, 12.0, 45.0)[k // 50 % 3])
                 sim.tick()
         # the whole run in one block, or a window the run slid along
-        assert (sim.trajectory.base > 0) == (len(sim.trajectory.pos) < cfg.n_ticks) == (budget == 0)
-        runs.append((repr(sim.kpi_report()), repr(sim.trace), sim.pos.tobytes(), sim.vel.tobytes()))
+        assert (sim.trajectory.base > 0) == (len(sim.trajectory.pl) < cfg.n_ticks) == (budget == 0)
+        runs.append((repr(sim.kpi_report()), repr(sim.trace), sim.trajectory.row(cfg.n_ticks - 1).tobytes()))
     assert runs[0] == runs[1]
     assert "LF" in runs[0][1] and "HO" in runs[0][1]
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BAD_NUMBERS, HandoverDecision, evaluate_handover, placed, rsrp_dbm, run, save_sim_config
+from conftest import BAD_NUMBERS, HandoverDecision, evaluate_handover, moved, placed, rsrp_dbm, run, save_sim_config
 from ric_cms import ran_sim
 from ric_cms.ran_sim import (
     GeometryWindowError,
@@ -101,7 +101,8 @@ def test_bandwidth_follows_service_class():
 
 def test_everyone_starts_attached_to_strongest_cell():
     sim = Simulator(Trajectory(SimConfig(), 1))
-    r = sim._rsrp_matrix(sim.pos)
+    pos, _ = moved(sim.trajectory, 0)
+    r = sim._rsrp_matrix(pos[0])
     assert np.array_equal(sim.serving, np.argmax(r, axis=1))
 
 
@@ -114,27 +115,26 @@ def test_default_grid_positions():
 
 def test_mobility_stays_in_bounds():
     cfg = SimConfig(duration_s=30.0)
-    sim = Simulator(Trajectory(cfg, 4))
-    run(sim)
-    assert np.all(sim.pos >= 0.0) and np.all(sim.pos <= np.asarray(cfg.area_m))
+    pos, _ = moved(Trajectory(cfg, 4), cfg.n_ticks)
+    assert np.all(pos >= 0.0) and np.all(pos <= np.asarray(cfg.area_m))
 
 
 def test_reflection_reverses_velocity():
     cfg = SimConfig(n_ues=1, area_m=(50.0, 50.0), gnb_positions=((25.0, 25.0),),
                     speed_classes=(("fixed", 1.0, 10.0, 10.0),))
-    sim = Simulator(placed(cfg, [[49.5, 25.0]], [[10.0, 0.0]]))
-    sim.tick()
-    assert sim.pos[0, 0] == pytest.approx(49.5)  # 50.5 folded back
-    assert sim.vel[0, 0] == -10.0
+    pos, vel = moved(placed(cfg, [[49.5, 25.0]], [[10.0, 0.0]]), 1)
+    assert pos[1, 0, 0] == pytest.approx(49.5)  # 50.5 folded back
+    assert vel[0, 0] == -10.0
 
 
 def test_vectorized_rsrp_matches_scalar():
     sim = Simulator(Trajectory(SimConfig(), 5))
     run(sim, 10)
-    r = sim._rsrp_matrix(sim.pos)
+    pos = moved(sim.trajectory, 10)[0][10]
+    r = sim._rsrp_matrix(pos)
     for i in range(sim.cfg.n_ues):
         for g, gnb in enumerate(sim.gnbs):
-            expected = rsrp_dbm(sim.txp_dbm, gnb, sim.pos[i], sim.cfg.ret_deg)
+            expected = rsrp_dbm(sim.txp_dbm, gnb, pos[i], sim.cfg.ret_deg)
             assert r[i, g] == pytest.approx(expected, abs=1e-9)
 
 
@@ -183,18 +183,19 @@ def test_tick_follows_the_scalar_a3_oracle():
     # end the tick where evaluate_handover sends it (one-tick TTT)
     cfg = SimConfig(n_ues=200, duration_s=30.0)
     sim = Simulator(Trajectory(cfg, 3), record_trace=False)
-    checked = moved = 0
-    for _ in range(cfg.n_ticks):
+    pos, _ = moved(sim.trajectory, cfg.n_ticks)
+    checked = moves = 0
+    for k in range(cfg.n_ticks):
         before = sim.serving.copy()
         sim.tick()
-        r = sim._rsrp_matrix(sim.pos)
+        r = sim._rsrp_matrix(pos[k + 1])
         for i in np.nonzero((before >= 0) & (r.max(axis=1) >= cfg.min_rsrp_dbm))[0]:
             d = evaluate_handover(r[i], int(before[i]), cfg.cio_db, cfg.hys_db)
             assert sim.serving[i] == (d.target if d.triggered else before[i])
             checked += 1
-            moved += d.triggered
+            moves += d.triggered
     assert checked == cfg.n_ues * cfg.n_ticks
-    assert moved > 0
+    assert moves > 0
 
 
 def test_link_failure_and_reattach_cycle():
@@ -350,7 +351,7 @@ def test_same_seed_reproduces_run_exactly():
     run(b)
     assert a.kpi_report() == b.kpi_report()
     assert a.trace == b.trace
-    assert np.array_equal(a.pos, b.pos)
+    assert a.trajectory.pl.tobytes() == b.trajectory.pl.tobytes()
 
 
 def test_different_seed_differs():
@@ -358,15 +359,16 @@ def test_different_seed_differs():
     b = Simulator(Trajectory(SimConfig(duration_s=20.0), 12))
     run(a)
     run(b)
-    assert not np.array_equal(a.pos, b.pos)
+    assert a.trajectory.pl.tobytes() != b.trajectory.pl.tobytes()
 
 
 def test_txp_change_midrun_shifts_levels():
     sim = Simulator(Trajectory(SimConfig(n_ues=5, duration_s=1.0), 2))
     run(sim, 5)
-    r_before = sim._rsrp_matrix(sim.pos).copy()
+    pos = moved(sim.trajectory, 5)[0][5]
+    r_before = sim._rsrp_matrix(pos).copy()
     sim.set_txp(50.0)
-    r_after = sim._rsrp_matrix(sim.pos)
+    r_after = sim._rsrp_matrix(pos)
     assert np.allclose(r_after - r_before, 20.0)
 
 
@@ -429,15 +431,15 @@ def test_tick_constants_are_set_at_construction_and_by_set_txp(monkeypatch):
 # -- shared geometry --------------------------------------------------------
 
 def test_geometry_is_read_only_after_the_first_tick():
-    sim = Simulator(Trajectory(SimConfig(n_ues=5, duration_s=2.0), 0))
-    assert sim.pos is sim.trajectory.start[0] and sim.vel is sim.trajectory.start[1]  # read-only from construction
-    for _ in range(2):
-        for name in ("pos", "vel"):
+    traj = Trajectory(SimConfig(n_ues=5, duration_s=2.0), 0)
+    sim = Simulator(traj)
+    for k in range(2):  # read-only from construction
+        for x in (*traj.start, traj.pl):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(sim, name)[0, 0] = 1.0
+                x[0, 0] = 1.0
         sim.tick()
-    with pytest.raises(ValueError, match="read-only"):
-        sim.trajectory.pl[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            traj.row(k)[0, 0] = 1.0
 
 
 def two_tick_windows(monkeypatch, cfg):
@@ -482,9 +484,10 @@ def test_a_waiting_sharer_reads_its_own_state(monkeypatch):
     b = Simulator(a.trajectory)
     run(b, 2)
     run(a, 3)  # rewrites the rows b ticked through
-    run(solo, 2)
-    assert b.pos.tobytes() == solo.pos.tobytes() != a.pos.tobytes()
-    assert b.vel.tobytes() == solo.vel.tobytes()
+    run(b, 2)  # the rows a computed while b waited
+    run(solo, 4)
+    assert repr(b.kpi_report()) == repr(solo.kpi_report())
+    assert repr(b.trace) == repr(solo.trace)
 
 
 # -- config -----------------------------------------------------------------
@@ -614,16 +617,18 @@ def test_one_tick_of_path_loss_must_fit_the_geometry_budget():
 
 def test_top_speed_may_cross_exactly_the_field():
     cfg = SimConfig(area_m=(50.0, 50.0), speed_classes=(("fast", 1.0, 400.0, 500.0),), duration_s=5.0)
-    sim = Simulator(Trajectory(cfg, 3))
-    run(sim)
-    assert np.all(sim.pos >= 0.0) and np.all(sim.pos <= np.asarray(cfg.area_m))
+    pos, _ = moved(Trajectory(cfg, 3), cfg.n_ticks)
+    assert np.all(pos >= 0.0) and np.all(pos <= np.asarray(cfg.area_m))
 
 
 def test_the_clock_is_the_tick_count_times_the_step():
     # summing 100/3 thirty times gives 1000.0000000000005; 30 * (100 / 3) is 1000.0000000000001
     sim = Simulator(Trajectory(SimConfig(n_ues=5, duration_s=1.0, step_ms=100 / 3), 0))
-    run(sim)
-    assert sim.t_ms == 30 * (100 / 3)
+    for i in range(sim.cfg.n_ticks):
+        sim.set_txp((-100.0, 30.0)[i % 2])  # every UE fails, then re-attaches: each tick traces its time
+        sim.tick()
+    assert sorted({row.t_ms for row in sim.trace}) == [(i + 1) * (100 / 3) for i in range(30)]
+    assert sim.trace[-1].t_ms == 30 * (100 / 3)
 
 
 def test_n_ticks():
