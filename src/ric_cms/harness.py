@@ -5,9 +5,10 @@ and the TXP default, range and QACM grid in `xapps`, the attribution
 window in `detection`.  A configuration chooses only the radio scenario,
 the strategies, the replica count and the base seed.
 
-The control plane is open-loop, so each arm is compiled once and each
-replica replays it.  Every request becomes its app's standing wish, and
-the standing wishes are arbitrated at once:
+The control plane is open-loop, so each arm is compiled once, with the
+verdict each SLA check would give, and each replica only ticks, sets TXP
+and counts the verdicts of the checks it breaches.  Every request becomes
+its app's standing wish, and the standing wishes are arbitrated at once:
 
   write-through   nc    last writer wins, and every request lands, even
                         one that leaves TXP where it is
@@ -32,7 +33,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -144,12 +145,6 @@ class PhaseStats:
     joules: float = 0.0
     link_failures: int = 0
 
-    def add(self, time_ms: float, bits: float, joules: float, link_failures: int) -> None:
-        self.time_ms += time_ms
-        self.bits += bits
-        self.joules += joules
-        self.link_failures += link_failures
-
 
 @dataclass
 class ReplicaResult:
@@ -168,13 +163,19 @@ class ReplicaResult:
         return [getattr(self, c) for c in RESULT_COLUMNS]
 
 
-Schedule = dict[int, tuple[float, ChangeRecord | None]]  # tick -> (TXP to set before it, the change landing there)
+class Arm(NamedTuple):
+    """An arm's compiled control plane, as ticks: the TXP to set before each tick that sets one, and each SLA
+    check's tick -> (the first tick of its window, the verdict a breach there gets; None: no change to attribute)."""
+    txp: dict[int, float]
+    checks: dict[int, tuple[int, str | None]]
 
 
-def compile_arm(strategy: Strategy, sim_cfg: SimConfig, model_set: ResponseModelSet | None = None) -> Schedule:
-    """The arm's control schedule: its request cadence through `mitigate` once,
-    on the control clock (half interval k at k * CONTROL_INTERVAL_MS / 2).
-    The sbd reset is a controller action: it sets TXP and lands no change."""
+def compile_arm(strategy: Strategy, sim_cfg: SimConfig, model_set: ResponseModelSet | None = None) -> Arm:
+    """The arm's control plane: its request cadence through `mitigate` once, on the control
+    clock (half interval k at k * CONTROL_INTERVAL_MS / 2), and every landed change through one
+    `Ledger`.  The SLA check at each mobility request classifies before that request's change
+    lands, so attribution sees the energy saver's standing change.  The sbd reset is a
+    controller action: it sets TXP and lands no change."""
     if strategy is Strategy.QACM and model_set is None:
         raise ValueError("qacm arm needs calibrated response models")
     ranks = {Strategy.P_ES: {ES_XAPP_ID: 2, MRO_XAPP_ID: 1}, Strategy.P_MRO: {MRO_XAPP_ID: 2, ES_XAPP_ID: 1}}
@@ -182,72 +183,65 @@ def compile_arm(strategy: Strategy, sim_cfg: SimConfig, model_set: ResponseModel
     ctx = MitigationContext({TXP_PARAM: TXP_DEFAULT_DBM}, ranks.get(strategy, {}), models, {TXP_PARAM: TXP_BOUNDS_DBM})
     on_arrival = Strategy.NC if strategy in (Strategy.NC, Strategy.SBD) else strategy  # nc and sbd write through
     half_ticks = int(round(CONTROL_INTERVAL_MS / sim_cfg.step_ms)) // 2
+    window_ticks = int(round(DEFAULT_ATTRIBUTION_WINDOW_MS / sim_cfg.step_ms))
+    ledger = Ledger(experiment_topology())
     standing: dict[str, ParameterRequest] = {}
     applied = float(sim_cfg.txp_dbm)
-    schedule: Schedule = {}
+    arm = Arm({}, {})
     for k, tick in enumerate(range(0, sim_cfg.n_ticks, half_ticks)):
         t = k * CONTROL_INTERVAL_MS / 2
+        if k % 2:  # the SLA check; a breach's size is the replica's, and the verdict does not read it
+            try:
+                kind = ledger.classify(DegradationEvent(t, LF_KPI, MRO_XAPP_ID, math.nan)).kind.value
+            except UnattributableDegradationError:
+                kind = None
+            arm.checks[tick] = (max(0, tick - window_ticks), kind)
         req = mro_request(t) if k % 2 else es_request(t)
         standing[req.xapp] = req
         decision = mitigate(on_arrival, list(standing.values()), ctx)
         if on_arrival is Strategy.NC or decision.value != applied:
-            applied = decision.value
-            schedule[tick] = (applied, ChangeRecord(t, req.xapp, TXP_PARAM, applied))
+            applied = arm.txp[tick] = decision.value
+            ledger.record_change(ChangeRecord(t, req.xapp, TXP_PARAM, applied))
         if strategy is Strategy.SBD and k % 2 and tick + 1 < sim_cfg.n_ticks:
             # the tick after the mobility app's request; a request there overwrites it
-            schedule[tick + 1] = (mitigate(Strategy.SBD, list(standing.values()), ctx).value, None)
-    return schedule
+            arm.txp[tick + 1] = mitigate(Strategy.SBD, list(standing.values()), ctx).value
+    return arm
 
 
 def run_replica(
     strategy: Strategy,
     rep: int,
     exp: ExperimentConfig,
-    actions: Schedule,
+    arm: Arm,
     trajectory: Trajectory,
     record_trace: bool = False,
 ) -> Generator[tuple[ReplicaResult, Simulator] | None, None, None]:
-    """One replica replaying its arm's `compile_arm` schedule over its seed's trajectory, a
-    generator that yields None between `geometry_rows` windows and (result, simulator) last.
-    At a half-interval tick the SLA check classifies before the tick's change lands, so
-    attribution sees the energy saver's standing change."""
+    """One replica replaying its `compile_arm` arm over its seed's trajectory, a generator that
+    yields None between `geometry_rows` windows and (result, simulator) last.  Before a tick in
+    the arm, a breached SLA check (more than LF_SLA_THRESHOLD link failures since its window's
+    first tick) counts its compiled verdict, then TXP is set."""
     seed = exp.base_seed + rep
     if (trajectory.cfg, trajectory.seed) != (exp.sim, seed):
         raise ValueError(f"replica {rep} needs the trajectory of seed {seed} under the experiment's scenario")
     sim = Simulator(trajectory, record_trace)
-    ledger = Ledger(experiment_topology())
-
     n, step, w = exp.sim.n_ticks, exp.sim.step_ms, geometry_rows(exp.sim)
-    half_ticks = int(round(CONTROL_INTERVAL_MS / step)) // 2
-    window_ticks = int(round(DEFAULT_ATTRIBUTION_WINDOW_MS / step))
-    checks = range(half_ticks, n, 2 * half_ticks)  # the SLA checks, at the mobility app's requests
     # the ticks before which something other than a tick happens, among them each check window's start
-    marks = set(checks) | {max(0, c - window_ticks) for c in checks} | actions.keys() | {0}
+    marks = arm.checks.keys() | {start for start, _ in arm.checks.values()} | arm.txp.keys() | {0}
 
     lf_at: dict[int, int] = {}  # the link failures before each mark
     phases: defaultdict[float, PhaseStats] = defaultdict(PhaseStats)
-    verdicts: Counter = Counter()
-    unattributed = 0
+    verdicts: Counter = Counter()  # None counts the breaches with no change to attribute
 
     for a in range(0, n, w):
         for tick_i in range(a, min(a + w, n)):
             if tick_i in marks:
                 lf_at[tick_i] = sim.link_failures
-                if tick_i in checks:
-                    lf_window = sim.link_failures - lf_at[max(0, tick_i - window_ticks)]
-                    if lf_window > LF_SLA_THRESHOLD:
-                        t = tick_i // half_ticks * CONTROL_INTERVAL_MS / 2
-                        ev = DegradationEvent(t, LF_KPI, MRO_XAPP_ID, float(lf_window))
-                        ledger.record_degradation(ev)
-                        try:
-                            verdicts[ledger.classify(ev).kind.value] += 1
-                        except UnattributableDegradationError:
-                            unattributed += 1
-                if tick_i in actions:
-                    txp, change = actions[tick_i]
-                    if change is not None:
-                        ledger.record_change(change)
-                    sim.set_txp(txp)
+                if tick_i in arm.checks:
+                    start, kind = arm.checks[tick_i]
+                    if sim.link_failures - lf_at[start] > LF_SLA_THRESHOLD:
+                        verdicts[kind] += 1
+                if tick_i in arm.txp:
+                    sim.set_txp(arm.txp[tick_i])
                 phase = phases[sim.txp_dbm]  # the applied level, which only a mark changes
 
             bits, joules, lf, _, _ = sim.tick()
@@ -266,8 +260,8 @@ def run_replica(
         rep=rep,
         seed=seed,
         **{m: report[m] for m in METRICS},
+        unattributed=verdicts.pop(None, 0),  # before the verdicts are copied
         verdicts=dict(verdicts),
-        unattributed=unattributed,
         phases=dict(phases),
     )
     yield result, sim
@@ -293,7 +287,10 @@ def derive_qacm_models(nc_rows: Sequence[ReplicaResult], exp: ExperimentConfig) 
     agg: defaultdict[float, PhaseStats] = defaultdict(PhaseStats)
     for row in nc_rows:
         for v, ph in row.phases.items():
-            agg[v].add(ph.time_ms, ph.bits, ph.joules, ph.link_failures)
+            agg[v].time_ms += ph.time_ms
+            agg[v].bits += ph.bits
+            agg[v].joules += ph.joules
+            agg[v].link_failures += ph.link_failures
 
     anchors = (ES_TXP_DBM, MRO_TXP_DBM)
     for v in anchors:
@@ -353,7 +350,7 @@ def run_experiment(
     """Run every requested arm, pairing replicas by seed.
 
     Each arm is compiled once per pass (`compile_arm`), and its replicas
-    only replay that schedule.  The no-coordination arm runs whenever it
+    only replay it.  The no-coordination arm runs whenever it
     is requested or the QACM arm needs it.  Each pass builds one `Trajectory`
     per seed, and the arms but QACM run over it in lockstep: arm by arm
     through each window of `geometry_rows` ticks.  QACM calibrates from the
@@ -370,13 +367,13 @@ def run_experiment(
     trajectory = None
     for group in ([s for s in arms if s is not Strategy.QACM], [s for s in arms if s is Strategy.QACM]):
         model_set = derive_qacm_models(arm_rows[Strategy.NC], exp) if Strategy.QACM in group else None
-        schedules = [compile_arm(s, exp.sim, model_set) for s in group]
+        compiled = [compile_arm(s, exp.sim, model_set) for s in group]
         for rep in range(exp.reps if group else 0):
             if progress:
                 progress(tuple(s.value for s in group), rep, exp.reps)
             if trajectory is None or trajectory.seed != exp.base_seed + rep or trajectory.base:
                 trajectory = Trajectory(exp.sim, exp.base_seed + rep)
-            replicas = [run_replica(s, rep, exp, actions, trajectory, record_trace=rep == 0) for s, actions in zip(group, schedules)]
+            replicas = [run_replica(s, rep, exp, arm, trajectory, record_trace=rep == 0) for s, arm in zip(group, compiled)]
             *_, ends = zip(*replicas)  # window by window, each arm in turn ticks its rows
             for strategy, (res, sim) in zip(group, ends):
                 arm_rows[strategy].append(res)

@@ -437,8 +437,7 @@ class Simulator:
                 n_pp += self._change_cell("REATTACH", t, r, back, rs=rs)
 
             # throughput for attached UEs (now exactly ok, rs their serving levels)
-            cap = traj.bw_hz * np.log2(1.0 + 10.0 ** ((rs - cfg.noise_floor_dbm) / 10.0))
-            bits = float(np.add.reduce(cap[ok]) * self._dt_s)
+            bits = float(np.add.reduce(self._capacity(rs)[ok]) * self._dt_s)
             n_lf, n_ho = lf.size, ho.size + back.size
 
         joules = self._tick_joules  # energy for all sites
@@ -475,8 +474,11 @@ class Simulator:
         self._e = e = first // n if ev[first] else h
         self._att, self._rows = att, min(e + 1, h)
         if e:  # a quiet row's attached UEs are exactly its receivable ones
-            cap = self.trajectory.bw_hz * np.log2(1.0 + 10.0 ** ((rs[:e] - self.cfg.noise_floor_dbm) / 10.0))
+            cap = self._capacity(rs[:e])
             self._bits = (np.add.reduce(cap.take(att.nonzero()[0], axis=1), axis=1) * self._dt_s).tolist()
+
+    def _capacity(self, rs: np.ndarray) -> np.ndarray:  # Shannon capacity (bit/s) at serving levels rs (..., n_ues)
+        return self.trajectory.bw_hz * np.log2(1.0 + 10.0 ** ((rs - self.cfg.noise_floor_dbm) / 10.0))
 
     def _change_cell(self, event: str, t: float, r: np.ndarray, idx: np.ndarray,
                      cells: np.ndarray | None = None, rs: np.ndarray | None = None) -> int:
@@ -517,5 +519,7 @@ class Simulator:
 
 
 def write_trace_csv(trace: Sequence[TraceRow], path: str | Path) -> None:
-    rows = ((f"{r.t_ms:g}", r.ue_id, r.serving_gnb, f"{r.rsrp_dbm:.6f}", r.event) for r in trace)
+    # a time in :g where that reads back as the same number, else in the shortest text that does; once per tick
+    times = {t: f"{t:g}" if float(f"{t:g}") == t else repr(float(t)) for t in {r.t_ms for r in trace}}
+    rows = ((times[r.t_ms], r.ue_id, r.serving_gnb, f"{r.rsrp_dbm:.6f}", r.event) for r in trace)
     write_csv(path, ("t_ms", "ue_id", "serving_gnb", "rsrp_dbm", "event"), rows)

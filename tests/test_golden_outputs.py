@@ -74,11 +74,11 @@ AVX512_DIGESTS = {
     "step100_3": {
         "results.csv": "bc69a074db5f6dd913253c17b0536bd21bd76e92db69b1a9bfd320a1d466829a",
         "summary.json": "1ee76ac711fb7d8e63744e2a0dd3829e8d98d96515c0b550870ed09b68fd9953",
-        "trace_nc_rep0.csv": "3668001eab947543c3c1cf1629dd21654417194bb5dedb194b9ac078e1aa1c96",
-        "trace_p-es_rep0.csv": "5620811b92758508126cb454c4af01ee23116fd454b8e9422c8f2b62382c3ce7",
-        "trace_p-mro_rep0.csv": "862b01b36390ce9c92b8439994f21b54b87ae338d6b7741d232e6fa03062e74a",
-        "trace_qacm_rep0.csv": "421a3cb6e2deee21b36c10d1ebd7a38513d2fb1fe22d79d472fd6af4c9babcc3",
-        "trace_sbd_rep0.csv": "79b3da24aa71622d8d4d08ca9b03025a9bea00f5e1d8ab159d66919b7f5dcb0b",
+        "trace_nc_rep0.csv": "e96b4a951311f52aefba8225a0710f29c3d0684adc21ac1c583ecf68203edd19",
+        "trace_p-es_rep0.csv": "f2852913704f6e37a4b58c7ace85b5a8a6976f8f61fe71e9a5acc11b099777ae",
+        "trace_p-mro_rep0.csv": "e92b34d1d42681e7070c36d1b614d711f304e7c246d33b91c479925835e285c1",
+        "trace_qacm_rep0.csv": "b02ba8b647312eabb4b5253abe909cc3b48b6486645ff1eb6cfd5d29f0ae1bac",
+        "trace_sbd_rep0.csv": "c8d469e64e2f7cbc41ed1134d5b9491a44e289a43d6745dce1b4b1f7e2cc2b3b",
     },
     "ttt300": {
         "results.csv": "fff03d9b2043f8694b85b28ed59b8ae57274146b9ea1539bf6d586f2825c8e6a",

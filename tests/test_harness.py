@@ -7,6 +7,7 @@ import pytest
 
 from ric_cms import harness, mitigation, ran_sim
 from ric_cms.conflict_model import KpiDirection
+from ric_cms.detection import Ledger
 from ric_cms.harness import (
     ALL_STRATEGIES,
     ExperimentConfig,
@@ -97,8 +98,8 @@ def test_reps_and_seed_must_be_integers_in_range(field, bad):
 
 def run_one(strategy, model_set=None, **kw):
     exp = small_exp(**kw)
-    actions = compile_arm(strategy, exp.sim, model_set)
-    *_, end = run_replica(strategy, 0, exp, actions, Trajectory(exp.sim, exp.base_seed))
+    arm = compile_arm(strategy, exp.sim, model_set)
+    *_, end = run_replica(strategy, 0, exp, arm, Trajectory(exp.sim, exp.base_seed))
     return end
 
 
@@ -186,16 +187,19 @@ FIXED_QACM = ResponseModelSet(
     "TXP", (0.0, 50.0), 1.0, (KpiResponseModel(EE_KPI, KpiDirection.MAXIMIZE, 37.0, ((0.0, 0.0), (50.0, 50.0))),))
 
 
-def replay(schedule, start, n_ticks):
-    """The TXP each tick runs at, and the (t_ms, xapp, value) of each landed change."""
-    txp, column, changes = start, [], []
-    for tick in range(n_ticks):
-        if tick in schedule:
-            txp, change = schedule[tick]
-            if change is not None:
-                changes.append((change.t_ms, change.xapp, change.value))
+def replay(monkeypatch, strategy, cfg, model_set=None):
+    """The compiled arm, the TXP each tick runs at, and the (t_ms, xapp, value) of each change
+    landed in the arm's ledger, captured through `harness.Ledger`."""
+    ledgers, make_ledger = [], harness.Ledger
+    with monkeypatch.context() as m:
+        m.setattr(harness, "Ledger", lambda *a, **kw: ledgers.append(make_ledger(*a, **kw)) or ledgers[-1])
+        arm = compile_arm(strategy, cfg, model_set)
+    (ledger,) = ledgers
+    txp, column = cfg.txp_dbm, []
+    for tick in range(cfg.n_ticks):
+        txp = arm.txp.get(tick, txp)
         column.append(txp)
-    return column, changes
+    return arm, column, [(c.t_ms, c.xapp, c.value) for c in ledger.changes]
 
 
 def requests(n):
@@ -204,10 +208,9 @@ def requests(n):
 
 @pytest.mark.parametrize("start", [30.0, 3.0])
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=[s.value for s in ALL_STRATEGIES])
-def test_compiled_schedules(strategy, start):
+def test_compiled_schedules(monkeypatch, strategy, start):
     cfg = SimConfig(duration_s=30.0, txp_dbm=start)
-    schedule = compile_arm(strategy, cfg, FIXED_QACM)
-    column, changes = replay(schedule, start, cfg.n_ticks)
+    arm, column, changes = replay(monkeypatch, strategy, cfg, FIXED_QACM)
     interval = [3.0] * 10 + [50.0] * 10  # 100 ms ticks, 2 s intervals
     if strategy is Strategy.NC:
         assert changes == requests(30)
@@ -215,7 +218,8 @@ def test_compiled_schedules(strategy, start):
     elif strategy is Strategy.SBD:
         assert changes == requests(30)
         # the controller resets the tick after each mobility request, landing nothing
-        assert [t for t, (_, change) in schedule.items() if change is None] == [20 * i + 11 for i in range(15)]
+        landed = {round(t / cfg.step_ms) for t, _, _ in changes}
+        assert [t for t in arm.txp if t not in landed] == [20 * i + 11 for i in range(15)]
         assert column == ([3.0] * 10 + [50.0] + [30.0] * 9) * 15
     elif strategy is Strategy.P_ES:
         assert changes == ([] if start == 3.0 else [(0.0, "es", 3.0)])
@@ -228,10 +232,10 @@ def test_compiled_schedules(strategy, start):
         assert column == [37.0] * 300
 
 
-def test_sbd_request_wins_the_reset_tick_at_two_ticks_per_interval():
+def test_sbd_request_wins_the_reset_tick_at_two_ticks_per_interval(monkeypatch):
     cfg = SimConfig(duration_s=30.0, step_ms=1000.0)
-    nc = replay(compile_arm(Strategy.NC, cfg), cfg.txp_dbm, cfg.n_ticks)
-    sbd = replay(compile_arm(Strategy.SBD, cfg), cfg.txp_dbm, cfg.n_ticks)
+    _, *nc = replay(monkeypatch, Strategy.NC, cfg)
+    _, *sbd = replay(monkeypatch, Strategy.SBD, cfg)
     assert sbd == nc
     assert sbd[1] == requests(30)
     assert sbd[0] == [3.0, 50.0] * 15
@@ -265,6 +269,28 @@ def test_arbitration_does_not_scale_with_replicas(monkeypatch):
     calls.clear()
     for strategy, actions in schedules.items():
         *_, _ = run_replica(strategy, 0, exp, actions, Trajectory(exp.sim, exp.base_seed))
+    assert not calls
+
+
+def test_attribution_does_not_scale_with_replicas(monkeypatch):
+    calls = Counter()
+    make_ledger, classify = harness.Ledger, Ledger.classify
+    monkeypatch.setattr(harness, "Ledger", lambda *a, **kw: calls.update(["Ledger"]) or make_ledger(*a, **kw))
+    monkeypatch.setattr(Ledger, "classify", lambda self, ev: calls.update(["classify"]) or classify(self, ev))
+    per_reps = []
+    for reps in (1, 3):
+        calls.clear()
+        run_experiment(small_exp(reps=reps))
+        per_reps.append(dict(calls))
+    assert per_reps[0] == per_reps[1]
+    # one ledger per arm, which classifies each of the arm's 10 SLA checks once
+    assert per_reps[0] == {"Ledger": 5, "classify": 50}
+
+    exp = small_exp()
+    arms = {s: compile_arm(s, exp.sim, FIXED_QACM) for s in ALL_STRATEGIES}
+    calls.clear()
+    for strategy, arm in arms.items():
+        *_, _ = run_replica(strategy, 0, exp, arm, Trajectory(exp.sim, exp.base_seed))
     assert not calls
 
 

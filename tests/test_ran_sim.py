@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ric_cms.ran_sim import (
     GeometryWindowError,
     SimConfig,
     Simulator,
+    TraceRow,
     Trajectory,
     antenna_gain_db,
     gnb_power_w,
@@ -647,3 +649,14 @@ def test_trace_csv_format(tmp_path):
         assert len(fields) == 5
         float(fields[0]); int(fields[1]); int(fields[2]); float(fields[3])
         assert fields[4] in {"HO", "LF", "REATTACH", "PP"}
+
+
+def test_trace_times_read_back_exactly(tmp_path):
+    # six significant digits wrote 19966.666666666668 as 19966.7, and 599999.5 as 600000, the next tick's time
+    times = [100.0, 19966.666666666668, 599999.5, 30 * (100 / 3), 600000.0]
+    trace = [TraceRow(t, i, j, -80.25 - j, ("HO", "LF")[j]) for i, t in enumerate(times) for j in range(2)]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [(float(t), int(u), int(g), float(rs), e) for t, u, g, rs, e in rows] == [astuple(r) for r in trace]
+    assert [r[0] for r in rows[::2]] == ["100", "19966.666666666668", "599999.5", "1000.0000000000001", "600000"]
