@@ -52,22 +52,30 @@ class UnattributableDegradationError(DetectionError):
 
 @dataclass(frozen=True)
 class ChangeRecord:
-    """One landed parameter write: who, what, when (ms)."""
+    """One landed parameter write: who, what, when (ms).  The time must be finite."""
 
     t_ms: float
     xapp: str
     param: str
     value: float
 
+    def __post_init__(self):
+        if not finite(self.t_ms):
+            raise DetectionError(f"change at non-finite time {self.t_ms!r}")
+
 
 @dataclass(frozen=True)
 class DegradationEvent:
-    """One KPI threshold violation: which KPI, its owner, when (ms)."""
+    """One KPI threshold violation: which KPI, its owner, when (ms).  The time must be finite; the value need not be."""
 
     t_ms: float
     kpi: str
     xapp: str
     value: float
+
+    def __post_init__(self):
+        if not finite(self.t_ms):
+            raise DetectionError(f"degradation at non-finite time {self.t_ms!r}")
 
 
 class VerdictKind(Enum):
@@ -91,7 +99,7 @@ class ConflictVerdict:
 class Ledger:
     """Change and degradation history plus the classification rules.
 
-    Timestamps must be finite real numbers, not bools, and non-decreasing
+    Timestamps, finite by the records' own check, must be non-decreasing
     per ledger; attribution uses binary search over the change timeline,
     so classify is O(log n) in ledger size.  A change must come from an
     xApp in the topology and write one of that xApp's ICPs, and a
@@ -116,8 +124,6 @@ class Ledger:
             raise DetectionError(f"change by unknown xApp {rec.xapp!r}")
         if rec.param not in icps:
             raise DetectionError(f"change of {rec.param!r} by {rec.xapp!r}, which does not control it")
-        if not finite(rec.t_ms):
-            raise DetectionError(f"change at non-finite time {rec.t_ms!r}")
         if self._change_times and rec.t_ms < self._change_times[-1]:
             raise ClockRegressionError(
                 f"change at t={rec.t_ms:g} ms after one at t={self._change_times[-1]:g} ms"
@@ -127,8 +133,6 @@ class Ledger:
         return self
 
     def record_degradation(self, ev: DegradationEvent) -> "Ledger":
-        if not finite(ev.t_ms):
-            raise DetectionError(f"degradation at non-finite time {ev.t_ms!r}")
         if self._degradations and ev.t_ms < self._degradations[-1].t_ms:
             raise ClockRegressionError(
                 f"degradation at t={ev.t_ms:g} ms after one at t={self._degradations[-1].t_ms:g} ms"

@@ -6,9 +6,10 @@ window in `detection`.  A configuration chooses only the radio scenario,
 the strategies, the replica count and the base seed.
 
 The control plane is open-loop, so each arm is compiled once, with the
-verdict each SLA check would give, and each replica only ticks, sets TXP
-and counts the verdicts of the checks it breaches.  Every request becomes
-its app's standing wish, and the standing wishes are arbitrated at once:
+verdict each SLA check would give, and each replica only ticks, sums its
+ticks, sets TXP and counts the verdicts of the checks it breaches.  Every
+request becomes its app's standing wish, and the standing wishes are
+arbitrated at once:
 
   write-through   nc    last writer wins, and every request lands, even
                         one that leaves TXP where it is
@@ -219,7 +220,9 @@ def run_replica(
     """One replica replaying its `compile_arm` arm over its seed's trajectory, a generator that
     yields None between `geometry_rows` windows and (result, simulator) last.  Before a tick in
     the arm, a breached SLA check (more than LF_SLA_THRESHOLD link failures since its window's
-    first tick) counts its compiled verdict, then TXP is set."""
+    first tick) counts its compiled verdict, then TXP is set.  This is the one place a replica's
+    ticks are summed: each tick's numbers are added in tick order, to the run's totals and to
+    its applied power level's phase; the simulator keeps no totals."""
     seed = exp.base_seed + rep
     if (trajectory.cfg, trajectory.seed) != (exp.sim, seed):
         raise ValueError(f"replica {rep} needs the trajectory of seed {seed} under the experiment's scenario")
@@ -231,20 +234,26 @@ def run_replica(
     lf_at: dict[int, int] = {}  # the link failures before each mark
     phases: defaultdict[float, PhaseStats] = defaultdict(PhaseStats)
     verdicts: Counter = Counter()  # None counts the breaches with no change to attribute
+    total_bits, total_joules, link_failures, handovers, pingpongs = 0.0, 0.0, 0, 0, 0  # by +=: sum() compensates floats
 
     for a in range(0, n, w):
         for tick_i in range(a, min(a + w, n)):
             if tick_i in marks:
-                lf_at[tick_i] = sim.link_failures
+                lf_at[tick_i] = link_failures
                 if tick_i in arm.checks:
                     start, kind = arm.checks[tick_i]
-                    if sim.link_failures - lf_at[start] > LF_SLA_THRESHOLD:
+                    if link_failures - lf_at[start] > LF_SLA_THRESHOLD:
                         verdicts[kind] += 1
                 if tick_i in arm.txp:
                     sim.set_txp(arm.txp[tick_i])
                 phase = phases[sim.txp_dbm]  # the applied level, which only a mark changes
 
-            bits, joules, lf, _, _ = sim.tick()
+            bits, joules, lf, ho, pp = sim.tick()
+            total_bits += bits
+            total_joules += joules
+            link_failures += lf
+            handovers += ho
+            pingpongs += pp
             phase.time_ms += step
             phase.bits += bits
             phase.joules += joules
@@ -252,18 +261,12 @@ def run_replica(
         if a + w < n:
             yield None  # the seed's other arms tick this window
 
-    report = sim.kpi_report()
-    if not math.isfinite(report["energy_efficiency_bits_per_joule"]):
+    ee = total_bits / total_joules if total_joules > 0 else 0.0
+    if not math.isfinite(ee):
         raise ValueError("energy efficiency is past float64: ue_bandwidth_hz too large or noise_floor_dbm too low")
-    result = ReplicaResult(
-        strategy=strategy.value,
-        rep=rep,
-        seed=seed,
-        **{m: report[m] for m in METRICS},
-        unattributed=verdicts.pop(None, 0),  # before the verdicts are copied
-        verdicts=dict(verdicts),
-        phases=dict(phases),
-    )
+    result = ReplicaResult(strategy.value, rep, seed, ee, link_failures, handovers, pingpongs,  # METRICS' order
+                           unattributed=verdicts.pop(None, 0),  # before the verdicts are copied
+                           verdicts=dict(verdicts), phases=dict(phases))
     yield result, sim
 
 

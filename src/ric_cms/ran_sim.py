@@ -99,13 +99,16 @@ class SimConfig:
             raise ValueError(f"n_ues must be a positive integer, at most {most} at these cells, got {self.n_ues!r}")
         if self.step_ms <= 0 or self.duration_s <= 0:
             raise ValueError("step_ms and duration_s must be positive")
-        if not math.isfinite(self.duration_s * 1000.0 / self.step_ms):
+        ticks = self.duration_s * 1000.0 / self.step_ms
+        if not math.isfinite(ticks):
             raise ValueError("duration_s is more steps of step_ms than float64 holds")
         _step_joules(self.txp_dbm, len(self.resolved_gnbs()), self.step_ms / 1000.0)
         if self.ttt_ms < 0 or self.pingpong_window_ms < 0:
             raise ValueError("ttt_ms and pingpong_window_ms must not be negative")
-        if self.n_ticks < 1:
+        if ticks < 1 - 1e-9:
             raise ValueError("duration_s must cover at least one step_ms")
+        if abs(ticks - round(ticks)) > 1e-9:  # n_ticks would round it, and calibration would read the declared one
+            raise ValueError(f"duration_s ({self.duration_s:g}) must be a whole number of step_ms ({self.step_ms:g})")
         for classes, label in ((self.speed_classes, "speed"), (self.service_classes, "service")):
             total = sum(c[1] for c in classes)
             if abs(total - 1.0) > 1e-9:
@@ -336,7 +339,7 @@ class Simulator:
     on ttt_ms worth of ticks toward one target); PP, a handover that is a
     ping-pong; LF, a link failure (no cell reaches min_rsrp_dbm, the UE
     detaches); REATTACH, a detached UE attaching to its strongest cell.
-    Handovers and re-attachments both count toward total_handovers (the
+    Handovers and re-attachments both count as the tick's handovers (the
     network pays the signalling either way).  A move away from the last
     cell held is a ping-pong when it returns to the cell held before it
     within pingpong_window_ms; re-attaching to the last cell held is no
@@ -351,6 +354,8 @@ class Simulator:
     event are served from it, and the event's tick reads its levels from it; a new level drops
     them.  The update order is unchanged.
     So after the first tick only `set_txp` may change a simulator's state between ticks.
+    A simulator keeps only the state its next tick reads, and its trace: it holds no totals,
+    and each tick returns its own numbers, which `harness.run_replica` sums.
     """
 
     def __init__(self, trajectory: Trajectory, record_trace: bool = True):
@@ -364,23 +369,16 @@ class Simulator:
         self._flat = np.arange(SCAN_ROWS * n).reshape(SCAN_ROWS, -1) * len(self.gnbs)  # a UE's row in a scan
         self._row0 = self._flat[0]  # and in a tick
         self.record_trace = record_trace
+        self.trace: list[TraceRow] = []
 
         # -- attachment state ----------------------------------------------
-        self.serving = self._rsrp_matrix(trajectory.start[0]).argmax(axis=1).astype(int)
+        self.serving = (self._eirp_dbm - trajectory._path_loss(trajectory.start[0])).argmax(axis=1).astype(int)
         self.last_cell = self.serving.copy()      # serving, or the cell lost on a failure
         self.prev_gnb = np.full(n, -1, dtype=int)  # cell left by the last move, for ping-pong
         self.last_ho_ms = np.full(n, -np.inf)     # time of that move
         self.required_ttt_ticks = max(1, math.ceil(cfg.ttt_ms / cfg.step_ms))
         self._ttt_count = self._no_ttt = np.zeros(n, dtype=int)  # never written: the counts of a tick off A3
         self._ttt_target = np.full(n, -1, dtype=int)
-
-        # -- accounting ----------------------------------------------------
-        self.total_bits = 0.0
-        self.total_joules = 0.0
-        self.link_failures = 0
-        self.total_handovers = 0
-        self.pingpong_handovers = 0
-        self.trace: list[TraceRow] = []
 
     # -- radio ------------------------------------------------------------
 
@@ -392,10 +390,6 @@ class Simulator:
             self._e = self._rows = 0
         self.txp_dbm = float(txp_dbm)
         self._eirp_dbm = self.txp_dbm + self._gain_db  # a receive level before path loss
-
-    def _rsrp_matrix(self, pos: np.ndarray) -> np.ndarray:
-        """(n_ues, n_gnbs) receive levels at the current transmit power."""
-        return self._eirp_dbm - self.trajectory._path_loss(pos)
 
     def tick(self) -> tuple:
         """One tick; returns what it produced, (bits, joules, link_failures, handovers, pingpongs)."""
@@ -440,13 +434,7 @@ class Simulator:
             bits = float(np.add.reduce(self._capacity(rs)[ok]) * self._dt_s)
             n_lf, n_ho = lf.size, ho.size + back.size
 
-        joules = self._tick_joules  # energy for all sites
-        self.total_bits += bits
-        self.total_joules += joules
-        self.link_failures += n_lf
-        self.total_handovers += n_ho
-        self.pingpong_handovers += n_pp
-        return bits, joules, n_lf, n_ho, n_pp
+        return bits, self._tick_joules, n_lf, n_ho, n_pp  # the joules: energy for all sites
 
     def _levels(self, pl: np.ndarray, rows: np.ndarray) -> tuple:
         """At the current cells and TXP, from path loss `pl` (..., n_ues, n_gnbs) with each UE's row at flat
@@ -503,19 +491,6 @@ class Simulator:
             events = ["PP" if p else "HO" for p in pp.tolist()] if event == "HO" else repeat(event)
             self.trace.extend(map(TraceRow, repeat(t), idx.tolist(), cells.tolist(), level.tolist(), events))
         return int(np.count_nonzero(pp))
-
-    # -- reporting --------------------------------------------------------
-
-    def kpi_report(self) -> dict:
-        ee = self.total_bits / self.total_joules if self.total_joules > 0 else 0.0
-        return {
-            "energy_efficiency_bits_per_joule": ee,
-            "link_failures": self.link_failures,
-            "total_handovers": self.total_handovers,
-            "pingpong_handovers": self.pingpong_handovers,
-            "total_bits": self.total_bits,
-            "total_joules": self.total_joules,
-        }
 
 
 def write_trace_csv(trace: Sequence[TraceRow], path: str | Path) -> None:

@@ -225,10 +225,19 @@ def moved(traj: Trajectory, n_ticks: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, traj._move(*traj.start, pos[1:])
 
 
-def run(sim: Simulator, n_ticks: int | None = None) -> None:
-    """Tick `sim` n_ticks times, by default through its whole duration."""
+def run(sim: Simulator, n_ticks: int | None = None) -> tuple:
+    """Tick `sim` n_ticks times, by default through its whole duration, and return the sums of
+    the ticks' (bits, joules, link_failures, handovers, pingpongs), each added in tick order."""
+    totals = (0.0, 0.0, 0, 0, 0)
     for _ in range(sim.cfg.n_ticks if n_ticks is None else n_ticks):
-        sim.tick()
+        totals = tuple(a + b for a, b in zip(totals, sim.tick()))
+    return totals
+
+
+def rsrp_matrix(sim: Simulator, pos: np.ndarray) -> np.ndarray:
+    """(n_ues, n_gnbs) receive levels of UEs at `pos` under `sim`'s cells and transmit power."""
+    d = np.hypot(pos[:, None, 0] - sim.gnbs[None, :, 0], pos[:, None, 1] - sim.gnbs[None, :, 1])
+    return sim.txp_dbm + antenna_gain_db(sim.cfg.ret_deg) - path_loss_db(d)
 
 
 def rsrp_dbm(txp_dbm: float, gnb_xy: Sequence[float], ue_xy: Sequence[float], ret_deg: float = 1.5) -> float:
@@ -269,17 +278,12 @@ class ReferenceSimulator(Simulator):
     row maximum taken over the whole receive matrix.  Kept verbatim as
     the oracle the flat-index tick must match bit for bit.  It moves its
     own positions and velocities, one step a tick from the trajectory's
-    start, and counts its clock as (i + 1) * step_ms; the rest of its
-    state it shares with `Simulator.__init__`."""
+    start, computes its levels with `rsrp_matrix` and counts its clock as
+    (i + 1) * step_ms; the rest of its state it shares with `Simulator.__init__`."""
 
     def __init__(self, trajectory: Trajectory, record_trace: bool = True):
         super().__init__(trajectory, record_trace)
         self.pos, self.vel = trajectory.start
-
-    def _rsrp_matrix(self, pos: np.ndarray) -> np.ndarray:
-        """(n_ues, n_gnbs) receive levels at the current transmit power."""
-        d = np.hypot(pos[:, None, 0] - self.gnbs[None, :, 0], pos[:, None, 1] - self.gnbs[None, :, 1])
-        return self.txp_dbm + antenna_gain_db(self.cfg.ret_deg) - path_loss_db(d)
 
     def tick(self) -> tuple:
         cfg = self.cfg
@@ -299,7 +303,7 @@ class ReferenceSimulator(Simulator):
         self.vel = np.where(high, -self.vel, self.vel)
         self.pos = pos
 
-        r = self._rsrp_matrix(pos)
+        r = rsrp_matrix(self, pos)
         serving = self.serving  # updated in place below
 
         # A3 handovers.  No event resets the TTT state: a detached UE never
@@ -336,13 +340,7 @@ class ReferenceSimulator(Simulator):
             bits = float(np.sum(cap) * dt_s)
         joules = len(self.gnbs) * gnb_power_w(self.txp_dbm) * dt_s
 
-        n_ho = ho.size + back.size
-        self.total_bits += bits
-        self.total_joules += joules
-        self.link_failures += lf.size
-        self.total_handovers += n_ho
-        self.pingpong_handovers += n_pp
-        return bits, joules, lf.size, n_ho, n_pp
+        return bits, joules, lf.size, ho.size + back.size, n_pp
 
     def _change_cell(self, event: str, t: float, r: np.ndarray, idx: np.ndarray,
                      cells: np.ndarray | None = None) -> int:

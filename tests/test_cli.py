@@ -227,6 +227,7 @@ def test_simulate_rejects_invalid_experiment(tmp_path, capsys, flags, detail):
         ({"area_m": "ab"}, "area_m"),
         ({"speed_classes": [["a", 1.5, 0.0, 1.0], ["b", -0.5, 0.0, 1.0]]}, "fractions must not be negative"),
         ({"duration_s": 0.05}, "at least one step_ms"),
+        ({"duration_s": 0.25}, "whole number of step_ms"),
         ({"step_ms": "100"}, "step_ms"),
         ([{"n_ues": 20}], "JSON object"),
         ({"n_uez": 20}, "'n_uez'"),
@@ -252,6 +253,7 @@ def test_simulate_rejects_invalid_experiment(tmp_path, capsys, flags, detail):
         "area-string",
         "fraction-negative",
         "no-whole-tick",
+        "duration-between-ticks",
         "step-string",
         "not-an-object",
         "unknown-key",

@@ -190,6 +190,19 @@ def test_ingest_and_window_reject_what_is_not_a_finite_real_number(bad):
     assert led.changes == () and led.degradations == ()
 
 
+@pytest.mark.parametrize("t", [math.nan, "500"], ids=["nan", "string"])
+def test_classify_refuses_a_degradation_time_that_is_not_a_finite_number(t):
+    # a NaN time was attributed to the last change (a direct verdict at t_detect_ms=nan), a string leaked a TypeError
+    led = fresh_ledger()
+    led.record_change(ChangeRecord(100.0, "x2", "p1", 5.0))
+    with pytest.raises(DetectionError, match="degradation at non-finite time"):
+        led.classify(DegradationEvent(t, "k1", "x1", 0.2))
+    with pytest.raises(DetectionError, match="change at non-finite time"):
+        ChangeRecord(t, "x2", "p1", 5.0)
+    # only the time is checked: a compiled SLA check classifies a breach whose size it does not know
+    assert led.classify(DegradationEvent(500.0, "k1", "x1", math.nan)).kind is VerdictKind.DIRECT
+
+
 def test_numpy_scalars_are_numbers_at_ingest():
     led = fresh_ledger(window_ms=np.int64(1000))
     led.record_change(ChangeRecord(np.float64(100.0), "x2", "p1", 5.0))

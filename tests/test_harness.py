@@ -25,7 +25,7 @@ from ric_cms.harness import (
     run_replica,
 )
 from ric_cms.mitigation import KpiResponseModel, ResponseModelSet, Strategy
-from ric_cms.ran_sim import SimConfig, Trajectory
+from ric_cms.ran_sim import SimConfig, Simulator, Trajectory
 from ric_cms.xapps import EE_KPI, LF_KPI, TXP_BOUNDS_DBM
 
 
@@ -305,6 +305,32 @@ def test_sla_checks_attribute_at_any_step(step_ms):
         rows = result.rows[strategy]
         assert sum(r.unattributed for r in rows) == 0
         assert sum(r.verdicts.get("direct", 0) for r in rows) >= 1
+
+
+def test_a_replica_sums_its_ticks_in_order():
+    # the replica's KPIs and phase sums are a plain += over each tick's numbers, in tick order,
+    # of a simulator set by the same compiled schedule; at 100/3 ms no sum is exact by luck
+    exp = ExperimentConfig(SimConfig(n_ues=40, duration_s=20.0, step_ms=100 / 3), strategies=(Strategy.SBD,),
+                           reps=1, base_seed=7)
+    arm = compile_arm(Strategy.SBD, exp.sim)
+    *_, (res, _) = run_replica(Strategy.SBD, 0, exp, arm, Trajectory(exp.sim, 7))
+    sim, totals, phases = Simulator(Trajectory(exp.sim, 7), record_trace=False), [0.0, 0.0, 0, 0, 0], {}
+    for k in range(exp.sim.n_ticks):
+        if k in arm.txp:
+            sim.set_txp(arm.txp[k])
+        phase = phases.setdefault(sim.txp_dbm, PhaseStats())
+        stats = sim.tick()
+        for i, x in enumerate(stats):
+            totals[i] += x
+        phase.time_ms += exp.sim.step_ms
+        phase.bits += stats[0]
+        phase.joules += stats[1]
+        phase.link_failures += stats[2]
+    bits, joules, lf, ho, pp = totals
+    got = (res.energy_efficiency_bits_per_joule, res.link_failures, res.total_handovers, res.pingpong_handovers)
+    assert repr(got) == repr((bits / joules, lf, ho, pp))
+    assert repr(res.phases) == repr(phases)
+    assert lf > 0 and ho > 0 and len(phases) == 3
 
 
 # -- calibration ------------------------------------------------------------

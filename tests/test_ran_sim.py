@@ -4,7 +4,17 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from conftest import BAD_NUMBERS, HandoverDecision, evaluate_handover, moved, placed, rsrp_dbm, run, save_sim_config
+from conftest import (
+    BAD_NUMBERS,
+    HandoverDecision,
+    evaluate_handover,
+    moved,
+    placed,
+    rsrp_dbm,
+    rsrp_matrix,
+    run,
+    save_sim_config,
+)
 from ric_cms import ran_sim
 from ric_cms.ran_sim import (
     GeometryWindowError,
@@ -104,7 +114,7 @@ def test_bandwidth_follows_service_class():
 def test_everyone_starts_attached_to_strongest_cell():
     sim = Simulator(Trajectory(SimConfig(), 1))
     pos, _ = moved(sim.trajectory, 0)
-    r = sim._rsrp_matrix(pos[0])
+    r = rsrp_matrix(sim, pos[0])
     assert np.array_equal(sim.serving, np.argmax(r, axis=1))
 
 
@@ -133,7 +143,7 @@ def test_vectorized_rsrp_matches_scalar():
     sim = Simulator(Trajectory(SimConfig(), 5))
     run(sim, 10)
     pos = moved(sim.trajectory, 10)[0][10]
-    r = sim._rsrp_matrix(pos)
+    r = sim._levels(sim.trajectory.row(9), sim._row0)[1]  # the tenth tick's levels, at the simulator's TXP
     for i in range(sim.cfg.n_ues):
         for g, gnb in enumerate(sim.gnbs):
             expected = rsrp_dbm(sim.txp_dbm, gnb, pos[i], sim.cfg.ret_deg)
@@ -151,32 +161,31 @@ def _one_ue_config(**kw):
 
 
 def _crossing_run(**kw):
-    # one UE pushed straight from cell A toward cell B
+    # one UE pushed straight from cell A toward cell B; the simulator and its run's sums
     cfg = _one_ue_config(area_m=(400.0, 100.0), gnb_positions=((100.0, 50.0), (300.0, 50.0)),
                          duration_s=40.0, **kw)
     sim = Simulator(placed(cfg, [[100.0, 50.0]], [[5.0, 0.0]]))
     sim.serving[:] = 0
     sim.last_cell[:] = 0
-    run(sim)  # 40 s at 5 m/s: ends at x=300, never reflects
-    return sim
+    return sim, run(sim)  # 40 s at 5 m/s: ends at x=300, never reflects
 
 
 def test_crossing_ue_hands_over_once():
-    sim = _crossing_run()
+    sim, (_, _, _, handovers, pingpongs) = _crossing_run()
     events = [row.event for row in sim.trace]
     assert events == ["HO"]
     assert sim.trace[0].t_ms == 20_100.0  # first tick past the midline
-    assert sim.total_handovers == 1
-    assert sim.pingpong_handovers == 0
+    assert handovers == 1
+    assert pingpongs == 0
     assert sim.serving[0] == 1
 
 
 def test_time_to_trigger_holds_the_handover_for_whole_ticks():
     # 300 ms is three 100 ms ticks: the A3 condition first holds at
     # 20,100 ms and must hold through 20,300 ms before the UE moves
-    sim = _crossing_run(ttt_ms=300.0)
+    sim, (_, _, _, handovers, _) = _crossing_run(ttt_ms=300.0)
     assert [(row.t_ms, row.event) for row in sim.trace] == [(20_300.0, "HO")]
-    assert sim.total_handovers == 1
+    assert handovers == 1
     assert sim.serving[0] == 1
 
 
@@ -190,7 +199,7 @@ def test_tick_follows_the_scalar_a3_oracle():
     for k in range(cfg.n_ticks):
         before = sim.serving.copy()
         sim.tick()
-        r = sim._rsrp_matrix(pos[k + 1])
+        r = rsrp_matrix(sim, pos[k + 1])
         for i in np.nonzero((before >= 0) & (r.max(axis=1) >= cfg.min_rsrp_dbm))[0]:
             d = evaluate_handover(r[i], int(before[i]), cfg.cio_db, cfg.hys_db)
             assert sim.serving[i] == (d.target if d.triggered else before[i])
@@ -212,12 +221,12 @@ def test_link_failure_and_reattach_cycle():
     sim = Simulator(placed(cfg, [[5.0, 5.0]], [[10.0, 0.0]]))
     sim.serving[:] = 0
     sim.last_cell[:] = 0
-    run(sim)
+    _, _, link_failures, handovers, _ = run(sim)
     events = [row.event for row in sim.trace]
     # coverage radius at 3 dBm is ~121 m: fail on the way out, return later
     assert events == ["LF", "REATTACH"]
-    assert sim.link_failures == 1
-    assert sim.total_handovers == 1  # the re-attachment
+    assert link_failures == 1
+    assert handovers == 1  # the re-attachment
     assert sim.serving[0] == 0
 
 
@@ -233,8 +242,7 @@ def test_pingpong_detected_on_quick_return():
     sim = Simulator(placed(cfg, [[5.9, 2.0]], [[15.0, 0.0]]))
     sim.serving[:] = 0
     sim.last_cell[:] = 0
-    run(sim)
-    assert sim.pingpong_handovers >= 1
+    assert run(sim)[4] >= 1  # the ping-pongs
     assert "PP" in [row.event for row in sim.trace]
 
 
@@ -258,13 +266,12 @@ def test_reattachment_follows_the_pingpong_rule(x, last_ho_ms, cell, pingpongs, 
     sim.prev_gnb[:] = 1
     sim.last_ho_ms[:] = last_ho_ms
     sim.set_txp(-60.0)  # no cell receivable: link failure
-    sim.tick()
+    _, _, _, ho_lf, pp_lf = sim.tick()
     sim.set_txp(50.0)  # re-attachment to the strongest cell
-    sim.tick()
+    _, _, _, ho_back, pp_back = sim.tick()
     events = [(row.t_ms, row.event, row.serving_gnb) for row in sim.trace]
     assert events == [(100.0, "LF", 0), (200.0, "REATTACH", cell)]
-    assert sim.total_handovers == 1
-    assert sim.pingpong_handovers == pingpongs
+    assert (ho_lf, pp_lf, ho_back, pp_back) == (0, 0, 1, pingpongs)
     assert sim.prev_gnb[0] == prev_gnb
     assert sim.last_ho_ms[0] == move_ms
 
@@ -278,14 +285,13 @@ def test_throughput_and_energy_accounting():
     )
     sim = Simulator(placed(cfg, [[100.0, 0.0]]))
     sim.serving[:] = 0
-    run(sim)
+    bits, joules, _, _, _ = run(sim)
     # static UE at 100 m: rsrp -80.05, snr 19.95 dB, eMBB weight 1.5 MHz
     snr_lin = 10.0 ** (19.95 / 10.0)
     expected_bits = 1.5e6 * math.log2(1.0 + snr_lin) * 1.0
-    assert sim.total_bits == pytest.approx(expected_bits, rel=1e-9)
-    assert sim.total_joules == pytest.approx(gnb_power_w(30.0) * 1.0, rel=1e-12)
-    ee = sim.kpi_report()["energy_efficiency_bits_per_joule"]
-    assert ee == pytest.approx(expected_bits / 104.0, rel=1e-9)
+    assert bits == pytest.approx(expected_bits, rel=1e-9)
+    assert joules == pytest.approx(gnb_power_w(30.0) * 1.0, rel=1e-12)
+    assert bits / joules == pytest.approx(expected_bits / 104.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("bad", [*BAD_NUMBERS, "30"])
@@ -340,18 +346,16 @@ def test_detached_ue_earns_no_bits():
     )
     sim = Simulator(placed(cfg, [[250.0, 5.0]]))  # far outside the ~121 m coverage radius
     sim.serving[:] = 0
-    run(sim)
-    assert sim.link_failures == 1
-    assert sim.total_bits == 0.0
-    assert sim.total_joules > 0.0  # the site burns power regardless
+    bits, joules, link_failures, _, _ = run(sim)
+    assert link_failures == 1
+    assert bits == 0.0
+    assert joules > 0.0  # the site burns power regardless
 
 
 def test_same_seed_reproduces_run_exactly():
     a = Simulator(Trajectory(SimConfig(duration_s=20.0), 11))
     b = Simulator(Trajectory(SimConfig(duration_s=20.0), 11))
-    run(a)
-    run(b)
-    assert a.kpi_report() == b.kpi_report()
+    assert repr(run(a)) == repr(run(b))
     assert a.trace == b.trace
     assert a.trajectory.pl.tobytes() == b.trajectory.pl.tobytes()
 
@@ -367,20 +371,19 @@ def test_different_seed_differs():
 def test_txp_change_midrun_shifts_levels():
     sim = Simulator(Trajectory(SimConfig(n_ues=5, duration_s=1.0), 2))
     run(sim, 5)
-    pos = moved(sim.trajectory, 5)[0][5]
-    r_before = sim._rsrp_matrix(pos).copy()
+    pl = sim.trajectory.row(4)  # the fifth tick's path loss
+    r_before = sim._levels(pl, sim._row0)[1]
     sim.set_txp(50.0)
-    r_after = sim._rsrp_matrix(pos)
+    r_after = sim._levels(pl, sim._row0)[1]
     assert np.allclose(r_after - r_before, 20.0)
 
 
 def test_trace_disabled_keeps_counters():
     a = Simulator(Trajectory(SimConfig(duration_s=20.0), 11))
     b = Simulator(Trajectory(SimConfig(duration_s=20.0), 11), record_trace=False)
-    run(a)
-    run(b)
+    sums = run(a)
+    assert repr(run(b)) == repr(sums)
     assert b.trace == []
-    assert a.kpi_report() == b.kpi_report()
 
 
 def test_a_quiet_tick_does_no_event_bookkeeping(monkeypatch):
@@ -470,12 +473,11 @@ def test_a_tick_past_the_run_raises_and_leaves_a_shared_block_alone():
     a, solo = Simulator(Trajectory(cfg, 3)), Simulator(Trajectory(cfg, 3))
     run(a)
     b = Simulator(a.trajectory)
-    run(b, 5)
+    ticks = [b.tick() for _ in range(5)]
     with pytest.raises(GeometryWindowError, match="tick 10 is outside"):
         a.tick()
-    run(b, 5)
-    run(solo)
-    assert repr(b.kpi_report()) == repr(solo.kpi_report())
+    ticks += [b.tick() for _ in range(5)]
+    assert repr(ticks) == repr([solo.tick() for _ in range(cfg.n_ticks)])
 
 
 def test_a_waiting_sharer_reads_its_own_state(monkeypatch):
@@ -484,11 +486,10 @@ def test_a_waiting_sharer_reads_its_own_state(monkeypatch):
     a, solo = Simulator(Trajectory(cfg, 3)), Simulator(Trajectory(cfg, 3))
     run(a, 1)
     b = Simulator(a.trajectory)
-    run(b, 2)
+    ticks = [b.tick() for _ in range(2)]
     run(a, 3)  # rewrites the rows b ticked through
-    run(b, 2)  # the rows a computed while b waited
-    run(solo, 4)
-    assert repr(b.kpi_report()) == repr(solo.kpi_report())
+    ticks += [b.tick() for _ in range(2)]  # the rows a computed while b waited
+    assert repr(ticks) == repr([solo.tick() for _ in range(4)])
     assert repr(b.trace) == repr(solo.trace)
 
 
@@ -635,6 +636,16 @@ def test_the_clock_is_the_tick_count_times_the_step():
 
 def test_n_ticks():
     assert SimConfig(duration_s=120.0, step_ms=100.0).n_ticks == 1200
+
+
+@pytest.mark.parametrize("duration_s", [0.25, 0.35, 120.05])
+def test_duration_must_be_a_whole_number_of_steps(duration_s):
+    # rounded, 0.25 s ran 2 ticks and 0.35 s ran 4, while calibration and summary.json read the declared duration
+    with pytest.raises(ValueError, match=r"must be a whole number of step_ms \(100\)"):
+        SimConfig(duration_s=duration_s)
+    assert SimConfig(duration_s=1.0, step_ms=100 / 3).n_ticks == 30  # within 1e-9 of a whole tick count
+    with pytest.raises(ValueError, match="at least one step_ms"):
+        SimConfig(duration_s=0.07)
 
 
 def test_trace_csv_format(tmp_path):
