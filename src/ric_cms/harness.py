@@ -56,7 +56,7 @@ from .mitigation import (
     Strategy,
     mitigate,
 )
-from .ran_sim import SimConfig, Simulator, Trajectory, geometry_rows, write_trace_csv
+from .ran_sim import SimConfig, Simulator, Trajectory, write_trace_csv
 from .xapps import (
     CONTROL_INTERVAL_MS,
     EE_KPI,
@@ -171,25 +171,28 @@ class Arm(NamedTuple):
     checks: dict[int, tuple[int, str | None]]
 
 
-def compile_arm(strategy: Strategy, sim_cfg: SimConfig, model_set: ResponseModelSet | None = None) -> Arm:
+def compile_arm(strategy: Strategy, exp: ExperimentConfig, model_set: ResponseModelSet | None = None) -> Arm:
     """The arm's control plane: its request cadence through `mitigate` once, on the control
     clock (half interval k at k * CONTROL_INTERVAL_MS / 2), and every landed change through one
     `Ledger`.  The SLA check at each mobility request classifies before that request's change
     lands, so attribution sees the energy saver's standing change.  The sbd reset is a
-    controller action: it sets TXP and lands no change."""
+    controller action: it sets TXP and lands no change.  It takes a validated `ExperimentConfig`,
+    whose step splits the control interval into an even tick count, and TypeError for anything else."""
+    if not isinstance(exp, ExperimentConfig):
+        raise TypeError(f"compile_arm needs an ExperimentConfig, got {type(exp).__name__}")
     if strategy is Strategy.QACM and model_set is None:
         raise ValueError("qacm arm needs calibrated response models")
     ranks = {Strategy.P_ES: {ES_XAPP_ID: 2, MRO_XAPP_ID: 1}, Strategy.P_MRO: {MRO_XAPP_ID: 2, ES_XAPP_ID: 1}}
     models = {TXP_PARAM: model_set} if strategy is Strategy.QACM else {}
     ctx = MitigationContext({TXP_PARAM: TXP_DEFAULT_DBM}, ranks.get(strategy, {}), models, {TXP_PARAM: TXP_BOUNDS_DBM})
     on_arrival = Strategy.NC if strategy in (Strategy.NC, Strategy.SBD) else strategy  # nc and sbd write through
-    half_ticks = int(round(CONTROL_INTERVAL_MS / sim_cfg.step_ms)) // 2
-    window_ticks = int(round(DEFAULT_ATTRIBUTION_WINDOW_MS / sim_cfg.step_ms))
+    half_ticks = int(round(CONTROL_INTERVAL_MS / exp.sim.step_ms)) // 2
+    window_ticks = int(round(DEFAULT_ATTRIBUTION_WINDOW_MS / exp.sim.step_ms))
     ledger = Ledger(experiment_topology())
     standing: dict[str, ParameterRequest] = {}
-    applied = float(sim_cfg.txp_dbm)
+    applied = float(exp.sim.txp_dbm)
     arm = Arm({}, {})
-    for k, tick in enumerate(range(0, sim_cfg.n_ticks, half_ticks)):
+    for k, tick in enumerate(range(0, exp.sim.n_ticks, half_ticks)):
         t = k * CONTROL_INTERVAL_MS / 2
         if k % 2:  # the SLA check; a breach's size is the replica's, and the verdict does not read it
             try:
@@ -203,7 +206,7 @@ def compile_arm(strategy: Strategy, sim_cfg: SimConfig, model_set: ResponseModel
         if on_arrival is Strategy.NC or decision.value != applied:
             applied = arm.txp[tick] = decision.value
             ledger.record_change(ChangeRecord(t, req.xapp, TXP_PARAM, applied))
-        if strategy is Strategy.SBD and k % 2 and tick + 1 < sim_cfg.n_ticks:
+        if strategy is Strategy.SBD and k % 2 and tick + 1 < exp.sim.n_ticks:
             # the tick after the mobility app's request; a request there overwrites it
             arm.txp[tick + 1] = mitigate(Strategy.SBD, list(standing.values()), ctx).value
     return arm
@@ -217,17 +220,17 @@ def run_replica(
     trajectory: Trajectory,
     record_trace: bool = False,
 ) -> Generator[tuple[ReplicaResult, Simulator] | None, None, None]:
-    """One replica replaying its `compile_arm` arm over its seed's trajectory, a generator that
-    yields None between `geometry_rows` windows and (result, simulator) last.  Before a tick in
-    the arm, a breached SLA check (more than LF_SLA_THRESHOLD link failures since its window's
-    first tick) counts its compiled verdict, then TXP is set.  This is the one place a replica's
-    ticks are summed: each tick's numbers are added in tick order, to the run's totals and to
-    its applied power level's phase; the simulator keeps no totals."""
+    """One replica replaying its `compile_arm` arm over its seed's trajectory, a generator that yields
+    None between the trajectory's windows of len(trajectory.pl) ticks (a held run is one) and
+    (result, simulator) last.  Before a tick in the arm, a breached SLA check (more than LF_SLA_THRESHOLD
+    link failures since its window's first tick) counts its compiled verdict, then TXP is set.  This is
+    the one place a replica's ticks are summed: each tick's numbers are added in tick order, to the
+    run's totals and to its applied power level's phase; the simulator keeps no totals."""
     seed = exp.base_seed + rep
     if (trajectory.cfg, trajectory.seed) != (exp.sim, seed):
         raise ValueError(f"replica {rep} needs the trajectory of seed {seed} under the experiment's scenario")
     sim = Simulator(trajectory, record_trace)
-    n, step, w = exp.sim.n_ticks, exp.sim.step_ms, geometry_rows(exp.sim)
+    n, step, w = exp.sim.n_ticks, exp.sim.step_ms, len(trajectory.pl)
     # the ticks before which something other than a tick happens, among them each check window's start
     marks = arm.checks.keys() | {start for start, _ in arm.checks.values()} | arm.txp.keys() | {0}
 
@@ -356,7 +359,7 @@ def run_experiment(
     only replay it.  The no-coordination arm runs whenever it
     is requested or the QACM arm needs it.  Each pass builds one `Trajectory`
     per seed, and the arms but QACM run over it in lockstep: arm by arm
-    through each window of `geometry_rows` ticks.  QACM calibrates from the
+    through each window of its trajectory's ticks.  QACM calibrates from the
     NC replicas, which are reused, never re-run, so a repeated call with the
     same config is bit-reproducible.  It reuses the last trajectory if that
     is its seed's and still holds tick 0, as in a one-replica run.
@@ -370,7 +373,7 @@ def run_experiment(
     trajectory = None
     for group in ([s for s in arms if s is not Strategy.QACM], [s for s in arms if s is Strategy.QACM]):
         model_set = derive_qacm_models(arm_rows[Strategy.NC], exp) if Strategy.QACM in group else None
-        compiled = [compile_arm(s, exp.sim, model_set) for s in group]
+        compiled = [compile_arm(s, exp, model_set) for s in group]
         for rep in range(exp.reps if group else 0):
             if progress:
                 progress(tuple(s.value for s in group), rep, exp.reps)

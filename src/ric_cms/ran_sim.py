@@ -349,10 +349,10 @@ class Simulator:
     Levels, the A3 and receivability conditions and throughput are computed for
     every UE; each event condition is one selection, and TTT counts, cell changes,
     ping-pongs and trace rows are kept for the UEs it selected alone.
-    A run held in one block is scanned ahead: whenever the last scan is used up, one tick
-    computes the next SCAN_ROWS ticks at the current cells and TXP; the ticks up to the first
-    event are served from it, and the event's tick reads its levels from it; a new level drops
-    them.  The update order is unchanged.
+    A run held in one block (decided at construction) is scanned ahead from tick 0: whenever the last
+    scan is used up, one tick computes the next SCAN_ROWS ticks at the current cells and TXP; the ticks
+    up to the first event are served from it and do nothing else, the event's tick reads its levels
+    from it, and a new level drops them.  Only a windowed run's ticks compute their own levels.
     So after the first tick only `set_txp` may change a simulator's state between ticks.
     A simulator keeps only the state its next tick reads, and its trace: it holds no totals,
     and each tick returns its own numbers, which `harness.run_replica` sums.
@@ -362,7 +362,8 @@ class Simulator:
         self.trajectory, self._i = trajectory, 0  # the geometry, and the next tick's index into it
         self.cfg = cfg = trajectory.cfg
         self.gnbs, n = trajectory.gnbs, cfg.n_ues
-        self._n_ticks, self._dt_s, self._gain_db = cfg.n_ticks, cfg.step_ms / 1000.0, antenna_gain_db(cfg.ret_deg)
+        self._held = len(trajectory.pl) == cfg.n_ticks  # the run in one block, which it scans ahead
+        self._dt_s, self._gain_db = cfg.step_ms / 1000.0, antenna_gain_db(cfg.ret_deg)
         self._b0 = self._e = self._rows = 0  # the last scan's first tick, quiet rows and rows
         self.txp_dbm = math.nan
         self.set_txp(cfg.txp_dbm)
@@ -393,48 +394,46 @@ class Simulator:
 
     def tick(self) -> tuple:
         """One tick; returns what it produced, (bits, joules, link_failures, handovers, pingpongs)."""
-        cfg, i, traj = self.cfg, self._i, self.trajectory
-        t = (i + 1) * cfg.step_ms
+        i, traj = self._i, self.trajectory
         self._i = i + 1
-        held = len(traj.pl) == self._n_ticks and i < traj.end  # the run in one block, built at the first tick
-        pl = None if held else traj.row(i)
         k = i - self._b0  # this tick's row of the last scan
-        if k >= self._rows and held:  # the last scan is used up
+        if k >= self._rows and self._held:  # the last scan is used up
+            if i >= traj.end:  # the block is built at tick 0; past the run, GeometryWindowError
+                traj.row(i)
             self._scan(traj.pl[i:i + SCAN_ROWS])
             self._b0, k = i, 0
 
         if k < self._e:  # a quiet row of the scan: no UE is on A3, so every TTT count is 0
             self._ttt_count, self._ttt_target = self._no_ttt, self._tgt[k]
-            bits, n_lf, n_ho, n_pp = self._bits[k], 0, 0, 0
-        else:  # the scan's first event row, or a tick on its own
-            att, r, rs, tgt, a3, ok = (self._att, *(x[k] for x in self._ahead)) if k < self._rows else \
-                self._levels(pl, self._row0)
+            return self._bits[k], self._tick_joules, 0, 0, 0
 
-            # A3 handovers.  No event resets the TTT state: a detached UE never
-            # meets the condition, and a handover leaves the new serving cell as the
-            # stored target, which A3 never picks, so the next count starts at 1.
-            a3 = a3.nonzero()[0]
-            ho, count, n_pp = a3, self._no_ttt, 0
-            if a3.size:  # the count: 0 off A3, else one more than before on the same target, else 1
-                count = np.zeros_like(count)
-                count[a3] = c = (self._ttt_target[a3] == tgt[a3]) * self._ttt_count[a3] + 1
-                ho = a3[c >= self.required_ttt_ticks]
-                n_pp = self._change_cell("HO", t, r, ho, tgt, rs)
-            self._ttt_count, self._ttt_target = count, tgt
+        t = (i + 1) * self.cfg.step_ms  # an event row of the scan, or a windowed run's tick on its own
+        att, r, rs, tgt, a3, ok = (self._att, *(x[k] for x in self._ahead)) if k < self._rows else \
+            self._levels(traj.row(i), self._row0)
 
-            # link failures (attached, nothing receivable), then re-attachments, from the state before handovers
-            lf = back = (att != ok).nonzero()[0]
-            if lf.size:
-                was = att[lf]
-                lf, back = lf[was], lf[~was]
-                self._change_cell("LF", t, r, lf, self.serving)
-                n_pp += self._change_cell("REATTACH", t, r, back, rs=rs)
+        # A3 handovers.  No event resets the TTT state: a detached UE never
+        # meets the condition, and a handover leaves the new serving cell as the
+        # stored target, which A3 never picks, so the next count starts at 1.
+        a3 = a3.nonzero()[0]
+        ho, count, n_pp = a3, self._no_ttt, 0
+        if a3.size:  # the count: 0 off A3, else one more than before on the same target, else 1
+            count = np.zeros_like(count)
+            count[a3] = c = (self._ttt_target[a3] == tgt[a3]) * self._ttt_count[a3] + 1
+            ho = a3[c >= self.required_ttt_ticks]
+            n_pp = self._change_cell("HO", t, r, ho, tgt, rs)
+        self._ttt_count, self._ttt_target = count, tgt
 
-            # throughput for attached UEs (now exactly ok, rs their serving levels)
-            bits = float(np.add.reduce(self._capacity(rs)[ok]) * self._dt_s)
-            n_lf, n_ho = lf.size, ho.size + back.size
+        # link failures (attached, nothing receivable), then re-attachments, from the state before handovers
+        lf = back = (att != ok).nonzero()[0]
+        if lf.size:
+            was = att[lf]
+            lf, back = lf[was], lf[~was]
+            self._change_cell("LF", t, r, lf, self.serving)
+            n_pp += self._change_cell("REATTACH", t, r, back, rs=rs)
 
-        return bits, self._tick_joules, n_lf, n_ho, n_pp  # the joules: energy for all sites
+        # throughput for attached UEs (now exactly ok, rs their serving levels); the joules: energy for all sites
+        bits = float(np.add.reduce(self._capacity(rs)[ok]) * self._dt_s)
+        return bits, self._tick_joules, lf.size, ho.size + back.size, n_pp
 
     def _levels(self, pl: np.ndarray, rows: np.ndarray) -> tuple:
         """At the current cells and TXP, from path loss `pl` (..., n_ues, n_gnbs) with each UE's row at flat

@@ -87,6 +87,28 @@ def test_topology_rejects_malformed_json(tmp_path, capsys, topology):
     assert json.loads(err)["error"] == "TopologyError"
 
 
+@pytest.mark.parametrize(
+    "topology, detail",
+    [
+        ({}, "lacks 'xapps'"),
+        ({"xapps": [{**_X1, "id": ""}]}, "xApp id must be non-empty"),
+        ({"xapps": [{**_X1, "kpis": [{"id": "", "direction": "maximize"}]}]}, "KPI id must be non-empty"),
+        ({"xapps": [{**_X1, "icps": ["p1", "p1"]}]}, "'x1' declares duplicate ICPs"),
+        ({"xapps": [{**_X1, "kpis": _X1["kpis"] * 2}]}, "'x1' declares duplicate KPIs"),
+    ],
+    ids=["no-xapps", "xapp-id-empty", "kpi-id-empty", "duplicate-icps", "duplicate-kpis"],
+)
+def test_topology_file_errors_name_their_rule(tmp_path, capsys, topology, detail):
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(topology))
+    assert main(["topology", "--input", str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "TopologyError"
+    assert detail in payload["detail"]
+
+
 def test_detect_bench(tmp_path, capsys):
     out = tmp_path / "stats.json"
     assert main(["detect-bench", "--events", "400", "--seed", "1", "--out", str(out)]) == 0
@@ -184,6 +206,20 @@ def test_simulate_rejects_scenario_tick_cannot_handle(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
     assert "crosses more than the field" in payload["detail"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_simulate_refuses_to_calibrate_from_a_run_that_carries_no_bits(tmp_path, capsys):
+    # no cell reaches a 100 dBm floor, so every no-coordination replica's efficiency is zero
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"min_rsrp_dbm": 100.0, "duration_s": 6.0}))
+    rc = main(["simulate", "--config", str(scenario), "--strategies", "qacm", "--reps", "1", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "degenerate calibration" in payload["detail"]
     assert not (tmp_path / "run").exists()
 
 

@@ -98,7 +98,7 @@ def test_reps_and_seed_must_be_integers_in_range(field, bad):
 
 def run_one(strategy, model_set=None, **kw):
     exp = small_exp(**kw)
-    arm = compile_arm(strategy, exp.sim, model_set)
+    arm = compile_arm(strategy, exp, model_set)
     *_, end = run_replica(strategy, 0, exp, arm, Trajectory(exp.sim, exp.base_seed))
     return end
 
@@ -174,7 +174,7 @@ def test_write_through_records_every_request(monkeypatch, strategy):
 
     monkeypatch.setattr(harness, "Ledger", keep)
     exp = small_exp(sim=SimConfig(duration_s=20.0, txp_dbm=3.0))
-    *_, _ = run_replica(strategy, 0, exp, compile_arm(strategy, exp.sim), Trajectory(exp.sim, exp.base_seed))
+    *_, _ = run_replica(strategy, 0, exp, compile_arm(strategy, exp), Trajectory(exp.sim, exp.base_seed))
     (ledger,) = ledgers
     assert [c.xapp for c in ledger.changes] == ["es", "mro"] * 10
     assert [c.value for c in ledger.changes] == [3.0, 50.0] * 10
@@ -193,7 +193,7 @@ def replay(monkeypatch, strategy, cfg, model_set=None):
     ledgers, make_ledger = [], harness.Ledger
     with monkeypatch.context() as m:
         m.setattr(harness, "Ledger", lambda *a, **kw: ledgers.append(make_ledger(*a, **kw)) or ledgers[-1])
-        arm = compile_arm(strategy, cfg, model_set)
+        arm = compile_arm(strategy, ExperimentConfig(cfg), model_set)
     (ledger,) = ledgers
     txp, column = cfg.txp_dbm, []
     for tick in range(cfg.n_ticks):
@@ -243,7 +243,18 @@ def test_sbd_request_wins_the_reset_tick_at_two_ticks_per_interval(monkeypatch):
 
 def test_qacm_arm_needs_a_model_set():
     with pytest.raises(ValueError, match="calibrated response models"):
-        compile_arm(Strategy.QACM, SimConfig())
+        compile_arm(Strategy.QACM, ExperimentConfig(SimConfig()))
+
+
+@pytest.mark.parametrize("step_ms", [300.0, 2000.0])
+def test_compile_arm_takes_only_a_validated_experiment(step_ms):
+    # a bare scenario skips the interval check: at 300 ms it would set TXP every 900 ms on a
+    # 1,000 ms control clock, and at 2,000 ms no tick would fall between two requests
+    sim = SimConfig(step_ms=step_ms, duration_s=6.0)
+    with pytest.raises(TypeError, match="needs an ExperimentConfig, got SimConfig"):
+        compile_arm(Strategy.NC, sim)
+    with pytest.raises(ValueError, match="interval_ms"):
+        ExperimentConfig(sim)
 
 
 def test_arbitration_does_not_scale_with_replicas(monkeypatch):
@@ -265,7 +276,7 @@ def test_arbitration_does_not_scale_with_replicas(monkeypatch):
     assert per_reps[0] == {Strategy.NC: 40, Strategy.SBD: 10, Strategy.P_ES: 20, Strategy.P_MRO: 20, Strategy.QACM: 20}
 
     exp = small_exp()
-    schedules = {s: compile_arm(s, exp.sim, FIXED_QACM) for s in ALL_STRATEGIES}
+    schedules = {s: compile_arm(s, exp, FIXED_QACM) for s in ALL_STRATEGIES}
     calls.clear()
     for strategy, actions in schedules.items():
         *_, _ = run_replica(strategy, 0, exp, actions, Trajectory(exp.sim, exp.base_seed))
@@ -287,7 +298,7 @@ def test_attribution_does_not_scale_with_replicas(monkeypatch):
     assert per_reps[0] == {"Ledger": 5, "classify": 50}
 
     exp = small_exp()
-    arms = {s: compile_arm(s, exp.sim, FIXED_QACM) for s in ALL_STRATEGIES}
+    arms = {s: compile_arm(s, exp, FIXED_QACM) for s in ALL_STRATEGIES}
     calls.clear()
     for strategy, arm in arms.items():
         *_, _ = run_replica(strategy, 0, exp, arm, Trajectory(exp.sim, exp.base_seed))
@@ -312,7 +323,7 @@ def test_a_replica_sums_its_ticks_in_order():
     # of a simulator set by the same compiled schedule; at 100/3 ms no sum is exact by luck
     exp = ExperimentConfig(SimConfig(n_ues=40, duration_s=20.0, step_ms=100 / 3), strategies=(Strategy.SBD,),
                            reps=1, base_seed=7)
-    arm = compile_arm(Strategy.SBD, exp.sim)
+    arm = compile_arm(Strategy.SBD, exp)
     *_, (res, _) = run_replica(Strategy.SBD, 0, exp, arm, Trajectory(exp.sim, 7))
     sim, totals, phases = Simulator(Trajectory(exp.sim, 7), record_trace=False), [0.0, 0.0, 0, 0, 0], {}
     for k in range(exp.sim.n_ticks):
@@ -446,7 +457,7 @@ def test_each_seed_draws_its_population_once_per_pass(monkeypatch):
 @pytest.mark.parametrize("seed, sim", [(6, SimConfig(duration_s=20.0)), (5, SimConfig(duration_s=10.0))])
 def test_a_replica_refuses_another_seeds_trajectory(seed, sim):
     exp = small_exp()
-    replica = run_replica(Strategy.NC, 0, exp, compile_arm(Strategy.NC, exp.sim), Trajectory(sim, seed))
+    replica = run_replica(Strategy.NC, 0, exp, compile_arm(Strategy.NC, exp), Trajectory(sim, seed))
     with pytest.raises(ValueError, match="trajectory of seed 5"):
         next(replica)
 

@@ -309,6 +309,11 @@ def test_qacm_strategy_without_models_fails():
         mitigate(Strategy.QACM, [req("a", 3.0, 0.0)], ctx())
 
 
+def test_a_strategy_that_is_not_a_member_fails():
+    with pytest.raises(MitigationError, match="unknown strategy 'nc'"):
+        mitigate("nc", [req("a", 3.0, 0.0)], ctx())
+
+
 def test_decision_clamped_to_bounds():
     c = ctx(bounds={"TXP": (0.0, 40.0)})
     d = mitigate(Strategy.NC, [req("a", 99.0, 1.0)], c)

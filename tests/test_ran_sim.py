@@ -447,6 +447,25 @@ def test_geometry_is_read_only_after_the_first_tick():
             traj.row(k)[0, 0] = 1.0
 
 
+def test_a_held_run_takes_its_levels_from_scans_from_its_first_tick(monkeypatch):
+    # the rank of the path loss behind each level computed: a scan block (3-D) or one tick's row
+    ranks, levels = [], Simulator._levels
+    monkeypatch.setattr(Simulator, "_levels", lambda sim, pl, rows: ranks.append(pl.ndim) or levels(sim, pl, rows))
+    cfg = SimConfig(n_ues=20, duration_s=6.0)
+    sim = Simulator(Trajectory(cfg, 0))
+    sim.tick()
+    assert ranks == [3]
+    for k in range(1, cfg.n_ticks):
+        sim.set_txp((3.0, 50.0)[k // 10 % 2])  # each new level drops the scan
+        sim.tick()
+    assert len(ranks) >= 7 and set(ranks) == {3}  # tick 0 and the 6 level changes each scan at least once
+
+    monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)  # a windowed run computes every tick's own row
+    ranks.clear()
+    run(Simulator(Trajectory(cfg, 0)))
+    assert ranks == [2] * cfg.n_ticks
+
+
 def two_tick_windows(monkeypatch, cfg):
     monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)
     monkeypatch.setattr(ran_sim, "GEOMETRY_WINDOW_BYTES", 2 * cfg.n_ues * len(cfg.resolved_gnbs()) * 8)
