@@ -160,13 +160,13 @@ class ReplicaResult:
     unattributed: int = 0
     phases: dict[float, PhaseStats] = field(default_factory=dict)
 
-    def csv_row(self) -> list:
-        return [getattr(self, c) for c in RESULT_COLUMNS]
-
 
 class Arm(NamedTuple):
-    """An arm's compiled control plane, as ticks: the TXP to set before each tick that sets one, and each SLA
-    check's tick -> (the first tick of its window, the verdict a breach there gets; None: no change to attribute)."""
+    """A strategy's control plane compiled for one experiment, as ticks of its step: the TXP to set before each
+    tick that sets one, and each SLA check's tick -> (the first tick of its window, the verdict a breach there
+    gets; None: no change to attribute)."""
+    strategy: Strategy
+    exp: ExperimentConfig
     txp: dict[int, float]
     checks: dict[int, tuple[int, str | None]]
 
@@ -191,7 +191,7 @@ def compile_arm(strategy: Strategy, exp: ExperimentConfig, model_set: ResponseMo
     ledger = Ledger(experiment_topology())
     standing: dict[str, ParameterRequest] = {}
     applied = float(exp.sim.txp_dbm)
-    arm = Arm({}, {})
+    arm = Arm(strategy, exp, {}, {})
     for k, tick in enumerate(range(0, exp.sim.n_ticks, half_ticks)):
         t = k * CONTROL_INTERVAL_MS / 2
         if k % 2:  # the SLA check; a breach's size is the replica's, and the verdict does not read it
@@ -213,23 +213,21 @@ def compile_arm(strategy: Strategy, exp: ExperimentConfig, model_set: ResponseMo
 
 
 def run_replica(
-    strategy: Strategy,
-    rep: int,
-    exp: ExperimentConfig,
-    arm: Arm,
-    trajectory: Trajectory,
-    record_trace: bool = False,
+    strategy: Strategy, rep: int, arm: Arm, trajectory: Trajectory
 ) -> Generator[tuple[ReplicaResult, Simulator] | None, None, None]:
-    """One replica replaying its `compile_arm` arm over its seed's trajectory, a generator that yields
-    None between the trajectory's windows of len(trajectory.pl) ticks (a held run is one) and
-    (result, simulator) last.  Before a tick in the arm, a breached SLA check (more than LF_SLA_THRESHOLD
-    link failures since its window's first tick) counts its compiled verdict, then TXP is set.  This is
-    the one place a replica's ticks are summed: each tick's numbers are added in tick order, to the
-    run's totals and to its applied power level's phase; the simulator keeps no totals."""
-    seed = exp.base_seed + rep
+    """Replica rep of the strategy's `compile_arm` arm, replayed over the trajectory of seed
+    arm.exp.base_seed + rep under arm.exp's scenario, a generator that yields None between the trajectory's
+    windows of len(trajectory.pl) ticks (a held run is one) and (result, simulator) last; only rep 0's
+    simulator records the trace `export_traces` writes.  Before a tick in the arm, a breached SLA check (more
+    than LF_SLA_THRESHOLD link failures since its window's first tick) counts its compiled verdict, then TXP
+    is set.  This is the one place a replica's ticks are summed: each tick's numbers are added in tick order,
+    to the run's totals and to its applied power level's phase; the simulator keeps no totals."""
+    exp, seed = arm.exp, arm.exp.base_seed + rep
+    if arm.strategy is not strategy:
+        raise ValueError(f"the {strategy.value} replica got an arm compiled for {arm.strategy.value}")
     if (trajectory.cfg, trajectory.seed) != (exp.sim, seed):
         raise ValueError(f"replica {rep} needs the trajectory of seed {seed} under the experiment's scenario")
-    sim = Simulator(trajectory, record_trace)
+    sim = Simulator(trajectory, rep == 0)
     n, step, w = exp.sim.n_ticks, exp.sim.step_ms, len(trajectory.pl)
     # the ticks before which something other than a tick happens, among them each check window's start
     marks = arm.checks.keys() | {start for start, _ in arm.checks.values()} | arm.txp.keys() | {0}
@@ -332,10 +330,11 @@ def box_stats(values: Sequence[float]) -> dict[str, float]:
 
 @dataclass
 class ExperimentResult:
+    """The rows, the QACM models, and each arm's rep-0 simulator, whose trace `export_traces` writes."""
     config: ExperimentConfig
     rows: dict[str, list[ReplicaResult]]  # strategy value -> replicas in rep order
     model_set: ResponseModelSet | None
-    traces: dict[str, Simulator] = field(default_factory=dict)  # rep-0 sims
+    traces: dict[str, Simulator] = field(default_factory=dict)  # strategy value -> rep-0 simulator
 
     def summary(self) -> dict[str, dict[str, dict[str, float]]]:
         """strategy -> metric -> box stats, as summary.json writes them."""
@@ -368,25 +367,25 @@ def run_experiment(
     arms = [s for s in exp.strategies if s is not Strategy.NC]
     if Strategy.NC in exp.strategies or Strategy.QACM in exp.strategies:
         arms.insert(0, Strategy.NC)
-    arm_rows: dict[Strategy, list[ReplicaResult]] = {s: [] for s in arms}
+    arm_rows: dict[str, list[ReplicaResult]] = {s.value: [] for s in arms}
     traces: dict[str, Simulator] = dict.fromkeys(s.value for s in arms)  # rep-0 sims, in arm order
     trajectory = None
     for group in ([s for s in arms if s is not Strategy.QACM], [s for s in arms if s is Strategy.QACM]):
-        model_set = derive_qacm_models(arm_rows[Strategy.NC], exp) if Strategy.QACM in group else None
+        model_set = derive_qacm_models(arm_rows[Strategy.NC.value], exp) if Strategy.QACM in group else None
         compiled = [compile_arm(s, exp, model_set) for s in group]
         for rep in range(exp.reps if group else 0):
             if progress:
                 progress(tuple(s.value for s in group), rep, exp.reps)
             if trajectory is None or trajectory.seed != exp.base_seed + rep or trajectory.base:
                 trajectory = Trajectory(exp.sim, exp.base_seed + rep)
-            replicas = [run_replica(s, rep, exp, arm, trajectory, record_trace=rep == 0) for s, arm in zip(group, compiled)]
+            replicas = [run_replica(arm.strategy, rep, arm, trajectory) for arm in compiled]
             *_, ends = zip(*replicas)  # window by window, each arm in turn ticks its rows
-            for strategy, (res, sim) in zip(group, ends):
-                arm_rows[strategy].append(res)
+            for res, sim in ends:
+                arm_rows[res.strategy].append(res)
                 if rep == 0:
-                    traces[strategy.value] = sim
+                    traces[res.strategy] = sim
 
-    rows = {s.value: arm_rows[s] for s in exp.strategies}
+    rows = {s.value: arm_rows[s.value] for s in exp.strategies}
     return ExperimentResult(exp, rows, model_set, traces)
 
 
@@ -395,7 +394,8 @@ def run_experiment(
 # ===========================================================================
 
 def export_csv(result: ExperimentResult, path: str | Path) -> None:
-    rows = (r.csv_row() for s in result.config.strategies for r in result.rows.get(s.value, ()))
+    rows = ([getattr(r, c) for c in RESULT_COLUMNS]
+            for s in result.config.strategies for r in result.rows.get(s.value, ()))
     write_csv(path, RESULT_COLUMNS, rows)
 
 

@@ -200,6 +200,29 @@ def qacm_scan_oracle(models, bounds, step):
     return best
 
 
+def assert_strategy_orderings(result) -> None:
+    """Acceptance criterion 6: the orderings of the arms' medians that the paper's comparison rests on."""
+    ee = result.medians("energy_efficiency_bits_per_joule")
+    lf = result.medians("link_failures")
+    ho = result.medians("total_handovers")
+    # (a) energy efficiency: qacm above the energy saver and the rest
+    assert ee["qacm"] > ee["p-es"]
+    for s in ("nc", "sbd", "p-mro"):
+        assert ee["qacm"] > ee[s], f"ee qacm vs {s}"
+    # (b) link failures: qacm no worse than p-mro, both better than the rest
+    assert lf["qacm"] <= lf["p-mro"]
+    for s in ("nc", "sbd", "p-es"):
+        assert lf["qacm"] < lf[s], f"lf qacm vs {s}"
+        assert lf["p-mro"] < lf[s], f"lf p-mro vs {s}"
+    # (c) handovers: qacm no worse than p-mro, p-mro below the rest
+    assert ho["qacm"] <= ho["p-mro"]
+    for s in ("nc", "sbd", "p-es"):
+        assert ho["p-mro"] < ho[s], f"ho p-mro vs {s}"
+    # (d) qacm versus no coordination outright
+    assert lf["qacm"] <= 0.9 * lf["nc"]
+    assert ho["qacm"] < ho["nc"]
+
+
 def save_sim_config(cfg: SimConfig, path: str | Path) -> None:
     """Write cfg as a scenario file: its fields as one JSON object."""
     write_json(path, asdict(cfg))

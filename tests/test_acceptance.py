@@ -14,6 +14,7 @@ from dataclasses import astuple
 import pytest
 
 from conftest import (
+    assert_strategy_orderings,
     oracle_direct_pairs,
     oracle_param_groups,
     qacm_scan_oracle,
@@ -132,31 +133,12 @@ def test_criterion_5_optimizer_matches_reference_scan():
 
 def test_criterion_6_strategy_orderings(desk_run):
     result, elapsed = desk_run
-    ee = result.medians("energy_efficiency_bits_per_joule")
-    lf = result.medians("link_failures")
-    ho = result.medians("total_handovers")
     label = (
         "6: quick-preset orderings (EE best under qacm, failures and churn "
         f"contained) in {elapsed:.0f} s"
     )
     with check(label):
-        others = ("nc", "sbd", "p-mro")
-        # (a) energy efficiency: qacm above the energy saver and the rest
-        assert ee["qacm"] > ee["p-es"]
-        for s in others:
-            assert ee["qacm"] > ee[s], f"ee qacm vs {s}"
-        # (b) link failures: qacm no worse than p-mro, both better than the rest
-        assert lf["qacm"] <= lf["p-mro"]
-        for s in ("nc", "sbd", "p-es"):
-            assert lf["qacm"] < lf[s], f"lf qacm vs {s}"
-            assert lf["p-mro"] < lf[s], f"lf p-mro vs {s}"
-        # (c) handovers: qacm no worse than p-mro, p-mro below the rest
-        assert ho["qacm"] <= ho["p-mro"]
-        for s in ("nc", "sbd", "p-es"):
-            assert ho["p-mro"] < ho[s], f"ho p-mro vs {s}"
-        # (d) qacm versus no coordination outright
-        assert lf["qacm"] <= 0.9 * lf["nc"]
-        assert ho["qacm"] < ho["nc"]
+        assert_strategy_orderings(result)
         assert elapsed < 600.0
 
 

@@ -5,29 +5,41 @@ these runs has a ping-pong; test_ran_sim pins that rule.  float64
 `log10`/`hypot` may differ in the last bit across numpy versions, so the
 check runs only on the version the digests were taken with.  Within it,
 `power`, `log2` and `log10` round the last bit differently under numpy's
-AVX-512 and AVX2 kernels, so the digests are keyed on the kernel set
-numpy dispatches to, and any other set skips.
+AVX-512 and AVX2 kernels, so on x86-64 the digests are keyed on whether
+numpy's X86_V4 (AVX-512) kernels are enabled; other machines skip.
+
+The paper preset's digests are checked by a test marked `slow`, which the
+default run deselects; `pytest -m slow tests/test_golden_outputs.py` runs it
+(about two and a half minutes on one core).
 """
 
 import hashlib
+import platform
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 try:
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    from numpy._core._multiarray_umath import __cpu_features__
 except ImportError:  # numpy before 2.0, which the version check skips anyway
-    __cpu_dispatch__, __cpu_features__ = (), {}
+    __cpu_features__ = {}
 
+from conftest import assert_strategy_orderings
 from ric_cms.harness import (
-    ExperimentConfig, desk_preset, export_csv, export_summary_json, export_traces, run_experiment)
+    ExperimentConfig, desk_preset, export_csv, export_summary_json, export_traces, paper_preset, run_experiment)
 from ric_cms.mitigation import Strategy
 from ric_cms.ran_sim import SimConfig
 
 GOLDEN_NUMPY = "2.4.6"
-# numpy's enabled dispatch targets, in its own order
-KERNELS = " ".join(k for k in __cpu_dispatch__ if __cpu_features__[k])
+# The kernels that decide the bytes.  With numpy 2.4.6 on an AVX-512 Xeon, each of the five x86-64
+# kernel sets NPY_DISABLE_CPU_FEATURES can leave enabled gave the AVX-512 digests while X86_V4 was
+# enabled (with or without AVX512_ICL and AVX512_SPR), and the AVX2 digests once it was not (with
+# or without X86_V3).
+if platform.machine().lower() in ("x86_64", "amd64"):
+    KERNELS = "X86_V4" if __cpu_features__.get("X86_V4") else "below X86_V4"
+else:
+    KERNELS = platform.machine()
 
 RUNS = {
     "desk": replace(desk_preset(0), reps=1),
@@ -99,12 +111,13 @@ AVX512_DIGESTS = {
 }
 
 
-# kernel set -> run -> file name -> sha256.  The AVX2 set is what a CPU without AVX-512 runs;
-# its digests were taken on an AVX-512 Xeon with NPY_DISABLE_CPU_FEATURES="AVX512_SPR
-# AVX512_ICL X86_V4".  Only energy efficiency's last digits differ, in two runs.
+# kernels -> run -> file name -> sha256.  Below X86_V4 numpy runs its AVX2 kernels, or its
+# baseline ones on a CPU without AVX2; those digests were taken on an AVX-512 Xeon with
+# NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4".  Only energy efficiency's last
+# digits differ, in two runs.
 DIGESTS = {
-    "X86_V3 X86_V4 AVX512_ICL AVX512_SPR": AVX512_DIGESTS,
-    "X86_V3": {
+    "X86_V4": AVX512_DIGESTS,
+    "below X86_V4": {
         **AVX512_DIGESTS,
         "min_rsrp_100": {
             **AVX512_DIGESTS["min_rsrp_100"],
@@ -129,9 +142,36 @@ def output_digests(exp: ExperimentConfig, outdir) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(outdir.iterdir())}
 
 
-@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
-                    reason=f"digests taken with numpy {GOLDEN_NUMPY}, running numpy {np.__version__}")
-@pytest.mark.skipif(KERNELS not in DIGESTS, reason=f"no digests for numpy's dispatch targets {KERNELS.split()}")
+golden = pytest.mark.skipif(
+    np.__version__ != GOLDEN_NUMPY or KERNELS not in DIGESTS,
+    reason=f"digests taken with numpy {GOLDEN_NUMPY} on x86-64, running numpy {np.__version__} on {KERNELS}")
+
+
+@golden
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_exports_keep_their_bytes(name, tmp_path):
     assert output_digests(RUNS[name], tmp_path) == DIGESTS[KERNELS][name]
+
+
+# kernels -> file name -> sha256 of what `simulate --preset paper --seed 0` writes
+PAPER_DIGESTS = {
+    "X86_V4": {
+        "results.csv": "e2af9410bb552d0427f5fb35ecfc5b093a293597a29778eedcb33229321e1c81",
+        "summary.json": "78062fcadd30f427534f03624612df770b7eb4b1b40ccdba3531e31f70ad2bd8",
+    },
+    "below X86_V4": {
+        "results.csv": "82cdc5983e414f7e26efd44a5118b01f6401c6ffe9febdb3957bc8874a80a2a4",
+        "summary.json": "658b998f931caa8c03017de1c76d4eb138927d8d7088b3ea25fc35aca3ddfd00",
+    },
+}
+
+
+@golden
+@pytest.mark.slow
+def test_paper_preset_keeps_its_bytes_and_orderings(tmp_path):
+    result = run_experiment(paper_preset(0))
+    export_csv(result, tmp_path / "results.csv")
+    export_summary_json(result, tmp_path / "summary.json")
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert digests == PAPER_DIGESTS[KERNELS]
+    assert_strategy_orderings(result)

@@ -99,7 +99,7 @@ def test_reps_and_seed_must_be_integers_in_range(field, bad):
 def run_one(strategy, model_set=None, **kw):
     exp = small_exp(**kw)
     arm = compile_arm(strategy, exp, model_set)
-    *_, end = run_replica(strategy, 0, exp, arm, Trajectory(exp.sim, exp.base_seed))
+    *_, end = run_replica(strategy, 0, arm, Trajectory(exp.sim, exp.base_seed))
     return end
 
 
@@ -174,7 +174,7 @@ def test_write_through_records_every_request(monkeypatch, strategy):
 
     monkeypatch.setattr(harness, "Ledger", keep)
     exp = small_exp(sim=SimConfig(duration_s=20.0, txp_dbm=3.0))
-    *_, _ = run_replica(strategy, 0, exp, compile_arm(strategy, exp), Trajectory(exp.sim, exp.base_seed))
+    *_, _ = run_replica(strategy, 0, compile_arm(strategy, exp), Trajectory(exp.sim, exp.base_seed))
     (ledger,) = ledgers
     assert [c.xapp for c in ledger.changes] == ["es", "mro"] * 10
     assert [c.value for c in ledger.changes] == [3.0, 50.0] * 10
@@ -279,7 +279,7 @@ def test_arbitration_does_not_scale_with_replicas(monkeypatch):
     schedules = {s: compile_arm(s, exp, FIXED_QACM) for s in ALL_STRATEGIES}
     calls.clear()
     for strategy, actions in schedules.items():
-        *_, _ = run_replica(strategy, 0, exp, actions, Trajectory(exp.sim, exp.base_seed))
+        *_, _ = run_replica(strategy, 0, actions, Trajectory(exp.sim, exp.base_seed))
     assert not calls
 
 
@@ -301,7 +301,7 @@ def test_attribution_does_not_scale_with_replicas(monkeypatch):
     arms = {s: compile_arm(s, exp, FIXED_QACM) for s in ALL_STRATEGIES}
     calls.clear()
     for strategy, arm in arms.items():
-        *_, _ = run_replica(strategy, 0, exp, arm, Trajectory(exp.sim, exp.base_seed))
+        *_, _ = run_replica(strategy, 0, arm, Trajectory(exp.sim, exp.base_seed))
     assert not calls
 
 
@@ -324,7 +324,7 @@ def test_a_replica_sums_its_ticks_in_order():
     exp = ExperimentConfig(SimConfig(n_ues=40, duration_s=20.0, step_ms=100 / 3), strategies=(Strategy.SBD,),
                            reps=1, base_seed=7)
     arm = compile_arm(Strategy.SBD, exp)
-    *_, (res, _) = run_replica(Strategy.SBD, 0, exp, arm, Trajectory(exp.sim, 7))
+    *_, (res, _) = run_replica(Strategy.SBD, 0, arm, Trajectory(exp.sim, 7))
     sim, totals, phases = Simulator(Trajectory(exp.sim, 7), record_trace=False), [0.0, 0.0, 0, 0, 0], {}
     for k in range(exp.sim.n_ticks):
         if k in arm.txp:
@@ -454,12 +454,34 @@ def test_each_seed_draws_its_population_once_per_pass(monkeypatch):
     assert seeds == [5, 6, 5, 6]  # the four arms before qacm, then qacm
 
 
-@pytest.mark.parametrize("seed, sim", [(6, SimConfig(duration_s=20.0)), (5, SimConfig(duration_s=10.0))])
+@pytest.mark.parametrize("seed, sim", [
+    (6, SimConfig(duration_s=20.0)),
+    (5, SimConfig(duration_s=10.0)),
+    # the arm's own step: replayed at 50 ms, its 100 ms ticks would set TXP every 500 ms
+    (5, SimConfig(duration_s=20.0, step_ms=50.0)),
+])
 def test_a_replica_refuses_another_seeds_trajectory(seed, sim):
     exp = small_exp()
-    replica = run_replica(Strategy.NC, 0, exp, compile_arm(Strategy.NC, exp), Trajectory(sim, seed))
+    replica = run_replica(Strategy.NC, 0, compile_arm(Strategy.NC, exp), Trajectory(sim, seed))
     with pytest.raises(ValueError, match="trajectory of seed 5"):
         next(replica)
+
+
+def test_a_replica_refuses_another_strategys_arm():
+    exp = small_exp()
+    arm = compile_arm(Strategy.NC, exp)
+    assert (arm.strategy, arm.exp) == (Strategy.NC, exp)
+    with pytest.raises(ValueError, match="the qacm replica got an arm compiled for nc"):
+        next(run_replica(Strategy.QACM, 0, arm, Trajectory(exp.sim, 5)))
+
+
+def test_only_rep_0_records_a_trace():
+    exp = small_exp()
+    arm = compile_arm(Strategy.NC, exp)
+    *_, (_, first) = run_replica(Strategy.NC, 0, arm, Trajectory(exp.sim, 5))
+    *_, (res, second) = run_replica(Strategy.NC, 1, arm, Trajectory(exp.sim, 6))
+    assert first.record_trace and first.trace
+    assert not second.record_trace and second.trace == [] and res.total_handovers > 0
 
 
 @pytest.mark.parametrize("window", [None, 1, 3])
