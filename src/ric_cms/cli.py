@@ -100,9 +100,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    export_csv(result, outdir / "results.csv")
-    export_summary_json(result, outdir / "summary.json")
-    export_traces(result, outdir)
+    written = [outdir / "results.csv", outdir / "summary.json"]
+    export_csv(result, written[0])
+    export_summary_json(result, written[1])
+    written += export_traces(result, outdir)
 
     print(f"\nmedians over {exp.reps} replicas:")
     summary = result.summary()
@@ -115,7 +116,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"{st['link_failures']['median']:8.1f} {st['total_handovers']['median']:8.1f} "
             f"{st['pingpong_handovers']['median']:8.1f}"
         )
-    print(f"\nwrote {outdir / 'results.csv'} and {outdir / 'summary.json'}")
+    print(f"\nwrote {', '.join(map(str, written))}")
     return 0
 
 

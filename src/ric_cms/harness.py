@@ -137,7 +137,7 @@ PRESETS = {"desk": desk_preset, "paper": paper_preset}
 # Single replica
 # ===========================================================================
 
-@dataclass
+@dataclass(slots=True)
 class PhaseStats:
     """Accumulated per applied power level; the calibration raw material."""
 
@@ -147,7 +147,7 @@ class PhaseStats:
     link_failures: int = 0
 
 
-@dataclass
+@dataclass(slots=True)  # slotted, as results pile up: perfbench keeps every unit's rows
 class ReplicaResult:
     strategy: str
     rep: int
@@ -216,19 +216,24 @@ def run_replica(
     strategy: Strategy, rep: int, arm: Arm, trajectory: Trajectory
 ) -> Generator[tuple[ReplicaResult, Simulator] | None, None, None]:
     """Replica rep of the strategy's `compile_arm` arm, replayed over the trajectory of seed
-    arm.exp.base_seed + rep under arm.exp's scenario, a generator that yields None between the trajectory's
-    windows of len(trajectory.pl) ticks (a held run is one) and (result, simulator) last; only rep 0's
-    simulator records the trace `export_traces` writes.  Before a tick in the arm, a breached SLA check (more
-    than LF_SLA_THRESHOLD link failures since its window's first tick) counts its compiled verdict, then TXP
-    is set.  This is the one place a replica's ticks are summed: each tick's numbers are added in tick order,
-    to the run's totals and to its applied power level's phase; the simulator keeps no totals."""
-    exp, seed = arm.exp, arm.exp.base_seed + rep
+    arm.exp.base_seed + rep under arm.exp's scenario; ValueError at the call for another strategy's arm or
+    another trajectory.  It returns a generator that yields None between the trajectory's windows of
+    len(trajectory.pl) ticks (a held run is one) and (result, simulator) last; the simulator runs the arm's
+    TXP schedule, and only rep 0's records the trace `export_traces` writes."""
+    seed = arm.exp.base_seed + rep
     if arm.strategy is not strategy:
         raise ValueError(f"the {strategy.value} replica got an arm compiled for {arm.strategy.value}")
-    if (trajectory.cfg, trajectory.seed) != (exp.sim, seed):
+    if (trajectory.cfg, trajectory.seed) != (arm.exp.sim, seed):
         raise ValueError(f"replica {rep} needs the trajectory of seed {seed} under the experiment's scenario")
-    sim = Simulator(trajectory, rep == 0)
-    n, step, w = exp.sim.n_ticks, exp.sim.step_ms, len(trajectory.pl)
+    return _replay(rep, arm, Simulator(trajectory, arm.txp, rep == 0))
+
+
+def _replay(rep: int, arm: Arm, sim: Simulator) -> Generator:
+    """`run_replica`'s replay, the one place a replica's ticks are summed: each tick's numbers are added in tick
+    order, to the run's totals and to its applied power level's phase.  Before a tick in the arm, a breached SLA
+    check (more than LF_SLA_THRESHOLD link failures since its window's first tick) counts its compiled verdict."""
+    exp, seed = arm.exp, arm.exp.base_seed + rep
+    n, step, w = exp.sim.n_ticks, exp.sim.step_ms, len(sim.trajectory.pl)
     # the ticks before which something other than a tick happens, among them each check window's start
     marks = arm.checks.keys() | {start for start, _ in arm.checks.values()} | arm.txp.keys() | {0}
 
@@ -236,6 +241,7 @@ def run_replica(
     phases: defaultdict[float, PhaseStats] = defaultdict(PhaseStats)
     verdicts: Counter = Counter()  # None counts the breaches with no change to attribute
     total_bits, total_joules, link_failures, handovers, pingpongs = 0.0, 0.0, 0, 0, 0  # by +=: sum() compensates floats
+    level = float(exp.sim.txp_dbm)
 
     for a in range(0, n, w):
         for tick_i in range(a, min(a + w, n)):
@@ -246,8 +252,8 @@ def run_replica(
                     if link_failures - lf_at[start] > LF_SLA_THRESHOLD:
                         verdicts[kind] += 1
                 if tick_i in arm.txp:
-                    sim.set_txp(arm.txp[tick_i])
-                phase = phases[sim.txp_dbm]  # the applied level, which only a mark changes
+                    level = float(arm.txp[tick_i])
+                phase = phases[level]  # the applied level, which only a mark changes
 
             bits, joules, lf, ho, pp = sim.tick()
             total_bits += bits
@@ -265,7 +271,7 @@ def run_replica(
     ee = total_bits / total_joules if total_joules > 0 else 0.0
     if not math.isfinite(ee):
         raise ValueError("energy efficiency is past float64: ue_bandwidth_hz too large or noise_floor_dbm too low")
-    result = ReplicaResult(strategy.value, rep, seed, ee, link_failures, handovers, pingpongs,  # METRICS' order
+    result = ReplicaResult(arm.strategy.value, rep, seed, ee, link_failures, handovers, pingpongs,  # METRICS' order
                            unattributed=verdicts.pop(None, 0),  # before the verdicts are copied
                            verdicts=dict(verdicts), phases=dict(phases))
     yield result, sim

@@ -216,7 +216,6 @@ class TraceRow:
 # tick through in lockstep.
 GEOMETRY_BUDGET_BYTES = 4 << 20
 GEOMETRY_WINDOW_BYTES = 256 << 10
-SCAN_ROWS = 8  # the most ticks of a held run one scan computes ahead
 MOVE_ROWS = 256  # the rows Trajectory._move sums at once, so a long block's rounds stay linear in its length
 
 
@@ -326,9 +325,11 @@ class Trajectory:
 
 class Simulator:
     """One run of a seed's `Trajectory`, which it shares with the seed's other arms and
-    ticks from its start.  Drive it with `tick()`, adjust transmit power between
-    ticks with `set_txp`, which sets the tick's constants that depend on it.  Tick i
-    reads only the trajectory's path loss of tick i and ends at (i + 1) * step_ms.
+    ticks from its start, under a TXP schedule fixed when it is built: `txp` maps a tick to
+    the dBm set before it (by default none; cfg.txp_dbm holds until the first), each a finite
+    number whose energy per step float64 holds and each tick one of the run's, else ValueError.
+    Drive it with `tick()`.  Tick i reads only the trajectory's path loss of tick i and ends
+    at (i + 1) * step_ms.
 
     Update order inside a tick, in this exact sequence:
       move -> receive levels -> A3 handovers -> link failures ->
@@ -344,36 +345,38 @@ class Simulator:
     cell held is a ping-pong when it returns to the cell held before it
     within pingpong_window_ms; re-attaching to the last cell held is no
     move.  A re-attachment ping-pong is counted but traced as REATTACH.
-    A tick relies on two identities: a row's maximum is max(rs, rn), serving
-    and best other cell, and the UEs attached after it are the receivable ones.
-    Levels, the A3 and receivability conditions and throughput are computed for
-    every UE; each event condition is one selection, and TTT counts, cell changes,
-    ping-pongs and trace rows are kept for the UEs it selected alone.
-    A run held in one block (decided at construction) is scanned ahead from tick 0: whenever the last
-    scan is used up, one tick computes the next SCAN_ROWS ticks at the current cells and TXP; the ticks
-    up to the first event are served from it and do nothing else, the event's tick reads its levels
-    from it, and a new level drops them.  Only a windowed run's ticks compute their own levels.
-    So after the first tick only `set_txp` may change a simulator's state between ticks.
-    A simulator keeps only the state its next tick reads, and its trace: it holds no totals,
-    and each tick returns its own numbers, which `harness.run_replica` sums.
+    A run held in one block (decided at construction) is solved on its first tick, each UE on its own,
+    as UEs never interact: from a tick, a UE is advanced to its own next event (A3 from its serving cell,
+    nothing receivable, or, detached, something receivable) and that tick's rules are applied to it alone,
+    in the order above.  Its trace is then whole, its attachment state is the run's end, and every tick
+    returns its stored numbers.  A windowed run (decided the same way) computes each tick on its own: a
+    tick relies on two identities, a row's maximum is max(rs, rn), serving and best other cell, and the
+    UEs attached after it are the receivable ones; levels, the A3 and receivability conditions and
+    throughput are computed for every UE, and TTT counts, cell changes, ping-pongs and trace rows are kept
+    for the UEs each event condition selected alone.  So a simulator's state may change only before its
+    first tick.  It keeps no totals: each tick returns its own numbers, which `harness.run_replica` sums.
     """
 
-    def __init__(self, trajectory: Trajectory, record_trace: bool = True):
+    def __init__(self, trajectory: Trajectory, txp: dict[int, float] | None = None, record_trace: bool = True):
         self.trajectory, self._i = trajectory, 0  # the geometry, and the next tick's index into it
         self.cfg = cfg = trajectory.cfg
-        self.gnbs, n = trajectory.gnbs, cfg.n_ues
-        self._held = len(trajectory.pl) == cfg.n_ticks  # the run in one block, which it scans ahead
+        self.gnbs, n, n_ticks = trajectory.gnbs, cfg.n_ues, cfg.n_ticks
+        self._held = len(trajectory.pl) == n_ticks  # the run in one block, which the first tick solves
         self._dt_s, self._gain_db = cfg.step_ms / 1000.0, antenna_gain_db(cfg.ret_deg)
-        self._b0 = self._e = self._rows = 0  # the last scan's first tick, quiet rows and rows
-        self.txp_dbm = math.nan
-        self.set_txp(cfg.txp_dbm)
-        self._flat = np.arange(SCAN_ROWS * n).reshape(SCAN_ROWS, -1) * len(self.gnbs)  # a UE's row in a scan
-        self._row0 = self._flat[0]  # and in a tick
+        self._txp = {}  # tick -> (a receive level before path loss, the tick's joules) from each level set
+        for k, dbm in {0: cfg.txp_dbm, **({} if txp is None else txp)}.items():
+            if not finite(dbm):
+                raise ValueError(f"transmit power must be a finite number of dBm, got {dbm!r}")
+            if not integer(k) or not 0 <= k < n_ticks:
+                raise ValueError(f"a TXP schedule's ticks must be integers from 0 to {n_ticks - 1}, got {k!r}")
+            self._txp[k] = float(dbm) + self._gain_db, _step_joules(float(dbm), len(self.gnbs), self._dt_s)
+        self._row0 = np.arange(n) * len(self.gnbs)  # a UE's row in a tick's flat levels
         self.record_trace = record_trace
         self.trace: list[TraceRow] = []
 
         # -- attachment state ----------------------------------------------
-        self.serving = (self._eirp_dbm - trajectory._path_loss(trajectory.start[0])).argmax(axis=1).astype(int)
+        eirp = float(cfg.txp_dbm) + self._gain_db
+        self.serving = (eirp - trajectory._path_loss(trajectory.start[0])).argmax(axis=1).astype(int)
         self.last_cell = self.serving.copy()      # serving, or the cell lost on a failure
         self.prev_gnb = np.full(n, -1, dtype=int)  # cell left by the last move, for ping-pong
         self.last_ho_ms = np.full(n, -np.inf)     # time of that move
@@ -381,35 +384,21 @@ class Simulator:
         self._ttt_count = self._no_ttt = np.zeros(n, dtype=int)  # never written: the counts of a tick off A3
         self._ttt_target = np.full(n, -1, dtype=int)
 
-    # -- radio ------------------------------------------------------------
-
-    def set_txp(self, txp_dbm: float) -> None:
-        if not finite(txp_dbm):
-            raise ValueError(f"transmit power must be a finite number of dBm, got {txp_dbm!r}")
-        self._tick_joules = _step_joules(float(txp_dbm), len(self.gnbs), self._dt_s)
-        if txp_dbm != self.txp_dbm:  # the scanned rows hold for one level only
-            self._e = self._rows = 0
-        self.txp_dbm = float(txp_dbm)
-        self._eirp_dbm = self.txp_dbm + self._gain_db  # a receive level before path loss
-
     def tick(self) -> tuple:
         """One tick; returns what it produced, (bits, joules, link_failures, handovers, pingpongs)."""
         i, traj = self._i, self.trajectory
         self._i = i + 1
-        k = i - self._b0  # this tick's row of the last scan
-        if k >= self._rows and self._held:  # the last scan is used up
-            if i >= traj.end:  # the block is built at tick 0; past the run, GeometryWindowError
+        if self._held:
+            if i >= traj.end:  # the block is built at tick 0 by its first sharer; past the run, GeometryWindowError
                 traj.row(i)
-            self._scan(traj.pl[i:i + SCAN_ROWS])
-            self._b0, k = i, 0
+            if not i:
+                self._ticks = self._solve()
+            return self._ticks.pop()
 
-        if k < self._e:  # a quiet row of the scan: no UE is on A3, so every TTT count is 0
-            self._ttt_count, self._ttt_target = self._no_ttt, self._tgt[k]
-            return self._bits[k], self._tick_joules, 0, 0, 0
-
-        t = (i + 1) * self.cfg.step_ms  # an event row of the scan, or a windowed run's tick on its own
-        att, r, rs, tgt, a3, ok = (self._att, *(x[k] for x in self._ahead)) if k < self._rows else \
-            self._levels(traj.row(i), self._row0)
+        if i in self._txp:
+            self._eirp_dbm, self._tick_joules = self._txp[i]
+        t = (i + 1) * self.cfg.step_ms
+        att, r, rs, tgt, a3, ok = self._levels(traj.row(i))
 
         # A3 handovers.  No event resets the TTT state: a detached UE never
         # meets the condition, and a handover leaves the new serving cell as the
@@ -435,10 +424,10 @@ class Simulator:
         bits = float(np.add.reduce(self._capacity(rs)[ok]) * self._dt_s)
         return bits, self._tick_joules, lf.size, ho.size + back.size, n_pp
 
-    def _levels(self, pl: np.ndarray, rows: np.ndarray) -> tuple:
-        """At the current cells and TXP, from path loss `pl` (..., n_ues, n_gnbs) with each UE's row at flat
-        index `rows`: attached, levels, serving levels, best other cells, A3 and receivability conditions."""
-        cfg, serving = self.cfg, self.serving
+    def _levels(self, pl: np.ndarray) -> tuple:
+        """At the current cells and TXP, from one tick's path loss `pl` (n_ues, n_gnbs): attached,
+        levels, serving levels, best other cells, A3 and receivability conditions."""
+        cfg, serving, rows = self.cfg, self.serving, self._row0
         att = serving >= 0
         r = self._eirp_dbm - pl
         srv = rows + np.where(att, serving, len(self.gnbs) - 1)  # flat index into r; a detached UE reads its last column
@@ -450,22 +439,91 @@ class Simulator:
         a3 = att & (rn + cfg.cio_db > rs + cfg.hys_db) & (rn > rs)
         return att, r, rs, tgt, a3, np.maximum(rs, rn) >= cfg.min_rsrp_dbm  # the last: some cell is receivable
 
-    def _scan(self, pl: np.ndarray) -> None:
-        """`_levels` of h ticks of path loss `pl` (h, n_ues, n_gnbs), and the bits of those before the first event:
-        row sums over a C-contiguous take, which add as the tick's cap[ok] (a boolean column mask does not)."""
-        h, n = len(pl), self.cfg.n_ues
-        att, *self._ahead = self._levels(pl, self._flat[:h])
-        _, rs, self._tgt, a3, ok = self._ahead
-        ev = (a3 | (ok != att)).ravel()
-        first = int(ev.argmax())  # the first event's flat index, 0 if there is none
-        self._e = e = first // n if ev[first] else h
-        self._att, self._rows = att, min(e + 1, h)
-        if e:  # a quiet row's attached UEs are exactly its receivable ones
-            cap = self._capacity(rs[:e])
-            self._bits = (np.add.reduce(cap.take(att.nonzero()[0], axis=1), axis=1) * self._dt_s).tolist()
+    def _solve(self) -> list[tuple]:
+        """The held run's ticks, last first, its trace and its end state.  A row's strongest cell is its first
+        argmax i1 at level v1, and A3 from cell s is v1 + cio_db > R_s + hys_db and v1 > R_s, toward i1: where
+        v1 > R_s, s is not i1, so i1 is the best other cell; where s is i1, no other cell is stronger.  So each
+        serving cell's event plane (A3, or nothing receivable; a detached UE's: something receivable) comes from
+        the levels in slices, bool, laid out (cell, UE, tick), and a UE walks its plane from event to event."""
+        cfg, pl, n, g, n_ticks = self.cfg, self.trajectory.pl, self.cfg.n_ues, len(self.gnbs), self.cfg.n_ticks
+        at = sorted(self._txp)
+        eirp, joules = (np.repeat([self._txp[k][j] for k in at], np.diff([*at, n_ticks])) for j in (0, 1))
+        planes = np.empty((g + 1, n, n_ticks), dtype=bool)  # planes[-1]: a detached UE's
+        h = max(1, 8192 // (n * g))  # ticks of levels at once: small temporaries
+        for a in range(0, n_ticks, h):
+            r = np.subtract(eirp[a:a + h], pl[a:a + h].T, order="C")  # levels (cell, UE, tick), as the planes
+            v1 = r[0].copy()
+            for s in range(1, g):
+                np.maximum(v1, r[s], out=v1)
+            ok = v1 >= cfg.min_rsrp_dbm
+            planes[-1, :, a:a + h] = ok
+            hi = v1 + cfg.cio_db
+            for s in range(g):
+                planes[s, :, a:a + h] = (hi > r[s] + cfg.hys_db) & (v1 > r[s]) | ~ok
 
-    def _capacity(self, rs: np.ndarray) -> np.ndarray:  # Shannon capacity (bit/s) at serving levels rs (..., n_ues)
-        return self.trajectory.bw_hz * np.log2(1.0 + 10.0 ** ((rs - self.cfg.noise_floor_dbm) / 10.0))
+        serving, last, prev, moved = (x.tolist() for x in (self.serving, self.last_cell, self.prev_gnb, self.last_ho_ms))
+
+        def move(u: int, cell: int, t_ms: float) -> int:  # _change_cell's rule for a handover or re-attachment
+            if cell == last[u]:
+                return 0
+            pp = int(cell == prev[u] and t_ms - moved[u] <= cfg.pingpong_window_ms)
+            prev[u], moved[u], last[u] = last[u], t_ms, cell
+            return pp
+
+        cells = np.empty((n_ticks, n), dtype=np.intp)  # each UE's serving cell after each tick, -1 detached
+        lf, ho, pp, rows = [0] * n_ticks, [0] * n_ticks, [0] * n_ticks, []  # rows: (tick, phase, UE, cell, level, event)
+        for u in range(n):
+            s, t, count, a3_at, tgt = serving[u], 0, 0, -1, -1  # a3_at: the last tick on A3, toward tgt
+            while t < n_ticks and (e := t + int(planes[s, u, t:].argmax())) < n_ticks and planes[s, u, e]:
+                cells[t:e, u] = s
+                r = (eirp[e] - pl[e, u]).tolist()
+                v1 = max(r)
+                i1, t_ms = r.index(v1), (e + 1) * cfg.step_ms
+                if s < 0:  # something is receivable: re-attach to the strongest cell
+                    pp[e] += move(u, i1, t_ms)
+                    ho[e] += 1
+                    rows.append((e, 2, u, i1, v1, "REATTACH"))
+                    s = i1
+                else:
+                    if v1 + cfg.cio_db > r[s] + cfg.hys_db and v1 > r[s]:  # the TTT count goes on from the tick before
+                        count = count + 1 if a3_at == e - 1 and tgt == i1 else 1
+                        a3_at, tgt = e, i1
+                        if count >= self.required_ttt_ticks:
+                            p = move(u, i1, t_ms)
+                            pp[e], ho[e] = pp[e] + p, ho[e] + 1
+                            rows.append((e, 0, u, i1, v1, "PP" if p else "HO"))
+                            s = i1
+                    if not v1 >= cfg.min_rsrp_dbm:  # judged on the attachment before the tick
+                        lf[e] += 1
+                        rows.append((e, 1, u, s, r[s], "LF"))
+                        s = -1
+                cells[e, u], t = s, e + 1
+            cells[t:, u] = serving[u] = s
+        self.serving[:], self.last_cell[:], self.prev_gnb[:], self.last_ho_ms[:] = serving, last, prev, moved
+        if self.record_trace:
+            rows.sort()
+            self.trace.extend(TraceRow((e + 1) * cfg.step_ms, u, c, v, ev) for e, _, u, c, v, ev in rows)
+
+        # bits: the serving levels' capacity, in the same slices, summed over each run of ticks with one attached set
+        # as a tick sums them alone (row sums over a C-contiguous take; a boolean column mask does not add the same)
+        att = cells >= 0
+        first = np.ones(n_ticks, dtype=bool)  # a slice's first tick, or one whose attached set is new
+        first[1:] = (att[1:] != att[:-1]).any(axis=1)
+        first[::h] = True
+        edges, bits = [*first.nonzero()[0].tolist(), n_ticks], np.empty(n_ticks)
+        for a, b in zip(edges, edges[1:]):
+            if not a % h:  # a new slice; a detached UE reads its last column
+                cap = np.take_along_axis(pl[a:a + h], (cells[a:a + h] % g)[..., None], axis=2)[..., 0]
+                self._capacity(np.subtract(eirp[a:a + h, None], cap, out=cap), out=cap)
+            k = a % h
+            np.multiply(np.add.reduce(cap[k:k + b - a].take(att[a].nonzero()[0], axis=1), axis=1), self._dt_s, out=bits[a:b])
+        return list(zip(bits.tolist(), joules.tolist(), lf, ho, pp))[::-1]
+
+    def _capacity(self, rs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Shannon capacity (bit/s) at serving levels rs (..., n_ues), into out if given."""
+        x = np.subtract(rs, self.cfg.noise_floor_dbm, out=out)
+        np.power(10.0, np.divide(x, 10.0, out=x), out=x)
+        return np.multiply(self.trajectory.bw_hz, np.log2(np.add(1.0, x, out=x), out=x), out=x)
 
     def _change_cell(self, event: str, t: float, r: np.ndarray, idx: np.ndarray,
                      cells: np.ndarray | None = None, rs: np.ndarray | None = None) -> int:

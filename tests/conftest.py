@@ -257,10 +257,15 @@ def run(sim: Simulator, n_ticks: int | None = None) -> tuple:
     return totals
 
 
-def rsrp_matrix(sim: Simulator, pos: np.ndarray) -> np.ndarray:
-    """(n_ues, n_gnbs) receive levels of UEs at `pos` under `sim`'s cells and transmit power."""
+def rsrp_matrix(sim: Simulator, pos: np.ndarray, txp_dbm: float | None = None) -> np.ndarray:
+    """(n_ues, n_gnbs) receive levels of UEs at `pos` under `sim`'s cells at txp_dbm, by default the scenario's."""
     d = np.hypot(pos[:, None, 0] - sim.gnbs[None, :, 0], pos[:, None, 1] - sim.gnbs[None, :, 1])
-    return sim.txp_dbm + antenna_gain_db(sim.cfg.ret_deg) - path_loss_db(d)
+    return (sim.cfg.txp_dbm if txp_dbm is None else txp_dbm) + antenna_gain_db(sim.cfg.ret_deg) - path_loss_db(d)
+
+
+def cycled(cfg: SimConfig, txps: Sequence[float]) -> dict[int, float]:
+    """A TXP schedule that sets txps in turn before every tick of cfg's run (none if txps is empty)."""
+    return {k: txps[k % len(txps)] for k in range(cfg.n_ticks)} if txps else {}
 
 
 def rsrp_dbm(txp_dbm: float, gnb_xy: Sequence[float], ue_xy: Sequence[float], ret_deg: float = 1.5) -> float:
@@ -299,18 +304,21 @@ class ReferenceSimulator(Simulator):
     """The simulator with its earlier tick: 2-D fancy indexing, a masked
     copy for the best neighbour, one `np.nonzero` per event set and a
     row maximum taken over the whole receive matrix.  Kept verbatim as
-    the oracle the flat-index tick must match bit for bit.  It moves its
+    the oracle the simulator's ticks must match bit for bit.  It moves its
     own positions and velocities, one step a tick from the trajectory's
-    start, computes its levels with `rsrp_matrix` and counts its clock as
+    start, sets its TXP schedule's level before each tick that has one,
+    computes its levels with `rsrp_matrix` and counts its clock as
     (i + 1) * step_ms; the rest of its state it shares with `Simulator.__init__`."""
 
-    def __init__(self, trajectory: Trajectory, record_trace: bool = True):
-        super().__init__(trajectory, record_trace)
+    def __init__(self, trajectory: Trajectory, txp: dict[int, float] | None = None, record_trace: bool = True):
+        super().__init__(trajectory, txp, record_trace)
         self.pos, self.vel = trajectory.start
+        self.txp_dbm, self.schedule = float(trajectory.cfg.txp_dbm), dict(txp or {})
 
     def tick(self) -> tuple:
         cfg = self.cfg
         dt_s = cfg.step_ms / 1000.0
+        self.txp_dbm = float(self.schedule.get(self._i, self.txp_dbm))
         self._i += 1
         t = self._i * cfg.step_ms
 
@@ -326,7 +334,7 @@ class ReferenceSimulator(Simulator):
         self.vel = np.where(high, -self.vel, self.vel)
         self.pos = pos
 
-        r = rsrp_matrix(self, pos)
+        r = rsrp_matrix(self, pos, self.txp_dbm)
         serving = self.serving  # updated in place below
 
         # A3 handovers.  No event resets the TTT state: a detached UE never

@@ -47,7 +47,8 @@ def test_benchmark_sizes_keep_their_geometry_shape():
     # one-tick lockstep windows would leave dense with no latency samples, and np.percentile([])
     # raises IndexError, failing the run
     assert geometry_rows(SimConfig(n_ues=2000, duration_s=40.0)) >= 2
-    # desk and the paper preset are held in one block, so their ticks are served from scans
+    # desk and the paper preset are held in one block, so each run is solved on its first tick
+    # and its other ticks are served from that solve
     for cfg in (SimConfig(), SimConfig(duration_s=600.0)):
         assert geometry_rows(cfg) == cfg.n_ticks
 

@@ -160,6 +160,15 @@ def test_simulate_tiny_run(tmp_path, capsys):
     assert "medians over 2 replicas" in capsys.readouterr().out
 
 
+def test_simulate_names_every_file_it_wrote(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--preset", "desk", "--reps", "1", "--strategies", "nc,p-es", "--out", str(out_dir)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    names = ["results.csv", "summary.json", "trace_nc_rep0.csv", "trace_p-es_rep0.csv"]
+    assert last == "wrote " + ", ".join(str(out_dir / name) for name in names)
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(names)
+
+
 def test_simulate_reports_progress_per_replica_round(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     save_sim_config(SimConfig(duration_s=10.0), scenario)

@@ -99,40 +99,40 @@ def test_reps_and_seed_must_be_integers_in_range(field, bad):
 def run_one(strategy, model_set=None, **kw):
     exp = small_exp(**kw)
     arm = compile_arm(strategy, exp, model_set)
-    *_, end = run_replica(strategy, 0, arm, Trajectory(exp.sim, exp.base_seed))
-    return end
+    *_, (res, _) = run_replica(strategy, 0, arm, Trajectory(exp.sim, exp.base_seed))
+    return res, arm.txp[max(arm.txp)]  # the result, and the TXP the run ends at
 
 
 def test_nc_alternates_between_the_two_requests():
-    res, sim = run_one(Strategy.NC)
+    res, txp = run_one(Strategy.NC)
     assert set(res.phases) == {3.0, 50.0}
     assert res.phases[3.0].time_ms == 10_000.0
     assert res.phases[50.0].time_ms == 10_000.0
-    assert sim.txp_dbm == 50.0  # interval ends on the mobility app's value
+    assert txp == 50.0  # interval ends on the mobility app's value
 
 
 def test_sbd_lets_writes_land_then_resets():
-    res, sim = run_one(Strategy.SBD)
+    res, txp = run_one(Strategy.SBD)
     assert set(res.phases) == {3.0, 50.0, 30.0}
     # per 2 s interval: half at 3, one tick at 50, the rest at the default
     assert res.phases[3.0].time_ms == 10_000.0
     assert res.phases[50.0].time_ms == 1_000.0
     assert res.phases[30.0].time_ms == 9_000.0
-    assert sim.txp_dbm == 30.0
+    assert txp == 30.0
 
 
 def test_p_es_holds_the_low_power_request():
-    res, sim = run_one(Strategy.P_ES)
+    res, txp = run_one(Strategy.P_ES)
     assert set(res.phases) == {3.0}
-    assert sim.txp_dbm == 3.0
+    assert txp == 3.0
 
 
 def test_p_mro_dips_only_before_its_first_request():
-    res, sim = run_one(Strategy.P_MRO)
+    res, txp = run_one(Strategy.P_MRO)
     assert set(res.phases) == {3.0, 50.0}
     assert res.phases[3.0].time_ms == 1_000.0  # solo arbitration until t=1s
     assert res.phases[50.0].time_ms == 19_000.0
-    assert sim.txp_dbm == 50.0
+    assert txp == 50.0
 
 
 def test_qacm_applies_the_grid_optimum_throughout():
@@ -142,9 +142,9 @@ def test_qacm_applies_the_grid_optimum_throughout():
         1.0,
         (KpiResponseModel(EE_KPI, KpiDirection.MAXIMIZE, 37.0, ((0.0, 0.0), (50.0, 50.0))),),
     )
-    res, sim = run_one(Strategy.QACM, model_set=ms)
+    res, txp = run_one(Strategy.QACM, model_set=ms)
     assert set(res.phases) == {37.0}
-    assert sim.txp_dbm == 37.0
+    assert txp == 37.0
 
 
 def test_nc_detects_direct_conflicts_only():
@@ -325,11 +325,11 @@ def test_a_replica_sums_its_ticks_in_order():
                            reps=1, base_seed=7)
     arm = compile_arm(Strategy.SBD, exp)
     *_, (res, _) = run_replica(Strategy.SBD, 0, arm, Trajectory(exp.sim, 7))
-    sim, totals, phases = Simulator(Trajectory(exp.sim, 7), record_trace=False), [0.0, 0.0, 0, 0, 0], {}
+    sim, totals, phases = Simulator(Trajectory(exp.sim, 7), arm.txp, record_trace=False), [0.0, 0.0, 0, 0, 0], {}
+    level = exp.sim.txp_dbm
     for k in range(exp.sim.n_ticks):
-        if k in arm.txp:
-            sim.set_txp(arm.txp[k])
-        phase = phases.setdefault(sim.txp_dbm, PhaseStats())
+        level = arm.txp.get(k, level)
+        phase = phases.setdefault(level, PhaseStats())
         stats = sim.tick()
         for i, x in enumerate(stats):
             totals[i] += x
@@ -462,9 +462,8 @@ def test_each_seed_draws_its_population_once_per_pass(monkeypatch):
 ])
 def test_a_replica_refuses_another_seeds_trajectory(seed, sim):
     exp = small_exp()
-    replica = run_replica(Strategy.NC, 0, compile_arm(Strategy.NC, exp), Trajectory(sim, seed))
-    with pytest.raises(ValueError, match="trajectory of seed 5"):
-        next(replica)
+    with pytest.raises(ValueError, match="trajectory of seed 5"):  # at the call, before any tick
+        run_replica(Strategy.NC, 0, compile_arm(Strategy.NC, exp), Trajectory(sim, seed))
 
 
 def test_a_replica_refuses_another_strategys_arm():
@@ -472,7 +471,7 @@ def test_a_replica_refuses_another_strategys_arm():
     arm = compile_arm(Strategy.NC, exp)
     assert (arm.strategy, arm.exp) == (Strategy.NC, exp)
     with pytest.raises(ValueError, match="the qacm replica got an arm compiled for nc"):
-        next(run_replica(Strategy.QACM, 0, arm, Trajectory(exp.sim, 5)))
+        run_replica(Strategy.QACM, 0, arm, Trajectory(exp.sim, 5))
 
 
 def test_only_rep_0_records_a_trace():

@@ -1,5 +1,5 @@
-"""Property tests: simulator invariants after every tick, the tick
-against its reference implementation, and the ledger's attribution
+"""Property tests: simulator invariants after every tick, the solved and
+the per-tick run against the reference tick, and the ledger's attribution
 window, over small random inputs."""
 
 import dataclasses
@@ -15,7 +15,7 @@ from ric_cms.detection import ChangeRecord, DegradationEvent, Ledger, Unattribut
 from ric_cms.ran_sim import SimConfig, Simulator, Trajectory, path_loss_db
 from ric_cms.xapps import EE_KPI, ES_XAPP_ID, LF_KPI, MRO_XAPP_ID, TXP_PARAM, experiment_topology
 
-from conftest import ReferenceSimulator, moved, rsrp_matrix
+from conftest import ReferenceSimulator, cycled, moved, placed, rsrp_matrix
 
 # Derandomized so a tier-1 run is a function of the code; raise
 # max_examples locally to search wider.
@@ -95,44 +95,54 @@ def test_a_block_moves_byte_for_byte_as_one_row_a_step(cfg, seed, rows):
 @FEW
 @given(cfg=sim_configs(), seed=st.integers(0, 2**32 - 1), txps=st.lists(st.floats(0.0, 50.0), max_size=4))
 def test_tick_keeps_its_invariants(cfg, seed, txps):
-    sim = Simulator(Trajectory(cfg, seed), record_trace=True)
-    pos, _ = moved(sim.trajectory, cfg.n_ticks)
+    pos, _ = moved(Trajectory(cfg, seed), cfg.n_ticks)
     assert np.all(pos >= 0.0) and np.all(pos <= np.asarray(cfg.area_m))
-    for k in range(cfg.n_ticks):
-        if txps:
-            sim.set_txp(txps[k % len(txps)])
-        rows = len(sim.trace)
-        bits, joules, lf, ho, pp = sim.tick()
-        assert bits >= 0.0 and joules > 0.0 and min(lf, ho, pp) >= 0
-        attached = sim.serving >= 0
-        assert np.all(rsrp_matrix(sim, pos[k + 1])[attached].max(axis=1, initial=-np.inf) >= cfg.min_rsrp_dbm)
-        assert np.array_equal(sim.last_cell[attached], sim.serving[attached])
-        events = Counter(row.event for row in sim.trace[rows:])
-        assert lf == events["LF"]
-        assert ho == events["HO"] + events["PP"] + events["REATTACH"]
-        assert pp >= events["PP"]
+    for budget in (ran_sim.GEOMETRY_BUDGET_BYTES, 0):  # a solved run, then one ticked on its own
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", budget)
+            sim = Simulator(Trajectory(cfg, seed), cycled(cfg, txps))
+            ticks = []
+            for k in range(cfg.n_ticks):
+                ticks.append(sim.tick())
+                if budget and k < cfg.n_ticks - 1:  # a solved simulator holds the run's end state only
+                    continue
+                attached = sim.serving >= 0
+                level = txps[k % len(txps)] if txps else cfg.txp_dbm
+                assert np.all(rsrp_matrix(sim, pos[k + 1], level)[attached].max(axis=1, initial=-np.inf) >= cfg.min_rsrp_dbm)
+                assert np.array_equal(sim.last_cell[attached], sim.serving[attached])
+        events = Counter((row.t_ms, row.event) for row in sim.trace)
+        for k, (bits, joules, lf, ho, pp) in enumerate(ticks):
+            t = (k + 1) * cfg.step_ms
+            assert bits >= 0.0 and joules > 0.0 and min(lf, ho, pp) >= 0
+            assert lf == events[t, "LF"]
+            assert ho == events[t, "HO"] + events[t, "PP"] + events[t, "REATTACH"]
+            assert pp >= events[t, "PP"]
+        assert sum(events.values()) == len(sim.trace)
 
 
-STATE = ("serving", "last_cell", "prev_gnb", "last_ho_ms", "_ttt_count", "_ttt_target")
+END_STATE = ("serving", "last_cell", "prev_gnb", "last_ho_ms")
+STATE = END_STATE + ("_ttt_count", "_ttt_target")
 
 
-def run_beside_the_oracle(cfg, seed, txps=()):
-    """Tick a Simulator and the ReferenceSimulator in step, setting the
-    transmit power from `txps` in turn before each tick; every tick's tuple,
-    state array and trace row must agree bit for bit, and so must the
-    trajectory's path loss and that of the oracle's positions.  Returns the trace."""
-    sim, ref = Simulator(Trajectory(cfg, seed)), ReferenceSimulator(Trajectory(cfg, seed))
+def run_beside_the_oracle(cfg, seed, txp=None, start=None):
+    """Tick a Simulator and the ReferenceSimulator in step under the TXP schedule `txp`, with the
+    UEs of seed's trajectory, or placed at `start` (pos, vel); every tick's tuple and trace row must
+    agree bit for bit, and so must the trajectory's path loss and that of the oracle's positions.
+    The state arrays must agree after every tick of a windowed run; a solved run holds its end
+    state from its first tick, so its attachment state is compared after the last.  Returns the trace."""
+    def trajectory():
+        return Trajectory(cfg, seed) if start is None else placed(cfg, *start, seed=seed)
+
+    sim, ref = Simulator(trajectory(), txp), ReferenceSimulator(trajectory(), txp)
     g = sim.gnbs
     for k in range(cfg.n_ticks):
-        if txps:
-            sim.set_txp(txps[k % len(txps)])
-            ref.set_txp(txps[k % len(txps)])
         assert repr(sim.tick()) == repr(ref.tick()), k
         pl = path_loss_db(np.hypot(ref.pos[:, None, 0] - g[None, :, 0], ref.pos[:, None, 1] - g[None, :, 1]))
         assert sim.trajectory.row(k).tobytes() == pl.tobytes(), k
-        for name in STATE:
-            a, b = getattr(sim, name), getattr(ref, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (k, name)
+        if not sim._held or k == cfg.n_ticks - 1:
+            for name in END_STATE if sim._held else STATE:
+                a, b = getattr(sim, name), getattr(ref, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (k, name)
     assert repr(sim.trace) == repr(ref.trace)
     return sim.trace
 
@@ -154,7 +164,7 @@ def oracle_scenarios(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(cfg=oracle_scenarios(), seed=st.integers(0, 2**32 - 1), txps=st.lists(st.floats(-20.0, 50.0), max_size=4))
 def test_tick_matches_the_reference_tick(cfg, seed, txps):
-    run_beside_the_oracle(cfg, seed, txps)
+    run_beside_the_oracle(cfg, seed, cycled(cfg, txps))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -165,7 +175,7 @@ def test_one_tick_blocks_match_the_reference_tick(cfg, seed, txps):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)
         mp.setattr(ran_sim, "GEOMETRY_WINDOW_BYTES", 0)
-        run_beside_the_oracle(cfg, seed, txps)
+        run_beside_the_oracle(cfg, seed, cycled(cfg, txps))
 
 
 def test_block_size_changes_no_result():
@@ -174,10 +184,8 @@ def test_block_size_changes_no_result():
     for budget in (ran_sim.GEOMETRY_BUDGET_BYTES, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", budget)
-            sim, ticks = Simulator(Trajectory(cfg, 7)), []
-            for k in range(cfg.n_ticks):
-                sim.set_txp((30.0, 12.0, 45.0)[k // 50 % 3])
-                ticks.append(sim.tick())
+            sim = Simulator(Trajectory(cfg, 7), {k: (30.0, 12.0, 45.0)[k // 50 % 3] for k in range(0, cfg.n_ticks, 50)})
+            ticks = [sim.tick() for _ in range(cfg.n_ticks)]
         # the whole run in one block, or a window the run slid along
         assert (sim.trajectory.base > 0) == (len(sim.trajectory.pl) < cfg.n_ticks) == (budget == 0)
         runs.append((repr(ticks), repr(sim.trace), sim.trajectory.row(cfg.n_ticks - 1).tobytes()))
@@ -197,14 +205,14 @@ def test_block_size_changes_no_result():
      {"HO", "LF", "REATTACH"}),
 ])
 def test_oracle_runs_reach_every_event(cfg, txps, events):
-    trace = run_beside_the_oracle(cfg, 0, txps)
+    trace = run_beside_the_oracle(cfg, 0, cycled(cfg, txps))
     assert events <= {row.event for row in trace}
 
 
 def test_oracle_agrees_on_mass_link_failure_and_reattachment():
     # the power swings 50 -> -20 -> 50 dBm on consecutive ticks: most UEs fail at once, then come back
     cfg = SimConfig(n_ues=200, duration_s=3.0)
-    trace = run_beside_the_oracle(cfg, 0, (50.0, -20.0, 50.0))
+    trace = run_beside_the_oracle(cfg, 0, cycled(cfg, (50.0, -20.0, 50.0)))
     per_tick = Counter((row.t_ms, row.event) for row in trace)
     assert per_tick[200.0, "LF"] > 100 and per_tick[300.0, "REATTACH"] == per_tick[200.0, "LF"]
 
@@ -212,15 +220,47 @@ def test_oracle_agrees_on_mass_link_failure_and_reattachment():
 def test_oracle_agrees_on_time_to_trigger_counts_that_never_fire():
     # a three-tick time-to-trigger; every fifth tick the power drops and detaches most UEs,
     # which ends the counts of 1 and 2 that A3 had started on them
-    cfg, txps = SimConfig(n_ues=200, duration_s=10.0, ttt_ms=300.0), (30.0,) * 4 + (-20.0,)
-    trace = run_beside_the_oracle(cfg, 0, txps)
-    sim, unfired = Simulator(Trajectory(cfg, 0), record_trace=False), 0
-    for k in range(cfg.n_ticks):
-        before = sim._ttt_count
-        sim.set_txp(txps[k % len(txps)])
-        sim.tick()
-        unfired += np.count_nonzero((before > 0) & (before < sim.required_ttt_ticks) & (sim._ttt_count == 0))
+    cfg = SimConfig(n_ues=200, duration_s=10.0, ttt_ms=300.0)
+    txp = cycled(cfg, (30.0,) * 4 + (-20.0,))
+    trace = run_beside_the_oracle(cfg, 0, txp)
+    with pytest.MonkeyPatch.context() as mp:  # the counts of a windowed run, which ticks on its own
+        mp.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)
+        sim, unfired = Simulator(Trajectory(cfg, 0), txp, record_trace=False), 0
+        for k in range(cfg.n_ticks):
+            before = sim._ttt_count
+            sim.tick()
+            unfired += np.count_nonzero((before > 0) & (before < sim.required_ttt_ticks) & (sim._ttt_count == 0))
     assert sim.required_ttt_ticks == 3 and unfired > 0 and "HO" in {row.event for row in trace}
+
+
+def test_oracle_agrees_on_a3_runs_cut_short_of_the_time_to_trigger():
+    # one UE bounces at 15 m/s through the 1.5 m strip by the east wall where the east cell is the stronger:
+    # two ticks a visit against a three-tick time-to-trigger, so each visit's count starts again at 1, and
+    # after its one handover west the UE never hands back
+    cfg = SimConfig(n_ues=1, area_m=(7.5, 4.0), gnb_positions=((5.0, 2.0), (7.0, 2.0)), duration_s=5.0,
+                    ttt_ms=300.0, speed_classes=(("fixed", 1.0, 15.0, 15.0),))
+    trace = run_beside_the_oracle(cfg, 0, start=([[6.5, 2.0]], [[15.0, 0.0]]))
+    assert [(r.t_ms, r.serving_gnb, r.event) for r in trace] == [(400.0, 0, "HO")]
+
+
+@pytest.mark.parametrize("txp, events", [
+    ({}, [(10_100.0, 0, 0, "HO"), (10_100.0, 1, 1, "HO")]),
+    # both UEs fail at tick 98 and come back at the tie, to its first cell
+    ({98: -60.0, 99: 30.0}, [(9_900.0, 0, 1, "LF"), (9_900.0, 1, 0, "LF"), (10_000.0, 0, 0, "REATTACH"),
+                             (10_000.0, 1, 0, "REATTACH"), (10_100.0, 1, 1, "HO")]),
+])
+def test_oracle_agrees_on_an_exact_level_tie(txp, events):
+    # two UEs drive 1 m a tick toward each other's cell and stand exactly between the two cells at tick 99:
+    # both cells have the same level there, so A3 leaves each UE on its cell, and a re-attachment takes the first
+    cfg = SimConfig(n_ues=2, gnb_positions=((100.0, 200.0), (300.0, 200.0)), duration_s=12.0,
+                    speed_classes=(("fixed", 1.0, 10.0, 10.0),))
+    start = [[300.0, 200.0], [100.0, 200.0]], [[-10.0, 0.0], [10.0, 0.0]]
+    traj = placed(cfg, *start)
+    traj.row(0)  # builds the whole run
+    pl = traj.row(99)
+    assert pl[0, 0] == pl[0, 1] and pl[1, 0] == pl[1, 1]
+    trace = run_beside_the_oracle(cfg, 0, txp, start)
+    assert [(r.t_ms, r.ue_id, r.serving_gnb, r.event) for r in trace] == events
 
 
 @pytest.mark.parametrize("cfg, txps", [
@@ -231,24 +271,13 @@ def test_oracle_agrees_on_time_to_trigger_counts_that_never_fire():
     (SimConfig(n_ues=20, duration_s=120.0, ttt_ms=300.0), (30.0,)),
     (SimConfig(n_ues=200, duration_s=30.0, min_rsrp_dbm=-100.0), (30.0,)),
 ])
-def test_ticks_served_from_a_scan_match_the_reference_tick(cfg, txps, monkeypatch):
-    # a tick served from a scan computes no receive levels of its own
-    levels, tick, counts = Simulator._levels, Simulator.tick, Counter()
-
-    def counted_levels(self, *args):
-        counts["levels"] += 1
-        return levels(self, *args)
-
-    def counted_tick(self):
-        before = counts["levels"]
-        stats = tick(self)
-        counts["served"] += counts["levels"] == before
-        return stats
-
-    monkeypatch.setattr(Simulator, "_levels", counted_levels)
-    monkeypatch.setattr(Simulator, "tick", counted_tick)
-    run_beside_the_oracle(cfg, 0, txps)
-    assert 0 < counts["served"] < cfg.n_ticks
+def test_ticks_served_from_the_solve_match_the_reference_tick(cfg, txps, monkeypatch):
+    # a held run is solved once, on its first tick, and no tick computes receive levels of its own
+    counts = Counter()
+    for name in ("_levels", "_solve"):
+        monkeypatch.setattr(Simulator, name, lambda self, *a, f=getattr(Simulator, name), k=name: counts.update([k]) or f(self, *a))
+    run_beside_the_oracle(cfg, 0, cycled(cfg, txps))
+    assert counts == {"_solve": 1}
 
 
 @st.composite

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     BAD_NUMBERS,
     HandoverDecision,
+    cycled,
     evaluate_handover,
     moved,
     placed,
@@ -139,14 +140,16 @@ def test_reflection_reverses_velocity():
     assert vel[0, 0] == -10.0
 
 
-def test_vectorized_rsrp_matches_scalar():
-    sim = Simulator(Trajectory(SimConfig(), 5))
+def test_vectorized_rsrp_matches_scalar(monkeypatch):
+    cfg = SimConfig()
+    monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)  # a windowed run, which computes each tick's levels
+    sim = Simulator(Trajectory(cfg, 5))
     run(sim, 10)
     pos = moved(sim.trajectory, 10)[0][10]
-    r = sim._levels(sim.trajectory.row(9), sim._row0)[1]  # the tenth tick's levels, at the simulator's TXP
+    r = sim._levels(sim.trajectory.row(9))[1]  # the tenth tick's levels, at the scenario's TXP
     for i in range(sim.cfg.n_ues):
         for g, gnb in enumerate(sim.gnbs):
-            expected = rsrp_dbm(sim.txp_dbm, gnb, pos[i], sim.cfg.ret_deg)
+            expected = rsrp_dbm(sim.cfg.txp_dbm, gnb, pos[i], sim.cfg.ret_deg)
             assert r[i, g] == pytest.approx(expected, abs=1e-9)
 
 
@@ -189,10 +192,12 @@ def test_time_to_trigger_holds_the_handover_for_whole_ticks():
     assert sim.serving[0] == 1
 
 
-def test_tick_follows_the_scalar_a3_oracle():
+def test_tick_follows_the_scalar_a3_oracle(monkeypatch):
     # every UE attached before a tick that still receives some cell must
-    # end the tick where evaluate_handover sends it (one-tick TTT)
+    # end the tick where evaluate_handover sends it (one-tick TTT); a windowed
+    # run, whose state is the tick's after each tick
     cfg = SimConfig(n_ues=200, duration_s=30.0)
+    monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)
     sim = Simulator(Trajectory(cfg, 3), record_trace=False)
     pos, _ = moved(sim.trajectory, cfg.n_ticks)
     checked = moves = 0
@@ -249,6 +254,7 @@ def test_pingpong_detected_on_quick_return():
 @pytest.mark.parametrize("x, last_ho_ms, cell, pingpongs, prev_gnb, move_ms", [
     (140.0, 0.0, 1, 1, 0, 200.0),      # back to the cell left 200 ms ago
     (140.0, -5000.0, 1, 0, 0, 200.0),  # the same move, outside the 1 s window
+    (140.0, -800.0, 1, 1, 0, 200.0),   # the same move, on the window's edge
     (60.0, 0.0, 0, 0, 1, 0.0),         # back to the lost cell: no move
 ])
 def test_reattachment_follows_the_pingpong_rule(x, last_ho_ms, cell, pingpongs, prev_gnb, move_ms):
@@ -260,15 +266,13 @@ def test_reattachment_follows_the_pingpong_rule(x, last_ho_ms, cell, pingpongs, 
         ttt_ms=1000.0,
         speed_classes=(("still", 1.0, 0.0, 0.0),),
     )
-    sim = Simulator(placed(cfg, [[x, 5.0]]))
+    sim = Simulator(placed(cfg, [[x, 5.0]]), {0: -60.0, 1: 50.0})  # no cell receivable, then the strongest
     sim.serving[:] = 0
     sim.last_cell[:] = 0
     sim.prev_gnb[:] = 1
     sim.last_ho_ms[:] = last_ho_ms
-    sim.set_txp(-60.0)  # no cell receivable: link failure
-    _, _, _, ho_lf, pp_lf = sim.tick()
-    sim.set_txp(50.0)  # re-attachment to the strongest cell
-    _, _, _, ho_back, pp_back = sim.tick()
+    _, _, _, ho_lf, pp_lf = sim.tick()  # link failure
+    _, _, _, ho_back, pp_back = sim.tick()  # re-attachment to the strongest cell
     events = [(row.t_ms, row.event, row.serving_gnb) for row in sim.trace]
     assert events == [(100.0, "LF", 0), (200.0, "REATTACH", cell)]
     assert (ho_lf, pp_lf, ho_back, pp_back) == (0, 0, 1, pingpongs)
@@ -294,46 +298,33 @@ def test_throughput_and_energy_accounting():
     assert bits / joules == pytest.approx(expected_bits / 104.0, rel=1e-9)
 
 
+# The TXP a schedule sets is checked when the simulator is built, at any tick of the run.
+
 @pytest.mark.parametrize("bad", [*BAD_NUMBERS, "30"])
 def test_set_txp_rejects_what_is_not_a_finite_number(bad):
-    sim = Simulator(Trajectory(SimConfig(n_ues=5), 0))
-    with pytest.raises(ValueError, match="transmit power"):
-        sim.set_txp(bad)
-    assert sim.txp_dbm == 30.0
+    traj = Trajectory(SimConfig(n_ues=5), 0)
+    for tick in (0, 7):
+        with pytest.raises(ValueError, match="transmit power"):
+            Simulator(traj, {3: 30.0, tick: bad})
 
 
 def test_set_txp_rejects_a_power_whose_energy_overflows():
-    sim = Simulator(Trajectory(SimConfig(n_ues=5), 0))
     with pytest.raises(ValueError, match="txp_dbm"):
-        sim.set_txp(1e308)
-    assert sim.txp_dbm == 30.0
+        Simulator(Trajectory(SimConfig(n_ues=5), 0), {5: 1e308})
 
 
 @pytest.mark.parametrize("power", [-20.0, 0.0, 23.5, 46, np.float64(12.25)])
 def test_set_txp_lands_a_finite_power_unchanged(power):
-    sim = Simulator(Trajectory(SimConfig(n_ues=5), 0))
-    sim.set_txp(power)
-    assert sim.txp_dbm == power and type(sim.txp_dbm) is float
+    cfg = SimConfig(n_ues=5, duration_s=1.0)
+    sim = Simulator(Trajectory(cfg, 0), {4: power})
+    joules = [sim.tick()[1] for _ in range(cfg.n_ticks)]
+    assert repr(joules) == repr([4 * gnb_power_w(30.0 if k < 4 else float(power)) * 0.1 for k in range(cfg.n_ticks)])
 
 
-def test_set_txp_drops_the_scanned_rows_only_for_a_new_level():
-    def pending(sim):  # the quiet rows of the last scan that no tick has served yet
-        return max(0, sim._e - (sim._i - sim._b0))
-
-    sim = Simulator(Trajectory(SimConfig(n_ues=5, duration_s=30.0), 0))
-    for _ in range(sim.cfg.n_ticks - 1):
-        if pending(sim) >= 2:
-            break
-        sim.tick()
-    rows = pending(sim)
-    assert rows >= 2
-    sim.set_txp(30.0)  # the level it already has
-    assert pending(sim) == rows
-    with pytest.raises(ValueError, match="transmit power"):
-        sim.set_txp(math.nan)
-    assert sim.txp_dbm == 30.0 and pending(sim) == rows
-    sim.set_txp(31.0)
-    assert sim.txp_dbm == 31.0 and pending(sim) == 0
+@pytest.mark.parametrize("tick", [-1, 10, 2.0, True, "1", None])
+def test_a_txp_schedule_sets_ticks_of_the_run(tick):
+    with pytest.raises(ValueError, match=r"a TXP schedule's ticks must be integers from 0 to 9, got"):
+        Simulator(Trajectory(SimConfig(n_ues=5, duration_s=1.0), 0), {tick: 30.0})
 
 
 def test_detached_ue_earns_no_bits():
@@ -369,13 +360,15 @@ def test_different_seed_differs():
 
 
 def test_txp_change_midrun_shifts_levels():
-    sim = Simulator(Trajectory(SimConfig(n_ues=5, duration_s=1.0), 2))
-    run(sim, 5)
-    pl = sim.trajectory.row(4)  # the fifth tick's path loss
-    r_before = sim._levels(pl, sim._row0)[1]
-    sim.set_txp(50.0)
-    r_after = sim._levels(pl, sim._row0)[1]
-    assert np.allclose(r_after - r_before, 20.0)
+    # the levels traced at 30 and at 50 dBm from the fifth tick on: every UE fails at -100 dBm on the
+    # fourth tick, and re-attaches on the fifth at the tick's level
+    cfg = SimConfig(n_ues=5, duration_s=1.0)
+    levels = []
+    for power in (30.0, 50.0):
+        sim = Simulator(Trajectory(cfg, 2), {3: -100.0, 4: power})
+        run(sim)
+        levels.append([row.rsrp_dbm for row in sim.trace if row.event == "REATTACH"])
+    assert len(levels[0]) == cfg.n_ues and np.allclose(np.subtract(*levels[::-1]), 20.0)
 
 
 def test_trace_disabled_keeps_counters():
@@ -387,10 +380,12 @@ def test_trace_disabled_keeps_counters():
 
 
 def test_a_quiet_tick_does_no_event_bookkeeping(monkeypatch):
+    cfg = SimConfig(duration_s=60.0)
+    monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)  # a windowed run, which ticks on its own
     calls = []
     change_cell = Simulator._change_cell
     monkeypatch.setattr(Simulator, "_change_cell", lambda self, *a, **kw: calls.append(a[0]) or change_cell(self, *a, **kw))
-    sim = Simulator(Trajectory(SimConfig(duration_s=60.0), 0))  # a one-tick TTT: every A3 UE hands over
+    sim = Simulator(Trajectory(cfg, 0))  # a one-tick TTT: every A3 UE hands over
     quiet = 0
     for _ in range(sim.cfg.n_ticks):
         before, rows = len(calls), len(sim.trace)
@@ -404,7 +399,8 @@ def test_a_quiet_tick_does_no_event_bookkeeping(monkeypatch):
     assert 0 < quiet < sim.cfg.n_ticks
 
 
-def test_tick_constants_are_set_at_construction_and_by_set_txp(monkeypatch):
+@pytest.mark.parametrize("budget", [pytest.param(ran_sim.GEOMETRY_BUDGET_BYTES, id="held"), pytest.param(0, id="windowed")])
+def test_tick_constants_are_set_at_construction(monkeypatch, budget):
     counts = dict.fromkeys(("n_ticks", "antenna_gain_db", "gnb_power_w"), 0)
 
     def counted(name, fn):
@@ -417,12 +413,11 @@ def test_tick_constants_are_set_at_construction_and_by_set_txp(monkeypatch):
     for name in ("antenna_gain_db", "gnb_power_w"):
         monkeypatch.setattr(ran_sim, name, counted(name, getattr(ran_sim, name)))
     cfg = SimConfig(duration_s=10.0)
-    sim = Simulator(Trajectory(cfg, 4))
+    monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", budget)  # a solved run, then a windowed one
+    sim = Simulator(Trajectory(cfg, 4), {k: float(k % 40) for k in range(10, 100, 10)})
     assert counts["n_ticks"] and counts["antenna_gain_db"] and counts["gnb_power_w"]
-    sim.tick()  # the first tick builds the run's geometry
+    sim.tick()  # the first tick builds the run's geometry, and solves a held run
     for k in range(1, 100):
-        if k % 10 == 0:
-            sim.set_txp(float(k % 40))
         before = dict(counts)
         stats = sim.tick()
         assert counts == before, k
@@ -447,23 +442,22 @@ def test_geometry_is_read_only_after_the_first_tick():
             traj.row(k)[0, 0] = 1.0
 
 
-def test_a_held_run_takes_its_levels_from_scans_from_its_first_tick(monkeypatch):
-    # the rank of the path loss behind each level computed: a scan block (3-D) or one tick's row
-    ranks, levels = [], Simulator._levels
-    monkeypatch.setattr(Simulator, "_levels", lambda sim, pl, rows: ranks.append(pl.ndim) or levels(sim, pl, rows))
+def test_a_held_run_is_solved_on_its_first_tick(monkeypatch):
+    calls = []  # each solve, and each tick's levels computed
+    for name in ("_solve", "_levels"):
+        monkeypatch.setattr(Simulator, name, lambda sim, *a, f=getattr(Simulator, name), k=name: calls.append(k) or f(sim, *a))
     cfg = SimConfig(n_ues=20, duration_s=6.0)
-    sim = Simulator(Trajectory(cfg, 0))
+    sim = Simulator(Trajectory(cfg, 0), {k: (3.0, 50.0)[k // 10 % 2] for k in range(0, cfg.n_ticks, 10)})
+    assert calls == []
     sim.tick()
-    assert ranks == [3]
-    for k in range(1, cfg.n_ticks):
-        sim.set_txp((3.0, 50.0)[k // 10 % 2])  # each new level drops the scan
-        sim.tick()
-    assert len(ranks) >= 7 and set(ranks) == {3}  # tick 0 and the 6 level changes each scan at least once
+    assert calls == ["_solve"] and sim.trace  # the whole run's trace
+    run(sim, cfg.n_ticks - 1)
+    assert calls == ["_solve"] and sim._ticks == []  # the stored ticks are used up
 
-    monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)  # a windowed run computes every tick's own row
-    ranks.clear()
+    monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)  # a windowed run computes every tick's own levels
+    calls.clear()
     run(Simulator(Trajectory(cfg, 0)))
-    assert ranks == [2] * cfg.n_ticks
+    assert calls == ["_levels"] * cfg.n_ticks
 
 
 def two_tick_windows(monkeypatch, cfg):
@@ -645,10 +639,9 @@ def test_top_speed_may_cross_exactly_the_field():
 
 def test_the_clock_is_the_tick_count_times_the_step():
     # summing 100/3 thirty times gives 1000.0000000000005; 30 * (100 / 3) is 1000.0000000000001
-    sim = Simulator(Trajectory(SimConfig(n_ues=5, duration_s=1.0, step_ms=100 / 3), 0))
-    for i in range(sim.cfg.n_ticks):
-        sim.set_txp((-100.0, 30.0)[i % 2])  # every UE fails, then re-attaches: each tick traces its time
-        sim.tick()
+    cfg = SimConfig(n_ues=5, duration_s=1.0, step_ms=100 / 3)
+    sim = Simulator(Trajectory(cfg, 0), cycled(cfg, (-100.0, 30.0)))  # every UE fails, then re-attaches
+    run(sim)  # each tick traces its time
     assert sorted({row.t_ms for row in sim.trace}) == [(i + 1) * (100 / 3) for i in range(30)]
     assert sim.trace[-1].t_ms == 30 * (100 / 3)
 
