@@ -240,7 +240,7 @@ class Trajectory:
     once, or a window sliding along it, each row computed by the first simulator to ask for it
     from the positions and velocities after the last tick computed.  Sharers tick inside the
     window: a tick it no longer or not yet holds, or one past the run, raises
-    GeometryWindowError; a whole-run block never slides."""
+    GeometryWindowError; a whole-run block never slides, and its sharers read one `mobility()` plane."""
 
     def __init__(self, cfg: SimConfig, seed: int):
         self.cfg, self.seed, self.gnbs, n = cfg, seed, cfg.resolved_gnbs(), cfg.n_ues
@@ -269,6 +269,7 @@ class Trajectory:
         self._pl = np.empty((geometry_rows(cfg), n, len(self.gnbs)))
         self.pl = self._pl.view()
         self.pl.flags.writeable = False
+        self._mobility = None
 
     def row(self, t: int) -> np.ndarray:
         if t == self.end < self._n_ticks:  # the first sharer to reach tick t computes it (at 0, a whole run)
@@ -285,6 +286,22 @@ class Trajectory:
         if not self.base <= t < self.end:
             raise GeometryWindowError(f"tick {t} is outside the ticks {self.base}-{self.end - 1} held")
         return self.pl[t - self.base]
+
+    def mobility(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A whole-run block's mobility plane, built once, read-only and no larger than pl from two cells on: each (UE,
+        tick)'s least path loss PL_min and its first cell, laid out (UE, tick), and per serving cell s the A3 plane
+        PL_s - PL_min > hys_db - cio_db and PL_min < PL_s, laid out (cell, UE, tick).  Transmit power moves none of it."""
+        if self._mobility is None:
+            (n_ticks, n, g), over = self.pl.shape, max(self.cfg.hys_db - self.cfg.cio_db, 0.0)  # d > 0: PL_min < PL_s
+            self._mobility = least, first, a3 = (np.empty((n, n_ticks)), np.empty((n, n_ticks), np.min_scalar_type(g - 1)),
+                                                 np.empty((g, n, n_ticks), dtype=bool))
+            h = max(1, 8192 // (n * g))  # ticks at once: small temporaries
+            for a in range(0, n_ticks, h):
+                p = self.pl[a:a + h].T.copy()  # (cell, UE, tick)
+                first[:, a:a + h] = p.argmin(axis=0)
+                np.greater(np.subtract(p, np.min(p, axis=0, out=least[:, a:a + h]), out=p), over, out=a3[:, :, a:a + h])
+            least.flags.writeable = first.flags.writeable = a3.flags.writeable = False
+        return self._mobility
 
     def _path_loss(self, pos: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:  # (..., n_ues, 2) -> (..., n_ues, n_gnbs)
         return path_loss_db(np.hypot(pos[..., :1] - self._gx, pos[..., 1:] - self._gy, out=out), out)
@@ -335,11 +352,13 @@ class Simulator:
       move -> receive levels -> A3 handovers -> link failures ->
       re-attachments -> throughput and energy accounting.
     Each event phase takes its UEs, and writes their trace rows, in
-    ascending index order.  Trace events: HO, an A3 handover (the best
-    neighbour beats serving by cio_db - hys_db and is strictly stronger,
-    on ttt_ms worth of ticks toward one target); PP, a handover that is a
-    ping-pong; LF, a link failure (no cell reaches min_rsrp_dbm, the UE
-    detaches); REATTACH, a detached UE attaching to its strongest cell.
+    ascending index order.  A UE's strongest cell is its first of least
+    path loss, as TXP shifts every cell's level alike.  Trace events: HO, an
+    A3 handover (PL_s - PL_n > hys_db - cio_db and PL_n < PL_s, serving s,
+    best neighbour n, on ttt_ms worth of ticks toward one target); PP, a
+    handover that is a ping-pong; LF, a link failure (no cell reaches
+    min_rsrp_dbm, the UE detaches); REATTACH, a detached UE attaching to its
+    strongest cell, as a UE attaches when the run starts.
     Handovers and re-attachments both count as the tick's handovers (the
     network pays the signalling either way).  A move away from the last
     cell held is a ping-pong when it returns to the cell held before it
@@ -348,12 +367,12 @@ class Simulator:
     A run held in one block (decided at construction) is solved on its first tick, each UE on its own,
     as UEs never interact: from a tick, a UE is advanced to its own next event (A3 from its serving cell,
     nothing receivable, or, detached, something receivable) and that tick's rules are applied to it alone,
-    in the order above.  Its trace is then whole, its attachment state is the run's end, and every tick
-    returns its stored numbers.  A windowed run (decided the same way) computes each tick on its own: a
-    tick relies on two identities, a row's maximum is max(rs, rn), serving and best other cell, and the
-    UEs attached after it are the receivable ones; levels, the A3 and receivability conditions and
-    throughput are computed for every UE, and TTT counts, cell changes, ping-pongs and trace rows are kept
-    for the UEs each event condition selected alone.  So a simulator's state may change only before its
+    in the order above, with cells and A3 read from the seed's one `Trajectory.mobility()` plane.  Its trace is
+    then whole, its attachment state is the run's end, and every tick returns its stored numbers.  A windowed
+    run computes each tick on its own: a tick relies on two identities, a row's least path loss is that of
+    serving or best other cell, and the UEs attached after it are the receivable ones; the A3 and
+    receivability conditions and throughput are computed for every UE, and TTT counts, cell changes,
+    ping-pongs and trace rows are kept for the UEs each event condition selected alone.  So a simulator's state may change only before its
     first tick.  It keeps no totals: each tick returns its own numbers, which `harness.run_replica` sums.
     """
 
@@ -375,8 +394,7 @@ class Simulator:
         self.trace: list[TraceRow] = []
 
         # -- attachment state ----------------------------------------------
-        eirp = float(cfg.txp_dbm) + self._gain_db
-        self.serving = (eirp - trajectory._path_loss(trajectory.start[0])).argmax(axis=1).astype(int)
+        self.serving = trajectory._path_loss(trajectory.start[0]).argmin(axis=1).astype(int)  # each UE's strongest cell
         self.last_cell = self.serving.copy()      # serving, or the cell lost on a failure
         self.prev_gnb = np.full(n, -1, dtype=int)  # cell left by the last move, for ping-pong
         self.last_ho_ms = np.full(n, -np.inf)     # time of that move
@@ -398,7 +416,7 @@ class Simulator:
         if i in self._txp:
             self._eirp_dbm, self._tick_joules = self._txp[i]
         t = (i + 1) * self.cfg.step_ms
-        att, r, rs, tgt, a3, ok = self._levels(traj.row(i))
+        att, rs, tgt, a3, ok = self._levels(pl := traj.row(i))
 
         # A3 handovers.  No event resets the TTT state: a detached UE never
         # meets the condition, and a handover leaves the new serving cell as the
@@ -409,7 +427,7 @@ class Simulator:
             count = np.zeros_like(count)
             count[a3] = c = (self._ttt_target[a3] == tgt[a3]) * self._ttt_count[a3] + 1
             ho = a3[c >= self.required_ttt_ticks]
-            n_pp = self._change_cell("HO", t, r, ho, tgt, rs)
+            n_pp = self._change_cell("HO", t, pl, ho, tgt, rs)
         self._ttt_count, self._ttt_target = count, tgt
 
         # link failures (attached, nothing receivable), then re-attachments, from the state before handovers
@@ -417,51 +435,44 @@ class Simulator:
         if lf.size:
             was = att[lf]
             lf, back = lf[was], lf[~was]
-            self._change_cell("LF", t, r, lf, self.serving)
-            n_pp += self._change_cell("REATTACH", t, r, back, rs=rs)
+            self._change_cell("LF", t, pl, lf, self.serving)
+            n_pp += self._change_cell("REATTACH", t, pl, back, rs=rs)
 
         # throughput for attached UEs (now exactly ok, rs their serving levels); the joules: energy for all sites
         bits = float(np.add.reduce(self._capacity(rs)[ok]) * self._dt_s)
         return bits, self._tick_joules, lf.size, ho.size + back.size, n_pp
 
     def _levels(self, pl: np.ndarray) -> tuple:
-        """At the current cells and TXP, from one tick's path loss `pl` (n_ues, n_gnbs): attached,
-        levels, serving levels, best other cells, A3 and receivability conditions."""
+        """At the current cells and TXP, from one tick's path loss `pl` (n_ues, n_gnbs): attached, serving
+        levels, best other cells (the first of least path loss), A3 and receivability conditions."""
         cfg, serving, rows = self.cfg, self.serving, self._row0
         att = serving >= 0
-        r = self._eirp_dbm - pl
-        srv = rows + np.where(att, serving, len(self.gnbs) - 1)  # flat index into r; a detached UE reads its last column
-        rs = r.take(srv)
-        masked = r.copy()
-        masked.put(srv, -np.inf)
-        tgt = masked.argmax(axis=-1)
-        rn = masked.take(rows + tgt)
-        a3 = att & (rn + cfg.cio_db > rs + cfg.hys_db) & (rn > rs)
-        return att, r, rs, tgt, a3, np.maximum(rs, rn) >= cfg.min_rsrp_dbm  # the last: some cell is receivable
+        srv = rows + np.where(att, serving, len(self.gnbs) - 1)  # flat index into pl; a detached UE reads its last column
+        ps = pl.take(srv)
+        masked = pl.copy()
+        masked.put(srv, np.inf)
+        tgt = masked.argmin(axis=-1)
+        pn = masked.take(rows + tgt)
+        a3 = att & (ps - pn > max(cfg.hys_db - cfg.cio_db, 0.0))  # as Trajectory.mobility's A3 planes
+        return att, self._eirp_dbm - ps, tgt, a3, self._eirp_dbm - np.minimum(ps, pn) >= cfg.min_rsrp_dbm
 
     def _solve(self) -> list[tuple]:
-        """The held run's ticks, last first, its trace and its end state.  A row's strongest cell is its first
-        argmax i1 at level v1, and A3 from cell s is v1 + cio_db > R_s + hys_db and v1 > R_s, toward i1: where
-        v1 > R_s, s is not i1, so i1 is the best other cell; where s is i1, no other cell is stronger.  So each
-        serving cell's event plane (A3, or nothing receivable; a detached UE's: something receivable) comes from
-        the levels in slices, bool, laid out (cell, UE, tick), and a UE walks its plane from event to event."""
+        """The held run's ticks, last first, its trace and its end state.  Cells are chosen, and A3 decided, on the
+        seed's shared `Trajectory.mobility()` plane; receivability is the arm's own, a row's strongest level
+        fl(eirp - PL_min) against min_rsrp_dbm, which is the largest of its levels because rounding is monotone.
+        So each serving cell's event plane (A3, or nothing receivable; a detached UE's: something receivable) is
+        bool, laid out (cell, UE, tick), and a UE walks its plane from event to event."""
         cfg, pl, n, g, n_ticks = self.cfg, self.trajectory.pl, self.cfg.n_ues, len(self.gnbs), self.cfg.n_ticks
         at = sorted(self._txp)
         eirp, joules = (np.repeat([self._txp[k][j] for k in at], np.diff([*at, n_ticks])) for j in (0, 1))
+        least, best, a3 = self.trajectory.mobility()
+        ok = np.subtract(eirp, least) >= cfg.min_rsrp_dbm  # (UE, tick)
         planes = np.empty((g + 1, n, n_ticks), dtype=bool)  # planes[-1]: a detached UE's
-        h = max(1, 8192 // (n * g))  # ticks of levels at once: small temporaries
-        for a in range(0, n_ticks, h):
-            r = np.subtract(eirp[a:a + h], pl[a:a + h].T, order="C")  # levels (cell, UE, tick), as the planes
-            v1 = r[0].copy()
-            for s in range(1, g):
-                np.maximum(v1, r[s], out=v1)
-            ok = v1 >= cfg.min_rsrp_dbm
-            planes[-1, :, a:a + h] = ok
-            hi = v1 + cfg.cio_db
-            for s in range(g):
-                planes[s, :, a:a + h] = (hi > r[s] + cfg.hys_db) & (v1 > r[s]) | ~ok
+        np.logical_or(a3, ~ok, out=planes[:g])
+        planes[-1] = ok
 
         serving, last, prev, moved = (x.tolist() for x in (self.serving, self.last_cell, self.prev_gnb, self.last_ho_ms))
+        level = eirp.tolist()  # a tick's level before path loss
 
         def move(u: int, cell: int, t_ms: float) -> int:  # _change_cell's rule for a handover or re-attachment
             if cell == last[u]:
@@ -476,16 +487,14 @@ class Simulator:
             s, t, count, a3_at, tgt = serving[u], 0, 0, -1, -1  # a3_at: the last tick on A3, toward tgt
             while t < n_ticks and (e := t + int(planes[s, u, t:].argmax())) < n_ticks and planes[s, u, e]:
                 cells[t:e, u] = s
-                r = (eirp[e] - pl[e, u]).tolist()
-                v1 = max(r)
-                i1, t_ms = r.index(v1), (e + 1) * cfg.step_ms
+                i1, v1, t_ms = best.item(u, e), level[e] - least.item(u, e), (e + 1) * cfg.step_ms  # the strongest cell
                 if s < 0:  # something is receivable: re-attach to the strongest cell
                     pp[e] += move(u, i1, t_ms)
                     ho[e] += 1
                     rows.append((e, 2, u, i1, v1, "REATTACH"))
                     s = i1
                 else:
-                    if v1 + cfg.cio_db > r[s] + cfg.hys_db and v1 > r[s]:  # the TTT count goes on from the tick before
+                    if a3.item(s, u, e):  # toward i1; the TTT count goes on from the tick before
                         count = count + 1 if a3_at == e - 1 and tgt == i1 else 1
                         a3_at, tgt = e, i1
                         if count >= self.required_ttt_ticks:
@@ -493,9 +502,9 @@ class Simulator:
                             pp[e], ho[e] = pp[e] + p, ho[e] + 1
                             rows.append((e, 0, u, i1, v1, "PP" if p else "HO"))
                             s = i1
-                    if not v1 >= cfg.min_rsrp_dbm:  # judged on the attachment before the tick
+                    if not ok.item(u, e):  # judged on the attachment before the tick
                         lf[e] += 1
-                        rows.append((e, 1, u, s, r[s], "LF"))
+                        rows.append((e, 1, u, s, level[e] - pl.item(e, u, s), "LF"))
                         s = -1
                 cells[e, u], t = s, e + 1
             cells[t:, u] = serving[u] = s
@@ -504,16 +513,17 @@ class Simulator:
             rows.sort()
             self.trace.extend(TraceRow((e + 1) * cfg.step_ms, u, c, v, ev) for e, _, u, c, v, ev in rows)
 
-        # bits: the serving levels' capacity, in the same slices, summed over each run of ticks with one attached set
-        # as a tick sums them alone (row sums over a C-contiguous take; a boolean column mask does not add the same)
-        att = cells >= 0
+        # bits: the serving levels' capacity in slices, summed over each run of ticks with one attached set as a
+        # tick sums them alone (row sums over a C-contiguous take; a boolean column mask does not add the same)
+        att, h = cells >= 0, max(1, 8192 // (n * g))
         first = np.ones(n_ticks, dtype=bool)  # a slice's first tick, or one whose attached set is new
         first[1:] = (att[1:] != att[:-1]).any(axis=1)
         first[::h] = True
         edges, bits = [*first.nonzero()[0].tolist(), n_ticks], np.empty(n_ticks)
+        flat = np.maximum(cells, 0) + np.arange(0, pl.size, g).reshape(n_ticks, n)  # into pl; a detached UE's is dropped
         for a, b in zip(edges, edges[1:]):
-            if not a % h:  # a new slice; a detached UE reads its last column
-                cap = np.take_along_axis(pl[a:a + h], (cells[a:a + h] % g)[..., None], axis=2)[..., 0]
+            if not a % h:  # a new slice
+                cap = pl.take(flat[a:a + h])
                 self._capacity(np.subtract(eirp[a:a + h, None], cap, out=cap), out=cap)
             k = a % h
             np.multiply(np.add.reduce(cap[k:k + b - a].take(att[a].nonzero()[0], axis=1), axis=1), self._dt_s, out=bits[a:b])
@@ -525,15 +535,15 @@ class Simulator:
         np.power(10.0, np.divide(x, 10.0, out=x), out=x)
         return np.multiply(self.trajectory.bw_hz, np.log2(np.add(1.0, x, out=x), out=x), out=x)
 
-    def _change_cell(self, event: str, t: float, r: np.ndarray, idx: np.ndarray,
+    def _change_cell(self, event: str, t: float, pl: np.ndarray, idx: np.ndarray,
                      cells: np.ndarray | None = None, rs: np.ndarray | None = None) -> int:
-        """Apply `event` at time t to the UEs `idx` (ascending), trace it and
-        return its ping-pongs.  "LF" detaches UE i from cells[i], "HO" moves it
-        to cells[i], "REATTACH" (no cells) to its strongest cell; both write its level into rs."""
+        """Apply `event` at time t, with the tick's path loss pl, to the UEs `idx` (ascending), trace it
+        and return its ping-pongs.  "LF" detaches UE i from cells[i], "HO" moves it to cells[i],
+        "REATTACH" (no cells) to its strongest cell, the first of least path loss; both write its level into rs."""
         if not idx.size:
             return 0
-        cells = r[idx].argmax(axis=1) if cells is None else cells[idx]
-        level = r[idx, cells]
+        cells = pl[idx].argmin(axis=1) if cells is None else cells[idx]
+        level = self._eirp_dbm - pl[idx, cells]
         pp = ()
         if event == "LF":
             self.serving[idx] = -1

@@ -446,6 +446,23 @@ def test_each_seed_builds_its_trajectory_once(monkeypatch, strategies, reps, bui
     assert list(Counter(map(id, moved)).values()) == [exp.sim.n_ticks] * builds
 
 
+@pytest.mark.parametrize("reps, windowed", [(1, False), (2, False), (1, True)])
+def test_each_seed_builds_its_mobility_plane_once(monkeypatch, reps, windowed):
+    # a held seed's arms share one plane: the four pass-1 arms, and qacm when it reuses the trajectory
+    # (one replica); a windowed run builds none
+    exp = small_exp(reps=reps)
+    if windowed:
+        monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)
+    calls = []  # (trajectory, whether the call built the plane) of every call
+    mobility = Trajectory.mobility
+    monkeypatch.setattr(Trajectory, "mobility", lambda traj: calls.append((traj, traj._mobility is None)) or mobility(traj))
+    run_experiment(exp)
+    built = [traj for traj, new in calls if new]
+    assert len(calls) == (0 if windowed else 5 * reps)
+    assert len(built) == (0 if windowed else 1 if reps == 1 else 2 * reps)  # at two replicas, qacm builds each seed again
+    assert len(set(map(id, built))) == len(built) and all(traj in built for traj, _ in calls)
+
+
 def test_each_seed_draws_its_population_once_per_pass(monkeypatch):
     seeds = []  # the seed of every population drawn
     default_rng = np.random.default_rng

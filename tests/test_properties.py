@@ -263,6 +263,43 @@ def test_oracle_agrees_on_an_exact_level_tie(txp, events):
     assert [(r.t_ms, r.ue_id, r.serving_gnb, r.event) for r in trace] == events
 
 
+class FixedRow(Trajectory):
+    """Every UE sees the path loss `row` (one entry a cell) at its start and every tick."""
+
+    def __init__(self, cfg, row):
+        super().__init__(cfg, 0)
+        self.fixed = row
+
+    def _path_loss(self, pos, out=None):
+        out = np.empty((*pos.shape[:-1], len(self.fixed))) if out is None else out
+        out[...] = self.fixed
+        return out
+
+
+@pytest.mark.parametrize("budget", [ran_sim.GEOMETRY_BUDGET_BYTES, 0], ids=["solved", "windowed"])
+def test_a_one_ulp_path_loss_tie_goes_to_the_lower_path_loss(budget):
+    # cells 0 and 1 are one ulp of path loss apart, and at -30 dBm their levels round equal: the level rule
+    # took the lower index, cell 0; the path-loss rule takes cell 1 for the initial attach (UE 0), the A3
+    # target from cell 0 (UE 1, which the level rule kept on cell 0) and from cell 2 (UE 2), and the re-attachment
+    cfg = SimConfig(n_ues=3, gnb_positions=((100.0, 100.0), (300.0, 100.0), (200.0, 300.0)), txp_dbm=-30.0,
+                    min_rsrp_dbm=-150.0, duration_s=1.0)
+    lo = 100.0
+    while -30.0 - lo != -30.0 - np.nextafter(lo, np.inf):  # -30 - lo is in a binade of twice lo's ulp
+        lo = float(np.nextafter(lo, np.inf))
+    row = np.array([np.nextafter(lo, np.inf), lo, 120.0])
+    assert row[0] > row[1] and (-30.0 - row).argmax() == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", budget)
+        sim = Simulator(FixedRow(cfg, row), {3: -100.0, 4: -30.0})  # all fail at tick 3 and come back at tick 4
+    assert sim.serving.tolist() == [1, 1, 1]
+    sim.serving[1:] = sim.last_cell[1:] = [0, 2]
+    ticks = [sim.tick() for _ in range(cfg.n_ticks)]
+    assert [t[2:] for t in ticks[:5]] == [(0, 2, 0), (0, 0, 0), (0, 0, 0), (3, 0, 0), (0, 3, 0)]
+    assert [(r.t_ms, r.ue_id, r.serving_gnb, r.rsrp_dbm, r.event) for r in sim.trace] == [
+        (100.0, 1, 1, -30.0 - lo, "HO"), (100.0, 2, 1, -30.0 - lo, "HO"),
+        *((400.0, u, 1, -100.0 - lo, "LF") for u in range(3)), *((500.0, u, 1, -30.0 - lo, "REATTACH") for u in range(3))]
+
+
 @pytest.mark.parametrize("cfg, txps", [
     # 3 and 50 dBm in turn every 10 ticks, as the no-coordination arm switches
     (SimConfig(n_ues=20, duration_s=120.0), (3.0,) * 10 + (50.0,) * 10),

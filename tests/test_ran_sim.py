@@ -141,16 +141,20 @@ def test_reflection_reverses_velocity():
 
 
 def test_vectorized_rsrp_matches_scalar(monkeypatch):
-    cfg = SimConfig()
-    monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)  # a windowed run, which computes each tick's levels
-    sim = Simulator(Trajectory(cfg, 5))
-    run(sim, 10)
-    pos = moved(sim.trajectory, 10)[0][10]
-    r = sim._levels(sim.trajectory.row(9))[1]  # the tenth tick's levels, at the scenario's TXP
-    for i in range(sim.cfg.n_ues):
-        for g, gnb in enumerate(sim.gnbs):
-            expected = rsrp_dbm(sim.cfg.txp_dbm, gnb, pos[i], sim.cfg.ret_deg)
-            assert r[i, g] == pytest.approx(expected, abs=1e-9)
+    # every level a run traces, solved or windowed, is the scalar level of its cell at its UE's position
+    # after that tick, at the tick's TXP
+    cfg = SimConfig(n_ues=200, duration_s=20.0, ttt_ms=300.0, min_rsrp_dbm=-90.0)  # LF can come off the strongest cell
+    txp = {k: (30.0, -20.0)[k // 10 % 2] for k in range(0, cfg.n_ticks, 10)}  # mass failures, some mid-TTT
+    pos = moved(Trajectory(cfg, 5), cfg.n_ticks)[0]
+    for budget in (ran_sim.GEOMETRY_BUDGET_BYTES, 0):
+        monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", budget)
+        sim = Simulator(Trajectory(cfg, 5), txp)
+        run(sim)
+        assert {"HO", "LF", "REATTACH"} <= {row.event for row in sim.trace}
+        for row in sim.trace:
+            k = round(row.t_ms / cfg.step_ms)  # tick k - 1 ends at k * step_ms
+            expected = rsrp_dbm(txp[(k - 1) // 10 * 10], sim.gnbs[row.serving_gnb], pos[k, row.ue_id], cfg.ret_deg)
+            assert row.rsrp_dbm == pytest.approx(expected, abs=1e-9)
 
 
 def _one_ue_config(**kw):
