@@ -50,7 +50,7 @@ class UnattributableDegradationError(DetectionError):
         self.window_ms = window_ms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChangeRecord:
     """One landed parameter write: who, what, when (ms).  The time must be finite."""
 
@@ -64,7 +64,7 @@ class ChangeRecord:
             raise DetectionError(f"change at non-finite time {self.t_ms!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegradationEvent:
     """One KPI threshold violation: which KPI, its owner, when (ms).  The time must be finite; the value need not be."""
 
@@ -85,7 +85,7 @@ class VerdictKind(Enum):
     IMPLICIT = "implicit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConflictVerdict:
     kind: VerdictKind
     kpi: str

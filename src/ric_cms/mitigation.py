@@ -19,9 +19,8 @@ at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -62,7 +61,7 @@ class Strategy(Enum):
     QACM = "qacm"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParameterRequest:
     """One xApp's wish for a parameter value at a point in time."""
 
@@ -77,7 +76,7 @@ class ParameterRequest:
                 f"request by {self.xapp!r} needs a finite value and t_ms, got {self.value!r} and {self.t_ms!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KpiResponseModel:
     """Predicted KPI outcome as a function of one parameter's value.
 
@@ -137,7 +136,7 @@ class KpiResponseModel:
         return at
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QacmResult:
     value: float
     welfare: float
@@ -186,7 +185,7 @@ def qacm_optimize(
     return QacmResult(lo + best_i * step, best_w, all(s == 1.0 for s in best), best)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseModelSet:
     """All response models for one parameter, with its scan range.  The set
     is immutable, so its grid is scanned once, by the first optimize()."""
@@ -195,26 +194,34 @@ class ResponseModelSet:
     bounds: tuple[float, float]
     grid_step: float
     models: tuple[KpiResponseModel, ...]
+    _scan: QacmResult | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            models = tuple(self.models)
+        except TypeError:
+            models = None
+        if models is None or not all(isinstance(m, KpiResponseModel) for m in models):
+            raise MitigationError(f"models for {self.param!r} must be a sequence of KpiResponseModel, got {self.models!r}")
+        object.__setattr__(self, "models", models)
 
     def optimize(self) -> QacmResult:
+        if self._scan is None:
+            object.__setattr__(self, "_scan", qacm_optimize(self.models, self.bounds, self.grid_step))
         return self._scan
-
-    @cached_property
-    def _scan(self) -> QacmResult:
-        return qacm_optimize(self.models, self.bounds, self.grid_step)
 
 
 # ---------------------------------------------------------------------------
 # Strategy dispatch
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MitigationContext:
     """Deployment-level inputs the strategies draw on.
 
     defaults:        param -> standards default (sbd), a finite number
     priorities:      xapp -> integer rank, higher wins (p-es, p-mro)
-    response_models: param -> ResponseModelSet (qacm)
+    response_models: param -> ResponseModelSet for that param (qacm)
     bounds:          param -> allowed range (lo, hi), finite with lo <= hi,
                      applied to every decision
     """
@@ -235,6 +242,9 @@ class MitigationContext:
         for xapp, p in self.priorities.items():
             if not integer(p):
                 raise MitigationError(f"priority of {xapp!r} must be an integer, got {p!r}")
+        for param, ms in self.response_models.items():
+            if not (isinstance(ms, ResponseModelSet) and ms.param == param):
+                raise MitigationError(f"response models for {param!r} must be a ResponseModelSet for {param!r}, got {ms!r}")
         for param, b in self.bounds.items():
             try:
                 lo, hi = b
@@ -250,7 +260,7 @@ class MitigationContext:
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MitigationDecision:
     param: str
     value: float

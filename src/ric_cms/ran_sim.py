@@ -202,7 +202,7 @@ def largest_remainder_counts(fractions: Sequence[float], n: int) -> list[int]:
 # Simulator
 # ===========================================================================
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     t_ms: float
     ue_id: int

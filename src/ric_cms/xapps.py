@@ -65,7 +65,7 @@ def mro_request(t_ms: float) -> ParameterRequest:
 # Labeled detection workloads
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledEvent:
     change: ChangeRecord
     degradation: DegradationEvent

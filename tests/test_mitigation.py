@@ -309,6 +309,31 @@ def test_qacm_strategy_without_models_fails():
         mitigate(Strategy.QACM, [req("a", 3.0, 0.0)], ctx())
 
 
+@pytest.mark.parametrize("bad", [{}, None, "TXP"], ids=["dict", "none", "str"])
+def test_context_rejects_response_models_that_are_not_a_model_set(bad):
+    with pytest.raises(MitigationError, match="must be a ResponseModelSet for 'TXP'"):
+        ctx(response_models={"TXP": bad})
+
+
+def test_context_rejects_a_model_set_registered_under_another_parameter():
+    tilt = ResponseModelSet("tilt", (0.0, 50.0), 1.0, (model(),))
+    with pytest.raises(MitigationError, match="must be a ResponseModelSet for 'TXP'"):
+        ctx(response_models={"TXP": tilt})
+
+
+@pytest.mark.parametrize("models", [("x",), (model(), None), None, 3], ids=["str", "none-entry", "none", "int"])
+def test_model_set_rejects_models_that_are_not_response_models(models):
+    with pytest.raises(MitigationError, match="sequence of KpiResponseModel"):
+        ResponseModelSet("TXP", (0.0, 50.0), 1.0, models)
+
+
+def test_model_set_stores_its_models_as_a_hashable_tuple():
+    m = model()
+    ms = ResponseModelSet("TXP", (0.0, 50.0), 1.0, [m])
+    assert ms.models == (m,)
+    assert hash(ms) == hash(ResponseModelSet("TXP", (0.0, 50.0), 1.0, (m,)))
+
+
 def test_a_strategy_that_is_not_a_member_fails():
     with pytest.raises(MitigationError, match="unknown strategy 'nc'"):
         mitigate("nc", [req("a", 3.0, 0.0)], ctx())
