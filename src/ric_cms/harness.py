@@ -171,51 +171,57 @@ class Arm(NamedTuple):
     checks: dict[int, tuple[int, str | None]]
 
 
-def compile_arm(strategy: Strategy, exp: ExperimentConfig, model_set: ResponseModelSet | None = None) -> Arm:
-    """The arm's control plane: its request cadence through `mitigate` once, on the control
-    clock (half interval k at k * CONTROL_INTERVAL_MS / 2), and every landed change through one
-    `Ledger`.  The SLA check at each mobility request classifies before that request's change
-    lands, so attribution sees the energy saver's standing change.  The sbd reset is a
-    controller action: it sets TXP and lands no change.  It takes a validated `ExperimentConfig`,
-    whose step splits the control interval into an even tick count, and TypeError for anything else."""
+def compile_arms(strategies: Sequence[Strategy], exp: ExperimentConfig,
+                 model_set: ResponseModelSet | None = None) -> list[Arm]:
+    """Each strategy's control plane, in the order given: the request cadence walked once, on the control clock
+    (half interval k at k * CONTROL_INTERVAL_MS / 2), each request through every arm's `mitigate`, and every change
+    an arm lands through that arm's one `Ledger`.  The SLA check at each mobility request classifies before that
+    request's change lands, so attribution sees the energy saver's standing change.  The sbd reset is a controller
+    action: it sets TXP and lands no change.  It takes a validated `ExperimentConfig`, whose step splits the control
+    interval into an even tick count, and TypeError for anything else."""
     if not isinstance(exp, ExperimentConfig):
-        raise TypeError(f"compile_arm needs an ExperimentConfig, got {type(exp).__name__}")
-    if strategy is Strategy.QACM and model_set is None:
+        raise TypeError(f"compile_arms needs an ExperimentConfig, got {type(exp).__name__}")
+    if Strategy.QACM in strategies and model_set is None:
         raise ValueError("qacm arm needs calibrated response models")
     ranks = {Strategy.P_ES: {ES_XAPP_ID: 2, MRO_XAPP_ID: 1}, Strategy.P_MRO: {MRO_XAPP_ID: 2, ES_XAPP_ID: 1}}
-    models = {TXP_PARAM: model_set} if strategy is Strategy.QACM else {}
-    ctx = MitigationContext({TXP_PARAM: TXP_DEFAULT_DBM}, ranks.get(strategy, {}), models, {TXP_PARAM: TXP_BOUNDS_DBM})
-    on_arrival = Strategy.NC if strategy in (Strategy.NC, Strategy.SBD) else strategy  # nc and sbd write through
-    half_ticks = int(round(CONTROL_INTERVAL_MS / exp.sim.step_ms)) // 2
+    topology = experiment_topology()  # immutable, so the arms' ledgers share it
+    lanes = []  # per arm: the Arm, how it takes a request on arrival (nc and sbd write through), its context and ledger
+    for s in strategies:
+        models = {TXP_PARAM: model_set} if s is Strategy.QACM else {}
+        ctx = MitigationContext({TXP_PARAM: TXP_DEFAULT_DBM}, ranks.get(s, {}), models, {TXP_PARAM: TXP_BOUNDS_DBM})
+        lanes.append((Arm(s, exp, {}, {}), Strategy.NC if s in (Strategy.NC, Strategy.SBD) else s, ctx, Ledger(topology)))
+    applied = [float(exp.sim.txp_dbm)] * len(lanes)
+    n, half_ticks = exp.sim.n_ticks, int(round(CONTROL_INTERVAL_MS / exp.sim.step_ms)) // 2
     window_ticks = int(round(DEFAULT_ATTRIBUTION_WINDOW_MS / exp.sim.step_ms))
-    ledger = Ledger(experiment_topology())
     standing: dict[str, ParameterRequest] = {}
-    applied = float(exp.sim.txp_dbm)
-    arm = Arm(strategy, exp, {}, {})
-    for k, tick in enumerate(range(0, exp.sim.n_ticks, half_ticks)):
+    for k, tick in enumerate(range(0, n, half_ticks)):
         t = k * CONTROL_INTERVAL_MS / 2
         if k % 2:  # the SLA check; a breach's size is the replica's, and the verdict does not read it
-            try:
-                kind = ledger.classify(DegradationEvent(t, LF_KPI, MRO_XAPP_ID, math.nan)).kind.value
-            except UnattributableDegradationError:
-                kind = None
-            arm.checks[tick] = (max(0, tick - window_ticks), kind)
+            check, start = DegradationEvent(t, LF_KPI, MRO_XAPP_ID, math.nan), max(0, tick - window_ticks)
         req = mro_request(t) if k % 2 else es_request(t)
         standing[req.xapp] = req
-        decision = mitigate(on_arrival, list(standing.values()), ctx)
-        if on_arrival is Strategy.NC or decision.value != applied:
-            applied = arm.txp[tick] = decision.value
-            ledger.record_change(ChangeRecord(t, req.xapp, TXP_PARAM, applied))
-        if strategy is Strategy.SBD and k % 2 and tick + 1 < exp.sim.n_ticks:
-            # the tick after the mobility app's request; a request there overwrites it
-            arm.txp[tick + 1] = mitigate(Strategy.SBD, list(standing.values()), ctx).value
-    return arm
+        wishes = list(standing.values())
+        for i, (arm, on_arrival, ctx, ledger) in enumerate(lanes):
+            if k % 2:
+                try:
+                    kind = ledger.classify(check).kind.value
+                except UnattributableDegradationError:
+                    kind = None
+                arm.checks[tick] = (start, kind)
+            decision = mitigate(on_arrival, wishes, ctx)
+            if on_arrival is Strategy.NC or decision.value != applied[i]:
+                applied[i] = arm.txp[tick] = decision.value
+                ledger.record_change(ChangeRecord(t, req.xapp, TXP_PARAM, decision.value))
+            if arm.strategy is Strategy.SBD and k % 2 and tick + 1 < n:
+                # the tick after the mobility app's request; a request there overwrites it
+                arm.txp[tick + 1] = mitigate(Strategy.SBD, wishes, ctx).value
+    return [arm for arm, *_ in lanes]
 
 
 def run_replica(
     strategy: Strategy, rep: int, arm: Arm, trajectory: Trajectory
 ) -> Generator[tuple[ReplicaResult, Simulator] | None, None, None]:
-    """Replica rep of the strategy's `compile_arm` arm, replayed over the trajectory of seed
+    """Replica rep of the strategy's `compile_arms` arm, replayed over the trajectory of seed
     arm.exp.base_seed + rep under arm.exp's scenario; ValueError at the call for another strategy's arm or
     another trajectory.  It returns a generator that yields None between the trajectory's windows of
     len(trajectory.pl) ticks (a held run is one) and (result, simulator) last; the simulator runs the arm's
@@ -329,9 +335,10 @@ def derive_qacm_models(nc_rows: Sequence[ReplicaResult], exp: ExperimentConfig) 
 # Full experiment
 # ===========================================================================
 
-def box_stats(values: Sequence[float]) -> dict[str, float]:
-    qs = np.percentile(np.asarray(values, dtype=float), [0, 25, 50, 75, 100])
-    return dict(zip(("min", "q1", "median", "q3", "max"), (float(q) for q in qs)))
+def box_stats(values: Sequence[Sequence[float]]) -> list[dict[str, float]]:
+    """Each column's box stats, from a (replicas, columns) matrix in one percentile call."""
+    qs = np.percentile(np.asarray(values, dtype=float), [0, 25, 50, 75, 100], axis=0)
+    return [dict(zip(("min", "q1", "median", "q3", "max"), col)) for col in qs.T.tolist()]
 
 
 @dataclass
@@ -345,7 +352,7 @@ class ExperimentResult:
     def summary(self) -> dict[str, dict[str, dict[str, float]]]:
         """strategy -> metric -> box stats, as summary.json writes them."""
         return {
-            strat: {m: box_stats([getattr(r, m) for r in rows]) for m in METRICS}
+            strat: dict(zip(METRICS, box_stats([[getattr(r, m) for m in METRICS] for r in rows])))
             for strat, rows in self.rows.items()
         }
 
@@ -360,8 +367,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every requested arm, pairing replicas by seed.
 
-    Each arm is compiled once per pass (`compile_arm`), and its replicas
-    only replay it.  The no-coordination arm runs whenever it
+    The pass's arms are compiled together, once (`compile_arms`), and their
+    replicas only replay them.  The no-coordination arm runs whenever it
     is requested or the QACM arm needs it.  Each pass builds one `Trajectory`
     per seed, and the arms but QACM run over it in lockstep: arm by arm
     through each window of its trajectory's ticks.  QACM calibrates from the
@@ -377,9 +384,11 @@ def run_experiment(
     traces: dict[str, Simulator] = dict.fromkeys(s.value for s in arms)  # rep-0 sims, in arm order
     trajectory = None
     for group in ([s for s in arms if s is not Strategy.QACM], [s for s in arms if s is Strategy.QACM]):
+        if not group:  # no qacm arm
+            continue
         model_set = derive_qacm_models(arm_rows[Strategy.NC.value], exp) if Strategy.QACM in group else None
-        compiled = [compile_arm(s, exp, model_set) for s in group]
-        for rep in range(exp.reps if group else 0):
+        compiled = compile_arms(group, exp, model_set)
+        for rep in range(exp.reps):
             if progress:
                 progress(tuple(s.value for s in group), rep, exp.reps)
             if trajectory is None or trajectory.seed != exp.base_seed + rep or trajectory.base:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -224,18 +225,22 @@ class MitigationContext:
     response_models: param -> ResponseModelSet for that param (qacm)
     bounds:          param -> allowed range (lo, hi), finite with lo <= hi,
                      applied to every decision
+
+    Each field is kept as a read-only view of a copy taken when the context
+    is built, so what was validated is what the strategies read.
     """
 
-    defaults: dict[str, float]
-    priorities: dict[str, int]
-    response_models: dict[str, ResponseModelSet]
-    bounds: dict[str, tuple[float, float]]
+    defaults: Mapping[str, float]
+    priorities: Mapping[str, int]
+    response_models: Mapping[str, ResponseModelSet]
+    bounds: Mapping[str, tuple[float, float]]
 
     def __post_init__(self):
         for name in ("defaults", "priorities", "response_models", "bounds"):
             value = getattr(self, name)
             if value.__class__ is not dict and not isinstance(value, Mapping):  # a dict first: the common case
                 raise MitigationError(f"{name} must be a mapping, got {value!r}")
+            object.__setattr__(self, name, MappingProxyType(dict(value)))
         for param, v in self.defaults.items():
             if not finite(v):
                 raise MitigationError(f"default for {param!r} must be a finite number, got {v!r}")
@@ -245,6 +250,7 @@ class MitigationContext:
         for param, ms in self.response_models.items():
             if not (isinstance(ms, ResponseModelSet) and ms.param == param):
                 raise MitigationError(f"response models for {param!r} must be a ResponseModelSet for {param!r}, got {ms!r}")
+        bounds = {}
         for param, b in self.bounds.items():
             try:
                 lo, hi = b
@@ -252,6 +258,11 @@ class MitigationContext:
                 lo = hi = None
             if not (finite(lo) and finite(hi) and lo <= hi):
                 raise MitigationError(f"bounds for {param!r} must be finite with lo <= hi, as a (lo, hi) pair; got {b!r}")
+            bounds[param] = lo, hi  # a pair the caller cannot change
+        object.__setattr__(self, "bounds", MappingProxyType(bounds))
+
+    def __reduce__(self):  # a mappingproxy neither pickles nor copies: rebuild from plain dicts
+        return MitigationContext, (dict(self.defaults), dict(self.priorities), dict(self.response_models), dict(self.bounds))
 
     def clamp(self, param: str, value: float) -> float:
         if param in self.bounds:

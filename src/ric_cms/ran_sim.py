@@ -295,11 +295,11 @@ class Trajectory:
             (n_ticks, n, g), over = self.pl.shape, max(self.cfg.hys_db - self.cfg.cio_db, 0.0)  # d > 0: PL_min < PL_s
             self._mobility = least, first, a3 = (np.empty((n, n_ticks)), np.empty((n, n_ticks), np.min_scalar_type(g - 1)),
                                                  np.empty((g, n, n_ticks), dtype=bool))
-            h = max(1, 8192 // (n * g))  # ticks at once: small temporaries
-            for a in range(0, n_ticks, h):
-                p = self.pl[a:a + h].T.copy()  # (cell, UE, tick)
-                first[:, a:a + h] = p.argmin(axis=0)
-                np.greater(np.subtract(p, np.min(p, axis=0, out=least[:, a:a + h]), out=p), over, out=a3[:, :, a:a + h])
+            p = self.pl.T.copy()  # (cell, UE, tick)
+            np.minimum.reduce(p, axis=0, out=least)
+            for c in range(g - 1, -1, -1):  # the last cell down, so the first of least path loss is written last
+                np.copyto(first, c, where=np.equal(p[c], least, out=a3[c]))  # a3[c] is scratch until the A3 planes
+            np.greater(np.subtract(p, least, out=p), over, out=a3)
             least.flags.writeable = first.flags.writeable = a3.flags.writeable = False
         return self._mobility
 
@@ -513,20 +513,17 @@ class Simulator:
             rows.sort()
             self.trace.extend(TraceRow((e + 1) * cfg.step_ms, u, c, v, ev) for e, _, u, c, v, ev in rows)
 
-        # bits: the serving levels' capacity in slices, summed over each run of ticks with one attached set as a
-        # tick sums them alone (row sums over a C-contiguous take; a boolean column mask does not add the same)
-        att, h = cells >= 0, max(1, 8192 // (n * g))
-        first = np.ones(n_ticks, dtype=bool)  # a slice's first tick, or one whose attached set is new
+        # bits: the serving levels' capacity over the run, summed over each run of ticks with one attached set as a
+        # tick sums them alone (row sums over C-contiguous rows; a boolean column mask does not add the same)
+        att = cells >= 0
+        first = np.ones(n_ticks, dtype=bool)  # tick 0, or one whose attached set is new
         first[1:] = (att[1:] != att[:-1]).any(axis=1)
-        first[::h] = True
-        edges, bits = [*first.nonzero()[0].tolist(), n_ticks], np.empty(n_ticks)
-        flat = np.maximum(cells, 0) + np.arange(0, pl.size, g).reshape(n_ticks, n)  # into pl; a detached UE's is dropped
+        edges, whole, bits = [*first.nonzero()[0].tolist(), n_ticks], att.all(axis=1).tolist(), np.empty(n_ticks)
+        cap = pl.take(np.maximum(cells, 0) + np.arange(0, pl.size, g).reshape(n_ticks, n))  # a detached UE's is dropped
+        self._capacity(np.subtract(eirp[:, None], cap, out=cap), out=cap)
         for a, b in zip(edges, edges[1:]):
-            if not a % h:  # a new slice
-                cap = pl.take(flat[a:a + h])
-                self._capacity(np.subtract(eirp[a:a + h, None], cap, out=cap), out=cap)
-            k = a % h
-            np.multiply(np.add.reduce(cap[k:k + b - a].take(att[a].nonzero()[0], axis=1), axis=1), self._dt_s, out=bits[a:b])
+            np.add.reduce(cap[a:b] if whole[a] else cap[a:b].take(att[a].nonzero()[0], axis=1), axis=1, out=bits[a:b])
+        np.multiply(bits, self._dt_s, out=bits)
         return list(zip(bits.tolist(), joules.tolist(), lf, ho, pp))[::-1]
 
     def _capacity(self, rs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -223,6 +223,12 @@ def assert_strategy_orderings(result) -> None:
     assert ho["qacm"] < ho["nc"]
 
 
+def box_stats_oracle(values: Sequence[float]) -> dict[str, float]:
+    """One column's box stats from one np.percentile call on that column alone."""
+    qs = np.percentile(np.asarray(values, dtype=float), [0, 25, 50, 75, 100])
+    return dict(zip(("min", "q1", "median", "q3", "max"), (float(q) for q in qs)))
+
+
 def save_sim_config(cfg: SimConfig, path: str | Path) -> None:
     """Write cfg as a scenario file: its fields as one JSON object."""
     write_json(path, asdict(cfg))

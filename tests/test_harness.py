@@ -5,16 +5,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import box_stats_oracle
 from ric_cms import harness, mitigation, ran_sim
 from ric_cms.conflict_model import KpiDirection
 from ric_cms.detection import Ledger
 from ric_cms.harness import (
     ALL_STRATEGIES,
+    METRICS,
     ExperimentConfig,
+    ExperimentResult,
     PhaseStats,
     ReplicaResult,
     box_stats,
-    compile_arm,
+    compile_arms,
     derive_qacm_models,
     desk_preset,
     export_csv,
@@ -98,7 +101,7 @@ def test_reps_and_seed_must_be_integers_in_range(field, bad):
 
 def run_one(strategy, model_set=None, **kw):
     exp = small_exp(**kw)
-    arm = compile_arm(strategy, exp, model_set)
+    arm = compile_arms((strategy,), exp, model_set)[0]
     *_, (res, _) = run_replica(strategy, 0, arm, Trajectory(exp.sim, exp.base_seed))
     return res, arm.txp[max(arm.txp)]  # the result, and the TXP the run ends at
 
@@ -174,7 +177,7 @@ def test_write_through_records_every_request(monkeypatch, strategy):
 
     monkeypatch.setattr(harness, "Ledger", keep)
     exp = small_exp(sim=SimConfig(duration_s=20.0, txp_dbm=3.0))
-    *_, _ = run_replica(strategy, 0, compile_arm(strategy, exp), Trajectory(exp.sim, exp.base_seed))
+    *_, _ = run_replica(strategy, 0, compile_arms((strategy,), exp)[0], Trajectory(exp.sim, exp.base_seed))
     (ledger,) = ledgers
     assert [c.xapp for c in ledger.changes] == ["es", "mro"] * 10
     assert [c.value for c in ledger.changes] == [3.0, 50.0] * 10
@@ -193,7 +196,7 @@ def replay(monkeypatch, strategy, cfg, model_set=None):
     ledgers, make_ledger = [], harness.Ledger
     with monkeypatch.context() as m:
         m.setattr(harness, "Ledger", lambda *a, **kw: ledgers.append(make_ledger(*a, **kw)) or ledgers[-1])
-        arm = compile_arm(strategy, ExperimentConfig(cfg), model_set)
+        arm = compile_arms((strategy,), ExperimentConfig(cfg), model_set)[0]
     (ledger,) = ledgers
     txp, column = cfg.txp_dbm, []
     for tick in range(cfg.n_ticks):
@@ -241,9 +244,19 @@ def test_sbd_request_wins_the_reset_tick_at_two_ticks_per_interval(monkeypatch):
     assert sbd[0] == [3.0, 50.0] * 15
 
 
+@pytest.mark.parametrize("step_ms", [100.0, 100 / 3, 500.0], ids=["100", "100_3", "500"])
+def test_arms_compiled_together_equal_each_compiled_alone(step_ms):
+    # one walk shares each request, standing list, SLA check event and the topology among the arms
+    exp = ExperimentConfig(SimConfig(duration_s=30.0, step_ms=step_ms))
+    for order in (ALL_STRATEGIES, ALL_STRATEGIES[::-1]):
+        for strategy, arm in zip(order, compile_arms(order, exp, FIXED_QACM)):
+            alone = compile_arms((strategy,), exp, FIXED_QACM)[0]
+            assert (arm.strategy, arm.exp, arm.txp, arm.checks) == (strategy, exp, alone.txp, alone.checks)
+
+
 def test_qacm_arm_needs_a_model_set():
     with pytest.raises(ValueError, match="calibrated response models"):
-        compile_arm(Strategy.QACM, ExperimentConfig(SimConfig()))
+        compile_arms((Strategy.QACM,), ExperimentConfig(SimConfig()))
 
 
 @pytest.mark.parametrize("step_ms", [300.0, 2000.0])
@@ -252,7 +265,7 @@ def test_compile_arm_takes_only_a_validated_experiment(step_ms):
     # 1,000 ms control clock, and at 2,000 ms no tick would fall between two requests
     sim = SimConfig(step_ms=step_ms, duration_s=6.0)
     with pytest.raises(TypeError, match="needs an ExperimentConfig, got SimConfig"):
-        compile_arm(Strategy.NC, sim)
+        compile_arms((Strategy.NC,), sim)
     with pytest.raises(ValueError, match="interval_ms"):
         ExperimentConfig(sim)
 
@@ -276,7 +289,7 @@ def test_arbitration_does_not_scale_with_replicas(monkeypatch):
     assert per_reps[0] == {Strategy.NC: 40, Strategy.SBD: 10, Strategy.P_ES: 20, Strategy.P_MRO: 20, Strategy.QACM: 20}
 
     exp = small_exp()
-    schedules = {s: compile_arm(s, exp, FIXED_QACM) for s in ALL_STRATEGIES}
+    schedules = {s: compile_arms((s,), exp, FIXED_QACM)[0] for s in ALL_STRATEGIES}
     calls.clear()
     for strategy, actions in schedules.items():
         *_, _ = run_replica(strategy, 0, actions, Trajectory(exp.sim, exp.base_seed))
@@ -298,7 +311,7 @@ def test_attribution_does_not_scale_with_replicas(monkeypatch):
     assert per_reps[0] == {"Ledger": 5, "classify": 50}
 
     exp = small_exp()
-    arms = {s: compile_arm(s, exp, FIXED_QACM) for s in ALL_STRATEGIES}
+    arms = {s: compile_arms((s,), exp, FIXED_QACM)[0] for s in ALL_STRATEGIES}
     calls.clear()
     for strategy, arm in arms.items():
         *_, _ = run_replica(strategy, 0, arm, Trajectory(exp.sim, exp.base_seed))
@@ -323,7 +336,7 @@ def test_a_replica_sums_its_ticks_in_order():
     # of a simulator set by the same compiled schedule; at 100/3 ms no sum is exact by luck
     exp = ExperimentConfig(SimConfig(n_ues=40, duration_s=20.0, step_ms=100 / 3), strategies=(Strategy.SBD,),
                            reps=1, base_seed=7)
-    arm = compile_arm(Strategy.SBD, exp)
+    arm = compile_arms((Strategy.SBD,), exp)[0]
     *_, (res, _) = run_replica(Strategy.SBD, 0, arm, Trajectory(exp.sim, 7))
     sim, totals, phases = Simulator(Trajectory(exp.sim, 7), arm.txp, record_trace=False), [0.0, 0.0, 0, 0, 0], {}
     level = exp.sim.txp_dbm
@@ -389,7 +402,28 @@ def test_calibration_requires_both_anchors():
 
 
 def test_box_stats_reference():
-    assert box_stats([1, 2, 3, 4, 5]) == {"min": 1.0, "q1": 2.0, "median": 3.0, "q3": 4.0, "max": 5.0}
+    assert box_stats([[1, 10.0], [2, 0.5], [3, 7.25], [4, 2.0], [5, 4.0]]) == [
+        {"min": 1.0, "q1": 2.0, "median": 3.0, "q3": 4.0, "max": 5.0},
+        {"min": 0.5, "q1": 2.0, "median": 4.0, "q3": 7.25, "max": 10.0},
+    ]
+
+
+@pytest.mark.parametrize("reps", [1, 2, 5, 50, 500])
+def test_box_stats_match_one_percentile_call_per_column(reps):
+    rng = np.random.default_rng(reps)
+    for _ in range(40):
+        columns = [
+            rng.uniform(0.0, 4e5, reps).tolist(),    # efficiencies
+            rng.choice([0.1, 1 / 3, 2.5], reps).tolist(),  # tied floats
+            rng.integers(0, 300, reps).tolist(),     # counts
+            rng.integers(0, 2, reps).tolist(),       # counts, nearly all tied
+        ]
+        matrix = [list(row) for row in zip(*columns)]
+        assert repr(box_stats(matrix)) == repr([box_stats_oracle(c) for c in columns])
+        rows = {s: [ReplicaResult(s, r, r, *row) for r, row in enumerate(matrix)] for s in ("nc", "qacm")}
+        result = ExperimentResult(small_exp(reps=reps), rows, None)
+        want = {s: {m: box_stats_oracle([getattr(r, m) for r in rs]) for m in METRICS} for s, rs in rows.items()}
+        assert repr(result.summary()) == repr(want)
 
 
 # -- experiment level -------------------------------------------------------
@@ -480,12 +514,12 @@ def test_each_seed_draws_its_population_once_per_pass(monkeypatch):
 def test_a_replica_refuses_another_seeds_trajectory(seed, sim):
     exp = small_exp()
     with pytest.raises(ValueError, match="trajectory of seed 5"):  # at the call, before any tick
-        run_replica(Strategy.NC, 0, compile_arm(Strategy.NC, exp), Trajectory(sim, seed))
+        run_replica(Strategy.NC, 0, compile_arms((Strategy.NC,), exp)[0], Trajectory(sim, seed))
 
 
 def test_a_replica_refuses_another_strategys_arm():
     exp = small_exp()
-    arm = compile_arm(Strategy.NC, exp)
+    arm = compile_arms((Strategy.NC,), exp)[0]
     assert (arm.strategy, arm.exp) == (Strategy.NC, exp)
     with pytest.raises(ValueError, match="the qacm replica got an arm compiled for nc"):
         run_replica(Strategy.QACM, 0, arm, Trajectory(exp.sim, 5))
@@ -493,7 +527,7 @@ def test_a_replica_refuses_another_strategys_arm():
 
 def test_only_rep_0_records_a_trace():
     exp = small_exp()
-    arm = compile_arm(Strategy.NC, exp)
+    arm = compile_arms((Strategy.NC,), exp)[0]
     *_, (_, first) = run_replica(Strategy.NC, 0, arm, Trajectory(exp.sim, 5))
     *_, (res, second) = run_replica(Strategy.NC, 1, arm, Trajectory(exp.sim, 6))
     assert first.record_trace and first.trace

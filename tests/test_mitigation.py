@@ -400,6 +400,26 @@ def test_context_is_frozen_and_takes_a_one_point_range():
     assert c.clamp("TXP", 3.0) == 10.0
 
 
+def test_a_built_context_keeps_what_it_validated():
+    ms = ResponseModelSet("TXP", (0.0, 50.0), 1.0, (model(threshold=10.0, curve=((0.0, 0.0), (50.0, 25.0))),))
+    fields = dict(defaults={"TXP": 30.0}, priorities={"es": 2}, response_models={"TXP": ms}, bounds={"TXP": [0.0, 40.0]})
+    c = ctx(**fields)
+    with pytest.raises(TypeError):
+        c.response_models["TXP"] = {}
+    with pytest.raises(TypeError):
+        c.bounds["TXP"] = (5, 1)
+    # the caller's dicts, and the pair inside one, change after the build; the context does not
+    fields["bounds"]["TXP"][1] = -1.0
+    fields["bounds"]["RET"] = (5, 1)
+    fields["defaults"]["TXP"] = math.nan
+    fields["priorities"]["es"] = 1.5
+    fields["response_models"]["TXP"] = {}
+    assert c == ctx(defaults={"TXP": 30.0}, priorities={"es": 2}, response_models={"TXP": ms}, bounds={"TXP": (0.0, 40.0)})
+    d = mitigate(Strategy.QACM, [req("a", 3.0, 0.0)], c)
+    assert (d.value, d.satisfied_all) == (20.0, True)
+    assert mitigate(Strategy.SBD, [req("a", 3.0, 0.0)], c).value == 30.0
+
+
 def test_requests_must_share_parameter():
     with pytest.raises(MitigationError, match="multiple parameters"):
         mitigate(Strategy.NC, [req("a", 1.0, 1.0, "TXP"), req("b", 2.0, 2.0, "RET")], ctx())

@@ -209,6 +209,20 @@ def test_oracle_runs_reach_every_event(cfg, txps, events):
     assert events <= {row.event for row in trace}
 
 
+@pytest.mark.parametrize("min_rsrp_dbm, detached", [(-90.0, 0), (-80.0, 6)])
+def test_oracle_agrees_on_bits_summed_over_one_attached_set(min_rsrp_dbm, detached):
+    # a solve sums each run of ticks with one attached set, straight from its rows while every UE is attached,
+    # else over the attached columns; at desk's 20 UEs and 4 cells an earlier solve cut such a run at tick 102
+    cfg = SimConfig(n_ues=20, duration_s=30.0, min_rsrp_dbm=min_rsrp_dbm)
+    trace = run_beside_the_oracle(cfg, 0, {0: 30.0, 150: 20.0, 200: 30.0})
+    off = np.zeros(cfg.n_ticks, dtype=int)  # the UEs detached after each tick
+    for row in trace:
+        off[round(row.t_ms / cfg.step_ms) - 1:] += {"LF": 1, "REATTACH": -1}.get(row.event, 0)
+    moves = {round(row.t_ms / cfg.step_ms) - 1 for row in trace if row.event in ("LF", "REATTACH")}
+    assert 102 not in moves and off[101] == detached  # a run of one attached set goes on across tick 102
+    assert ((0 < off) & (off < cfg.n_ues)).any()  # and a run has some UEs detached, not all
+
+
 def test_oracle_agrees_on_mass_link_failure_and_reattachment():
     # the power swings 50 -> -20 -> 50 dBm on consecutive ticks: most UEs fail at once, then come back
     cfg = SimConfig(n_ues=200, duration_s=3.0)

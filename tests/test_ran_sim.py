@@ -464,6 +464,19 @@ def test_a_held_run_is_solved_on_its_first_tick(monkeypatch):
     assert calls == ["_levels"] * cfg.n_ticks
 
 
+def test_the_mobility_planes_first_cell_is_argmins_on_exact_ties():
+    # all four cells tie at the field's centre, two on a bisector (the last two UEs move along theirs)
+    cfg = SimConfig(n_ues=5, duration_s=3.0)
+    pos = [[200.0, 200.0], [200.0, 300.0], [300.0, 200.0], [200.0, 100.0], [100.0, 200.0]]
+    traj = placed(cfg, pos, [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 10.0], [5.0, 0.0]])
+    traj.row(0)
+    least, first, _ = traj.mobility()
+    pl = traj.pl.transpose(1, 0, 2)  # (UE, tick, cell)
+    assert ((pl == least[:, :, None]).sum(axis=2) == [[4], [2], [2], [2], [2]]).all()  # the ties are exact
+    assert np.array_equal(first, pl.argmin(axis=2))
+    assert first[:, 0].tolist() == [0, 2, 1, 0, 0]
+
+
 def two_tick_windows(monkeypatch, cfg):
     monkeypatch.setattr(ran_sim, "GEOMETRY_BUDGET_BYTES", 0)
     monkeypatch.setattr(ran_sim, "GEOMETRY_WINDOW_BYTES", 2 * cfg.n_ues * len(cfg.resolved_gnbs()) * 8)
