@@ -8,14 +8,14 @@ the strategies, the replica count and the base seed.
 The control plane is open-loop, so each arm is compiled once, with the
 verdict each SLA check would give, and each replica only ticks, sums its
 ticks, sets TXP and counts the verdicts of the checks it breaches.  Every
-request becomes its app's standing wish, and the standing wishes are
-arbitrated at once:
+request becomes its app's standing wish, and each arrival rule's lane
+arbitrates the standing wishes at once (nc and sbd share nc's lane):
 
   write-through   nc    last writer wins, and every request lands, even
                         one that leaves TXP where it is
-  reactive reset  sbd   as nc, and the tick after the interval's second
-                        request the controller snaps the knob back to
-                        its default
+  reactive reset  sbd   nc's lane, and the tick after the interval's
+                        second request the controller snaps the knob
+                        back to its default
   interception    p-es, p-mro, qacm
                         the strategy arbitrates; only a value that
                         differs from the applied one touches the network
@@ -174,23 +174,25 @@ class Arm(NamedTuple):
 def compile_arms(strategies: Sequence[Strategy], exp: ExperimentConfig,
                  model_set: ResponseModelSet | None = None) -> list[Arm]:
     """Each strategy's control plane, in the order given: the request cadence walked once, on the control clock
-    (half interval k at k * CONTROL_INTERVAL_MS / 2), each request through every arm's `mitigate`, and every change
-    an arm lands through that arm's one `Ledger`.  The SLA check at each mobility request classifies before that
-    request's change lands, so attribution sees the energy saver's standing change.  The sbd reset is a controller
-    action: it sets TXP and lands no change.  It takes a validated `ExperimentConfig`, whose step splits the control
-    interval into an even tick count, and TypeError for anything else."""
+    (half interval k at k * CONTROL_INTERVAL_MS / 2), through one lane per arrival rule (nc and sbd write through, so
+    share nc's), which takes each request through `mitigate` and lands each change in its one `Ledger`.  The SLA check
+    at each mobility request classifies before that request's change lands, so attribution sees the energy saver's
+    standing change.  sbd's arm is a copy of nc's lane plus its reset ticks, controller actions that set TXP and land
+    no change; a request on a reset's tick wins.  It takes a validated `ExperimentConfig`, whose step splits the
+    control interval into an even tick count, and TypeError for anything else."""
     if not isinstance(exp, ExperimentConfig):
         raise TypeError(f"compile_arms needs an ExperimentConfig, got {type(exp).__name__}")
     if Strategy.QACM in strategies and model_set is None:
         raise ValueError("qacm arm needs calibrated response models")
     ranks = {Strategy.P_ES: {ES_XAPP_ID: 2, MRO_XAPP_ID: 1}, Strategy.P_MRO: {MRO_XAPP_ID: 2, ES_XAPP_ID: 1}}
-    topology = experiment_topology()  # immutable, so the arms' ledgers share it
-    lanes = []  # per arm: the Arm, how it takes a request on arrival (nc and sbd write through), its context and ledger
-    for s in strategies:
-        models = {TXP_PARAM: model_set} if s is Strategy.QACM else {}
-        ctx = MitigationContext({TXP_PARAM: TXP_DEFAULT_DBM}, ranks.get(s, {}), models, {TXP_PARAM: TXP_BOUNDS_DBM})
-        lanes.append((Arm(s, exp, {}, {}), Strategy.NC if s in (Strategy.NC, Strategy.SBD) else s, ctx, Ledger(topology)))
-    applied = [float(exp.sim.txp_dbm)] * len(lanes)
+    topology = experiment_topology()  # immutable, so the lanes' ledgers share it
+    rule = {s: Strategy.NC if s is Strategy.SBD else s for s in strategies}  # each arm's arrival rule
+    lanes = {}  # arrival rule -> its TXP ticks, its checks, its context and ledger
+    for r in dict.fromkeys(rule.values()):
+        models = {TXP_PARAM: model_set} if r is Strategy.QACM else {}
+        ctx = MitigationContext({TXP_PARAM: TXP_DEFAULT_DBM}, ranks.get(r, {}), models, {TXP_PARAM: TXP_BOUNDS_DBM})
+        lanes[r] = ({}, {}, ctx, Ledger(topology))
+    applied, resets = dict.fromkeys(lanes, float(exp.sim.txp_dbm)), {}  # resets: sbd's tick -> the default
     n, half_ticks = exp.sim.n_ticks, int(round(CONTROL_INTERVAL_MS / exp.sim.step_ms)) // 2
     window_ticks = int(round(DEFAULT_ATTRIBUTION_WINDOW_MS / exp.sim.step_ms))
     standing: dict[str, ParameterRequest] = {}
@@ -201,21 +203,21 @@ def compile_arms(strategies: Sequence[Strategy], exp: ExperimentConfig,
         req = mro_request(t) if k % 2 else es_request(t)
         standing[req.xapp] = req
         wishes = list(standing.values())
-        for i, (arm, on_arrival, ctx, ledger) in enumerate(lanes):
+        for r, (txp, checks, ctx, ledger) in lanes.items():
             if k % 2:
                 try:
                     kind = ledger.classify(check).kind.value
                 except UnattributableDegradationError:
                     kind = None
-                arm.checks[tick] = (start, kind)
-            decision = mitigate(on_arrival, wishes, ctx)
-            if on_arrival is Strategy.NC or decision.value != applied[i]:
-                applied[i] = arm.txp[tick] = decision.value
+                checks[tick] = (start, kind)
+            decision = mitigate(r, wishes, ctx)
+            if r is Strategy.NC or decision.value != applied[r]:
+                applied[r] = txp[tick] = decision.value
                 ledger.record_change(ChangeRecord(t, req.xapp, TXP_PARAM, decision.value))
-            if arm.strategy is Strategy.SBD and k % 2 and tick + 1 < n:
-                # the tick after the mobility app's request; a request there overwrites it
-                arm.txp[tick + 1] = mitigate(Strategy.SBD, wishes, ctx).value
-    return [arm for arm, *_ in lanes]
+        if Strategy.SBD in rule and k % 2 and tick + 1 < n:  # the tick after the mobility app's request
+            resets[tick + 1] = mitigate(Strategy.SBD, wishes, lanes[Strategy.NC][2]).value
+    return [a._replace(txp={**resets, **a.txp}, checks=dict(a.checks)) if a.strategy is Strategy.SBD else a
+            for a in (Arm(s, exp, *lanes[rule[s]][:2]) for s in strategies)]  # sbd's copies: no shared dict
 
 
 def run_replica(

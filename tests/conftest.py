@@ -313,13 +313,17 @@ class ReferenceSimulator(Simulator):
     the oracle the simulator's ticks must match bit for bit.  It moves its
     own positions and velocities, one step a tick from the trajectory's
     start, sets its TXP schedule's level before each tick that has one,
-    computes its levels with `rsrp_matrix` and counts its clock as
-    (i + 1) * step_ms; the rest of its state it shares with `Simulator.__init__`."""
+    computes its levels with `rsrp_matrix`, counts its clock as
+    (i + 1) * step_ms and keeps its own A3 time-to-trigger counts and
+    targets; the rest of its state (the tick index, cells, attachment state,
+    trace and `required_ttt_ticks`) comes from `Simulator.__init__`."""
 
     def __init__(self, trajectory: Trajectory, txp: dict[int, float] | None = None, record_trace: bool = True):
         super().__init__(trajectory, txp, record_trace)
         self.pos, self.vel = trajectory.start
         self.txp_dbm, self.schedule = float(trajectory.cfg.txp_dbm), dict(txp or {})
+        self._ttt_count = np.zeros(trajectory.cfg.n_ues, dtype=int)
+        self._ttt_target = np.full(trajectory.cfg.n_ues, -1, dtype=int)
 
     def tick(self) -> tuple:
         cfg = self.cfg

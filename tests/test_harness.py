@@ -29,7 +29,7 @@ from ric_cms.harness import (
 )
 from ric_cms.mitigation import KpiResponseModel, ResponseModelSet, Strategy
 from ric_cms.ran_sim import SimConfig, Simulator, Trajectory
-from ric_cms.xapps import EE_KPI, LF_KPI, TXP_BOUNDS_DBM
+from ric_cms.xapps import EE_KPI, LF_KPI, TXP_BOUNDS_DBM, TXP_DEFAULT_DBM
 
 
 def small_exp(**kw):
@@ -254,6 +254,23 @@ def test_arms_compiled_together_equal_each_compiled_alone(step_ms):
             assert (arm.strategy, arm.exp, arm.txp, arm.checks) == (strategy, exp, alone.txp, alone.checks)
 
 
+@pytest.mark.parametrize("step_ms", [100.0, 100 / 3, 1000 / 7, 1000.0], ids=["100", "100_3", "1000_7", "1000"])
+def test_sbd_arm_is_nc_arm_plus_its_reset_ticks(step_ms):
+    # nc and sbd share one compile lane; sbd adds a reset to the default the tick after each mobility
+    # request, and at 1,000 ms (one tick a half interval) that tick is the next request's, which wins
+    exp = ExperimentConfig(SimConfig(duration_s=30.0, step_ms=step_ms))
+    nc, sbd = compile_arms((Strategy.NC, Strategy.SBD), exp)
+    n, half = exp.sim.n_ticks, round(2000.0 / step_ms) // 2
+    resets = {tick + 1: TXP_DEFAULT_DBM for tick in range(half, n, 2 * half) if tick + 1 < n}
+    assert len(resets) == (14 if half == 1 else 15)  # at 1,000 ms the last reset is past the run
+    assert sbd.txp == {**resets, **nc.txp} and sbd.checks == nc.checks
+    assert (sbd.txp == nc.txp) == (half == 1)
+    assert compile_arms((Strategy.SBD,), exp)[0] == sbd
+    arms = compile_arms(ALL_STRATEGIES, exp, FIXED_QACM)
+    dicts = [id(d) for arm in arms for d in (arm.txp, arm.checks)]
+    assert len(set(dicts)) == len(dicts) == 2 * len(ALL_STRATEGIES)
+
+
 def test_qacm_arm_needs_a_model_set():
     with pytest.raises(ValueError, match="calibrated response models"):
         compile_arms((Strategy.QACM,), ExperimentConfig(SimConfig()))
@@ -285,8 +302,8 @@ def test_arbitration_does_not_scale_with_replicas(monkeypatch):
         run_experiment(small_exp(reps=reps))
         per_reps.append(dict(calls))
     assert per_reps[0] == per_reps[1]
-    # 20 requests per arm, 10 sbd resets, nc arbitrates its own arm and sbd's arrivals
-    assert per_reps[0] == {Strategy.NC: 40, Strategy.SBD: 10, Strategy.P_ES: 20, Strategy.P_MRO: 20, Strategy.QACM: 20}
+    # 20 requests per arrival rule, 10 sbd resets; nc and sbd share nc's lane, so its 20 serve both arms
+    assert per_reps[0] == {Strategy.NC: 20, Strategy.SBD: 10, Strategy.P_ES: 20, Strategy.P_MRO: 20, Strategy.QACM: 20}
 
     exp = small_exp()
     schedules = {s: compile_arms((s,), exp, FIXED_QACM)[0] for s in ALL_STRATEGIES}
@@ -307,8 +324,8 @@ def test_attribution_does_not_scale_with_replicas(monkeypatch):
         run_experiment(small_exp(reps=reps))
         per_reps.append(dict(calls))
     assert per_reps[0] == per_reps[1]
-    # one ledger per arm, which classifies each of the arm's 10 SLA checks once
-    assert per_reps[0] == {"Ledger": 5, "classify": 50}
+    # one ledger per arrival rule (nc and sbd share nc's), which classifies each of its 10 SLA checks once
+    assert per_reps[0] == {"Ledger": 4, "classify": 40}
 
     exp = small_exp()
     arms = {s: compile_arms((s,), exp, FIXED_QACM)[0] for s in ALL_STRATEGIES}
