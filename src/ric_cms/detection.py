@@ -85,6 +85,10 @@ class VerdictKind(Enum):
     IMPLICIT = "implicit"
 
 
+# Members bound once, as in mitigation: an Enum class attribute read is slow on Python 3.11.
+_NO_CONFLICT, _DIRECT, _INDIRECT, _IMPLICIT = VerdictKind.NO_CONFLICT, VerdictKind.DIRECT, VerdictKind.INDIRECT, VerdictKind.IMPLICIT
+
+
 @dataclass(frozen=True, slots=True)
 class ConflictVerdict:
     kind: VerdictKind
@@ -168,13 +172,13 @@ class Ledger:
             raise DetectionError(f"degradation of {ev.kpi!r} observed by {ev.xapp!r}, which does not own it")
         c = self.attribute(ev)
         if c.xapp == ev.xapp:
-            kind = VerdictKind.NO_CONFLICT
+            kind = _NO_CONFLICT
         elif c.param in t.icps[ev.xapp] and c.param in t.icps[c.xapp]:
-            kind = VerdictKind.DIRECT
+            kind = _DIRECT
         elif c.param in t.param_groups[ev.kpi]:
-            kind = VerdictKind.INDIRECT
+            kind = _INDIRECT
         else:
-            kind = VerdictKind.IMPLICIT
+            kind = _IMPLICIT
         return ConflictVerdict(
             kind=kind,
             kpi=ev.kpi,
@@ -189,7 +193,7 @@ class Ledger:
         """Classify; on an implicit verdict promote the coupling so the
         next identical observation comes back indirect."""
         v = self.classify(ev)
-        if v.kind is VerdictKind.IMPLICIT:
+        if v.kind is _IMPLICIT:
             self.topology = promote_implicit(self.topology, v.param, v.kpi)
         return v
 

@@ -62,6 +62,11 @@ class Strategy(Enum):
     QACM = "qacm"
 
 
+# Members bound once: on Python 3.11 a read such as Strategy.NC runs EnumType.__getattr__, ~10x a global read.
+_NC, _SBD, _P_ES, _P_MRO, _QACM = Strategy.NC, Strategy.SBD, Strategy.P_ES, Strategy.P_MRO, Strategy.QACM
+_MAXIMIZE = KpiDirection.MAXIMIZE
+
+
 @dataclass(frozen=True, slots=True)
 class ParameterRequest:
     """One xApp's wish for a parameter value at a point in time."""
@@ -105,7 +110,7 @@ class KpiResponseModel:
         vs = [v for v, _ in self.curve]
         if any(b <= a for a, b in zip(vs, vs[1:])):
             raise MitigationError(f"{what} has non-increasing breakpoints")
-        if self.direction is KpiDirection.MAXIMIZE and self.threshold == 0:
+        if self.direction is _MAXIMIZE and self.threshold == 0:
             raise MitigationError(f"{what}: maximize threshold must be nonzero")
 
     def satisfaction(self, v):
@@ -116,7 +121,7 @@ class KpiResponseModel:
         """Satisfaction at one number; curve ends, threshold and direction bound once."""
         (v_first, y_first), (v_last, y_last) = self.curve[0], self.curve[-1]
         segments, threshold = tuple(zip(self.curve, self.curve[1:])), self.threshold
-        maximize = self.direction is KpiDirection.MAXIMIZE
+        maximize = self.direction is _MAXIMIZE
 
         def at(v):
             if v <= v_first:
@@ -265,10 +270,11 @@ class MitigationContext:
         return MitigationContext, (dict(self.defaults), dict(self.priorities), dict(self.response_models), dict(self.bounds))
 
     def clamp(self, param: str, value: float) -> float:
-        if param in self.bounds:
-            lo, hi = self.bounds[param]
-            return min(max(value, lo), hi)
-        return value
+        b = self.bounds.get(param)
+        if b is None:
+            return value
+        lo, hi = b
+        return lo if value < lo else hi if value > hi else value  # the object min(max(value, lo), hi) returns
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,35 +307,31 @@ def mitigate(
     if not requests:
         raise MitigationError("no requests to mitigate")
     param = requests[0].param
-    if any(r.param != param for r in requests):
-        raise MitigationError("requests span multiple parameters")
+    for r in requests:
+        if r.param != param:
+            raise MitigationError("requests span multiple parameters")
 
-    if strategy is Strategy.NC:
+    if strategy is _NC:
         r = _priority_winner(requests, {})
-        return MitigationDecision(param, ctx.clamp(param, r.value), strategy, winner=r.xapp)
+        return MitigationDecision(param, ctx.clamp(param, r.value), strategy, r.xapp)
 
-    if strategy is Strategy.SBD:
+    if strategy is _SBD:
         try:
             default = ctx.defaults[param]
         except KeyError:
             raise MitigationError(f"no default registered for {param!r}") from None
         return MitigationDecision(param, ctx.clamp(param, default), strategy)
 
-    if strategy in (Strategy.P_ES, Strategy.P_MRO):
+    if strategy is _P_ES or strategy is _P_MRO:
         r = _priority_winner(requests, ctx.priorities)
-        return MitigationDecision(param, ctx.clamp(param, r.value), strategy, winner=r.xapp)
+        return MitigationDecision(param, ctx.clamp(param, r.value), strategy, r.xapp)
 
-    if strategy is Strategy.QACM:
+    if strategy is _QACM:
         try:
             ms = ctx.response_models[param]
         except KeyError:
             raise MitigationError(f"no response models registered for {param!r}") from None
         res = ms.optimize()
-        return MitigationDecision(
-            param,
-            ctx.clamp(param, res.value),
-            strategy,
-            satisfied_all=res.satisfied_all,
-        )
+        return MitigationDecision(param, ctx.clamp(param, res.value), strategy, None, res.satisfied_all)
 
     raise MitigationError(f"unknown strategy {strategy!r}")

@@ -200,6 +200,32 @@ def qacm_scan_oracle(models, bounds, step):
     return best
 
 
+def mitigate_oracle(strategy, requests, ctx):
+    """The decision mitigate must return, as (param, value, strategy, winner,
+    satisfied_all), read off each strategy's rule by its name: nc keeps the
+    latest request; p-es and p-mro the highest priority, then the latest;
+    a tie on both goes to the later entry.  sbd takes the default and qacm
+    the plain grid walk's value.  A bounded parameter's value then goes
+    through min(max(value, lo), hi)."""
+    param, winner, satisfied_all = requests[0].param, None, None
+    if strategy.value == "sbd":
+        value = ctx.defaults[param]
+    elif strategy.value == "qacm":
+        ms = ctx.response_models[param]
+        value, _, satisfied_all, _ = qacm_scan_oracle(ms.models, ms.bounds, ms.grid_step)
+    else:
+        def rank(i):
+            r = requests[i]
+            return (0 if strategy.value == "nc" else ctx.priorities.get(r.xapp, 0)), r.t_ms, i
+
+        best = requests[max(range(len(requests)), key=rank)]
+        value, winner = best.value, best.xapp
+    if param in ctx.bounds:
+        lo, hi = ctx.bounds[param]
+        value = min(max(value, lo), hi)
+    return param, value, strategy, winner, satisfied_all
+
+
 def assert_strategy_orderings(result) -> None:
     """Acceptance criterion 6: the orderings of the arms' medians that the paper's comparison rests on."""
     ee = result.medians("energy_efficiency_bits_per_joule")

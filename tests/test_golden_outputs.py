@@ -6,7 +6,10 @@ these runs has a ping-pong; test_ran_sim pins that rule.  float64
 check runs only on the version the digests were taken with.  Within it,
 `power`, `log2` and `log10` round the last bit differently under numpy's
 AVX-512 and AVX2 kernels, so on x86-64 the digests are keyed on whether
-numpy's X86_V4 (AVX-512) kernels are enabled; other machines skip.
+numpy's X86_V4 (AVX-512) kernels are enabled; other machines skip.  The
+digests were taken under glibc 2.36: numpy has no kernel of its own for
+`hypot`, so every path-loss byte is the C library's.  The skip condition
+does not look at the C library; its reason names it.
 
 The paper preset's digests are checked by a test marked `slow`, which the
 default run deselects; `pytest -m slow tests/test_golden_outputs.py` runs it
@@ -144,7 +147,8 @@ def output_digests(exp: ExperimentConfig, outdir) -> dict[str, str]:
 
 golden = pytest.mark.skipif(
     np.__version__ != GOLDEN_NUMPY or KERNELS not in DIGESTS,
-    reason=f"digests taken with numpy {GOLDEN_NUMPY} on x86-64, running numpy {np.__version__} on {KERNELS}")
+    reason=f"digests taken with numpy {GOLDEN_NUMPY} on x86-64 with glibc 2.36, running numpy {np.__version__} "
+           f"on {KERNELS} with C library {platform.libc_ver()}")
 
 
 @golden

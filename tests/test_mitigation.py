@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     BAD_NUMBERS,
+    mitigate_oracle,
     oracle_satisfaction,
     qacm_scan_oracle,
     random_desk_shaped_model_set,
@@ -418,6 +419,70 @@ def test_a_built_context_keeps_what_it_validated():
     d = mitigate(Strategy.QACM, [req("a", 3.0, 0.0)], c)
     assert (d.value, d.satisfied_all) == (20.0, True)
     assert mitigate(Strategy.SBD, [req("a", 3.0, 0.0)], c).value == 30.0
+
+
+# Numbers drawn so that equal values are distinct objects, as they are
+# when they come from arithmetic; a clamp that returns the wrong one of
+# two equal numbers then shows up under `is`, or in repr as a type.
+def _number(rng, x):
+    """x as a fresh float or np.float64; an integral x now and then as an int or np.int64."""
+    if x == int(x) and rng.random() < 0.3:
+        return rng.choice([int, np.int64])(x)
+    return rng.choice([float, np.float64])(str(x))
+
+
+def random_mitigation_case(rng, strategy):
+    """One parameter's requests and a context for them, drawn to land on the
+    rules' ties (timestamps, priorities) and on the clamp's edges: values at,
+    inside and outside the bounds, +-0.0 at a bound, one-point ranges and
+    numpy scalars."""
+    bounds = None
+    if rng.random() < 0.85:
+        lo = rng.choice([-0.0, 0.0, -5.0, 2.5, 10.0])
+        hi = lo if rng.random() < 0.2 else rng.choice([-0.0, 0.0, 3.0]) if lo == 0 else lo + rng.choice([0.5, 3.0, 40.0])
+        bounds = _number(rng, lo), _number(rng, hi)
+
+    def value():
+        if bounds is None or rng.random() < 0.3:
+            return _number(rng, rng.choice([-0.0, 0.0, -7.0, 3.0, 55.5]))
+        lo, hi = map(float, bounds)
+        return _number(rng, rng.choice([lo, hi, -lo, -hi, (lo + hi) / 2, lo - 1.0, hi + 1.0, hi + 100.0]))
+
+    xapps = ["a", "b", "c", "d"]
+    requests = [ParameterRequest(rng.choice(xapps), "TXP", value(), _number(rng, rng.choice([0.0, 1.0, 1.0, 2.5, 7.0])))
+                for _ in range(rng.randint(1, 5))]
+    priorities = {x: rng.choice([int, np.int64])(rng.choice([-1, 0, 1, 2, 2])) for x in xapps if rng.random() < 0.7}
+    models = {}
+    if strategy is Strategy.QACM:
+        ms, scan_bounds, step = random_qacm_instance(rng)
+        models["TXP"] = ResponseModelSet("TXP", scan_bounds, step, tuple(ms))
+    c = ctx(defaults={"TXP": value()}, priorities=priorities, response_models=models,
+            bounds={} if bounds is None else {"TXP": bounds})
+    return requests, c
+
+
+def test_mitigate_matches_the_oracle_on_every_strategy():
+    rng = random.Random(2024)
+    for i in range(2000):
+        strategy = list(Strategy)[i % 5]
+        requests, c = random_mitigation_case(rng, strategy)
+        d = mitigate(strategy, requests, c)
+        assert d.strategy is strategy
+        got = repr((d.param, d.value, d.strategy, d.winner, d.satisfied_all))
+        assert got == repr(mitigate_oracle(strategy, requests, c)), (i, requests, c)
+
+
+@pytest.mark.parametrize("lo, hi", [("0", "10"), ("2.5", "2.5"), ("0.0", "0.0"), ("-0.0", "-0.0"), ("-0.0", "0.0"),
+                                    ("0.0", "-0.0"), ("-3", "0.0"), ("-0.0", "7")])
+@pytest.mark.parametrize("kind", [float, np.float64, int, np.int64])
+def test_clamp_returns_the_object_min_max_returns(lo, hi, kind):
+    lo, hi = float(lo), float(hi)  # objects distinct from every value below
+    c = ctx(bounds={"TXP": (lo, hi)})
+    lo, hi = c.bounds["TXP"]
+    for x in ["-4", "-0.0", "0.0", "2.5", "5", "7", "10", "11"]:
+        v = kind(float(x)) if kind in (float, np.float64) else kind(int(float(x)))
+        assert c.clamp("TXP", v) is min(max(v, lo), hi), (x, kind)
+        assert c.clamp("RET", v) is v
 
 
 def test_requests_must_share_parameter():
