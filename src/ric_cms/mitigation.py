@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import le, lt
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -98,6 +99,8 @@ class KpiResponseModel:
 
     def __post_init__(self):
         what = f"model for {self.kpi!r}"
+        if not isinstance(self.direction, KpiDirection):
+            raise MitigationError(f"{what}: direction must be a KpiDirection, got {self.direction!r}")
         object.__setattr__(self, "threshold", _finite(self.threshold, f"{what}: threshold"))
         point = f"{what}: breakpoint"
         try:
@@ -161,9 +164,13 @@ def qacm_optimize(
     at most MAX_GRID_POINTS points.  Welfare is the product of satisfactions
     in model order.  Ties prefer the smaller value, so the result is the
     least aggressive setting that achieves the best attainable welfare.
-    The walk prunes exactly: satisfactions lie in [0, 1], so a partial
-    product never grows.
     """
+    return _walk(models, *_grid(models, bounds, grid_step))
+
+
+def _grid(models, bounds, grid_step) -> tuple[float, float, float]:
+    """A scan's lo, hi and step as floats; MitigationError unless there is a
+    model and the grid is finite, non-empty and at most MAX_GRID_POINTS points."""
     if not models:
         raise MitigationError("qacm needs at least one response model")
     lo, hi = _pair(bounds, "qacm bound")
@@ -172,12 +179,36 @@ def qacm_optimize(
         raise MitigationError(f"empty bounds ({lo}, {hi})")
     if step <= 0:
         raise MitigationError("grid step must be positive")
-    steps = (hi - lo) / step + 1e-9  # inf when the width or the ratio overflows
-    if steps >= MAX_GRID_POINTS:
+    if (hi - lo) / step + 1e-9 >= MAX_GRID_POINTS:  # inf when the width or the ratio overflows
         raise MitigationError(f"grid over ({lo:g}, {hi:g}) in steps of {step:g} exceeds {MAX_GRID_POINTS} points")
+    return lo, hi, step
+
+
+def _first_not(below, x: float, lo: float, step: float, n: int) -> int:
+    """The first i < n whose grid value lo + i * step is not below(value, x), else n.
+    Grid values never decrease with i (rounding is monotone), so an estimate from
+    (x - lo) / step, clipped as it overflows near +-1e308, is stepped into place."""
+    e = (x - lo) / step
+    i = 0 if e <= 0 else n if e >= n else int(e)
+    while i > 0 and not below(lo + (i - 1) * step, x):
+        i -= 1
+    while i < n and below(lo + i * step, x):
+        i += 1
+    return i
+
+
+def _walk(models, lo: float, hi: float, step: float) -> QacmResult:
+    """The scan of a grid that _grid accepted.  A point at or below every
+    first breakpoint ties point 0, and one at or above every last breakpoint
+    ties the first such point, so only point 0 and the span between can be a
+    strict gain.  There the walk prunes exactly: satisfactions lie in [0, 1],
+    so a partial product never grows."""
+    n = int((hi - lo) / step + 1e-9) + 1
     sats = [m._scalar() for m in models]
+    a = _first_not(le, min([m.curve[0][0] for m in models]), lo, step, n)
+    b = _first_not(lt, max([m.curve[-1][0] for m in models]), lo, step, n)
     best_i, best_w = 0, -1.0
-    for i in range(int(steps) + 1):
+    for i in (0, *range(max(a, 1), min(b, n - 1) + 1)):
         v, w = lo + i * step, 1.0
         for sat in sats:
             w = w * sat(v)
@@ -187,14 +218,16 @@ def qacm_optimize(
             best_i, best_w = i, w
             if w == 1.0:  # no later point can beat it
                 break
-    best = tuple(sat(lo + best_i * step) for sat in sats)
-    return QacmResult(lo + best_i * step, best_w, all(s == 1.0 for s in best), best)
+    v = lo + best_i * step
+    # a product of factors in [0, 1] rounds to 1.0 only when every factor is 1.0
+    return QacmResult(v, best_w, best_w == 1.0, tuple([sat(v) for sat in sats]))
 
 
 @dataclass(frozen=True, slots=True)
 class ResponseModelSet:
     """All response models for one parameter, with its scan range.  The set
-    is immutable, so its grid is scanned once, by the first optimize()."""
+    is immutable, so its grid is checked when it is built, with bounds kept
+    as a float pair, and scanned once, by the first optimize()."""
 
     param: str
     bounds: tuple[float, float]
@@ -210,10 +243,13 @@ class ResponseModelSet:
         if models is None or not all(isinstance(m, KpiResponseModel) for m in models):
             raise MitigationError(f"models for {self.param!r} must be a sequence of KpiResponseModel, got {self.models!r}")
         object.__setattr__(self, "models", models)
+        lo, hi, step = _grid(models, self.bounds, self.grid_step)
+        object.__setattr__(self, "bounds", (lo, hi))
+        object.__setattr__(self, "grid_step", step)
 
     def optimize(self) -> QacmResult:
         if self._scan is None:
-            object.__setattr__(self, "_scan", qacm_optimize(self.models, self.bounds, self.grid_step))
+            object.__setattr__(self, "_scan", _walk(self.models, *self.bounds, self.grid_step))
         return self._scan
 
 

@@ -634,13 +634,13 @@ def test_rerun_is_byte_identical(tmp_path, small_result):
 
 def test_qacm_scans_its_model_set_once_per_experiment(monkeypatch):
     scans = []
-    scan = mitigation.qacm_optimize
+    scan = mitigation._walk  # the grid walk behind qacm_optimize and ResponseModelSet.optimize
 
     def counted(*args, **kwargs):
         scans.append(args)
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(mitigation, "qacm_optimize", counted)
+    monkeypatch.setattr(mitigation, "_walk", counted)
     result = run_experiment(ExperimentConfig(sim=SimConfig(), reps=1))
     assert len(scans) == 1
     # later reads, such as the summary export's, reuse the one scan

@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import FrozenInstanceError, astuple
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -73,6 +74,12 @@ def test_curve_needs_two_increasing_breakpoints():
         model(curve=((0.0, 0.0), (0.0, 1.0)))
     with pytest.raises(MitigationError, match="non-increasing"):
         model(curve=((5.0, 0.0), (1.0, 1.0)))
+
+
+@pytest.mark.parametrize("direction", ["maximize", None, 1])
+def test_model_direction_must_be_a_kpi_direction(direction):
+    with pytest.raises(MitigationError, match="model for 'k': direction must be a KpiDirection"):
+        model(direction=direction)
 
 
 def test_maximize_zero_threshold_rejected():
@@ -241,6 +248,92 @@ def test_qacm_pruned_walk_matches_scan_oracle(case):
     assert (repr(res.value), repr(res.welfare)) == (repr(value), repr(welfare))
 
 
+# Cases at the ends of the span the walk visits: (models, bounds, step)
+FLAT_EDGE_CASES = {
+    # the peak (welfare 1.0 at 10.5) is the first grid point past the lowest
+    # first breakpoint, 10.0, which is itself a grid point
+    "grid-point-on-the-lowest-first-breakpoint": (
+        [model(curve=((10.0, 0.0), (10.5, 10.0), (20.0, 0.0))), model(KpiDirection.MINIMIZE, 5.0, ((12.0, 1.0), (30.0, 9.0)))],
+        (0.0, 40.0), 0.5),
+    # welfare climbs to the highest last breakpoint, 30.0, a grid point, and is flat after it
+    "grid-point-on-the-highest-last-breakpoint": (
+        [model(threshold=20.0, curve=((0.0, 0.0), (30.0, 10.0))), model(KpiDirection.MINIMIZE, 2.0, ((5.0, 1.0), (10.0, 4.0)))],
+        (0.0, 50.0), 1.0),
+    "bounds-below-every-first-breakpoint": (
+        [model(curve=((10.0, 5.0), (20.0, 10.0))), model(KpiDirection.MINIMIZE, 5.0, ((12.0, 9.0), (30.0, 1.0)))],
+        (0.0, 5.0), 0.5),
+    "bounds-above-every-last-breakpoint": (
+        [model(curve=((10.0, 5.0), (20.0, 10.0))), model(KpiDirection.MINIMIZE, 5.0, ((12.0, 9.0), (30.0, 1.0)))],
+        (31.0, 45.0), 0.5),
+    "one-point-grid-between-the-breakpoints": (
+        [model(curve=((10.0, 5.0), (20.0, 10.0)))], (15.0, 15.9), 1.0),
+    "one-point-grid-on-a-breakpoint": (
+        [model(curve=((10.0, 5.0), (20.0, 10.0))), model(KpiDirection.MINIMIZE, 5.0, ((12.0, 9.0), (30.0, 1.0)))],
+        (20.0, 20.0), 1.0),
+    # (x - lo) / step overflows to -inf and +inf for these breakpoints
+    "breakpoints-at-1e308": (
+        [model(curve=((-1e308, 0.0), (1e308, 10.0))), model(KpiDirection.MINIMIZE, 3.0, ((-1e308, 1.0), (0.0, 2.0), (1e308, 9.0)))],
+        (-5.0, 5.0), 0.5),
+    "staggered-breakpoints-3-models": (
+        [model(threshold=8.0, curve=((5.0, 0.0), (20.0, 10.0))),
+         model(KpiDirection.MINIMIZE, 3.0, ((10.0, 1.0), (25.0, 6.0))),
+         model(threshold=6.0, curve=((15.0, 2.0), (30.0, 9.0), (35.0, 4.0)))],
+        (-2.5, 45.0), 0.5),
+    "staggered-breakpoints-4-models": (
+        [model(threshold=8.0, curve=((5.0, 0.0), (20.0, 10.0))),
+         model(KpiDirection.MINIMIZE, 3.0, ((10.0, 1.0), (25.0, 6.0))),
+         model(threshold=6.0, curve=((15.0, 2.0), (30.0, 9.0), (35.0, 4.0))),
+         model(KpiDirection.MINIMIZE, 2.5, ((0.0, 5.0), (12.0, 2.0), (40.0, 3.0)))],
+        (-2.5, 45.0), 0.5),
+}
+
+
+@pytest.mark.parametrize("case", FLAT_EDGE_CASES.values(), ids=FLAT_EDGE_CASES.keys())
+def test_qacm_span_ends_match_scan_oracle(case):
+    models, bounds, step = case
+    assert repr(astuple(qacm_optimize(models, bounds, step))) == repr(qacm_scan_oracle(models, bounds, step))
+
+
+def test_qacm_evaluates_only_the_first_point_of_each_flat_run(monkeypatch):
+    # At or below every first breakpoint, and at or above every last one,
+    # each curve is flat; a point there other than the run's first is a tie.
+    seen = []
+    scalar = KpiResponseModel._scalar
+
+    def counted(self):
+        at = scalar(self)
+
+        def sat(v):
+            seen.append(v)
+            return at(v)
+        return sat
+
+    monkeypatch.setattr(KpiResponseModel, "_scalar", counted)
+    rng = random.Random(33)
+    # the breakpoint instances put curve ends on grid points; near 1e17 the
+    # grid's values repeat (16 apart), and (last - lo) / step is 10 points past
+    # the first one that reaches the last breakpoint
+    far = [model(threshold=20.0, curve=((1e17 - 100.0, 0.0), (1e17 + 16.0, 10.0)))], (1e17, 1e17 + 64.0), 0.7
+    for models, bounds, step in [far, *(make(rng) for make in [random_desk_shaped_model_set, random_on_breakpoint_instance] * 300)]:
+        seen.clear()
+        qacm_optimize(models, bounds, step)
+        first = min(m.curve[0][0] for m in models)
+        last = max(m.curve[-1][0] for m in models)
+        low = [v for v in seen if v <= first]
+        high = [v for v in seen if v >= last]
+        # each run's first point, evaluated in the walk and perhaps again as the best
+        assert set(low) <= {bounds[0]} and len(low) <= 2 * len(models), (models, bounds, step)
+        assert len(set(high)) <= 1 and len(high) <= 2 * len(models), (models, bounds, step)
+
+
+@pytest.mark.slow
+def test_qacm_exact_on_a_large_sweep():
+    rng = random.Random(1_000_003)
+    drawn = (make(rng) for make in [random_qacm_instance, random_desk_shaped_model_set, random_on_breakpoint_instance] * 33_334)
+    for models, bounds, step in chain(FLAT_EDGE_CASES.values(), drawn):
+        assert repr(astuple(qacm_optimize(models, bounds, step))) == repr(qacm_scan_oracle(models, bounds, step))
+
+
 def test_qacm_exact_at_signed_zero_and_overflow():
     # A zero prediction over a negative maximize threshold satisfies -0.0.
     neg = model(threshold=-1.0, curve=((0.0, 0.0), (10.0, 0.0)))
@@ -332,6 +425,27 @@ def test_model_set_stores_its_models_as_a_hashable_tuple():
     m = model()
     ms = ResponseModelSet("TXP", (0.0, 50.0), 1.0, [m])
     assert ms.models == (m,)
+    assert hash(ms) == hash(ResponseModelSet("TXP", (0.0, 50.0), 1.0, (m,)))
+
+
+@pytest.mark.parametrize("models, bounds, step, detail", [
+    ((), (0.0, 50.0), 1.0, "at least one response model"),
+    ((model(),), (5.0, 1.0), 1.0, "empty bounds"),
+    ((model(),), (0.0, math.nan), 1.0, "qacm bound must be a finite number"),
+    ((model(),), (0.0, 50.0), 0.0, "grid step must be positive"),
+    ((model(),), (0.0, float(MAX_GRID_POINTS)), 1.0, "exceeds"),
+], ids=["no-models", "reversed-bounds", "nan-bound", "zero-step", "oversized-grid"])
+def test_model_set_refuses_what_its_scan_would_refuse(models, bounds, step, detail):
+    with pytest.raises(MitigationError, match=detail):
+        qacm_optimize(models, bounds, step)
+    with pytest.raises(MitigationError, match=detail):
+        ResponseModelSet("TXP", bounds, step, models)
+
+
+def test_model_set_stores_its_bounds_as_a_float_pair():
+    m = model()
+    ms = ResponseModelSet("TXP", [0, np.float64(50.0)], 1, (m,))
+    assert repr((ms.bounds, ms.grid_step)) == repr(((0.0, 50.0), 1.0))
     assert hash(ms) == hash(ResponseModelSet("TXP", (0.0, 50.0), 1.0, (m,)))
 
 
