@@ -8,7 +8,7 @@ candidate power by the product of per-KPI satisfactions and picks the
 least aggressive value that maximizes the product.
 """
 
-from ric_cms import KpiDirection, KpiResponseModel, qacm_optimize
+from ric_cms import KpiDirection, KpiResponseModel, ResponseModelSet
 
 # Response curves as seen from a short calibration run: efficiency falls
 # with power past the radio's sweet spot, failures fall as power rises.
@@ -22,7 +22,7 @@ lf = KpiResponseModel(
 )
 
 bounds = (0.0, 50.0)
-res = qacm_optimize([ee, lf], bounds, grid_step=1.0)
+res = ResponseModelSet("txp", bounds, 1.0, (ee, lf)).optimize()
 
 print("txp  s(efficiency)  s(failures)  welfare")
 for v in range(0, 51, 5):
@@ -38,6 +38,6 @@ print(f"\noptimum: txp = {res.value} dBm, welfare = {res.welfare:.3f},"
 # QACM settles for the best compromise instead.
 greedy_ee = KpiResponseModel("energy_efficiency", KpiDirection.MAXIMIZE, 200_000.0, ee.curve)
 strict_lf = KpiResponseModel("link_failure_rate", KpiDirection.MINIMIZE, 5.0, lf.curve)
-res2 = qacm_optimize([greedy_ee, strict_lf], bounds, grid_step=1.0)
+res2 = ResponseModelSet("txp", bounds, 1.0, (greedy_ee, strict_lf)).optimize()
 print(f"under tighter targets: txp = {res2.value} dBm,"
       f" welfare = {res2.welfare:.3f}, all targets met: {res2.satisfied_all}")

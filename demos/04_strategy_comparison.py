@@ -7,8 +7,9 @@ fight over transmit power while five arbitration strategies take turns
 deciding who wins.  Replicas are common-random-number paired, so the
 differences between arms are down to the strategy alone.
 
-Takes about 20 seconds at the default 50 replicas (18.8 and 19.8 s
-measured in two runs on 2 cores with Python 3.11 and numpy 2.4).
+Takes about a second at the default 50 replicas (1.14, 1.23 and 1.27 s
+as a whole process in three runs on a shared 2-core Xeon VM with Python
+3.11 and numpy 2.4).
 """
 
 import argparse

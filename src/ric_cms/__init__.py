@@ -57,7 +57,6 @@ from .mitigation import (
     ResponseModelSet,
     Strategy,
     mitigate,
-    qacm_optimize,
 )
 from .ran_sim import SimConfig, Simulator, Trajectory, load_sim_config
 from .xapps import LabeledEvent, gen_stochastic_events
@@ -103,7 +102,6 @@ __all__ = [
     "ResponseModelSet",
     "Strategy",
     "mitigate",
-    "qacm_optimize",
     "SimConfig",
     "Simulator",
     "Trajectory",

@@ -25,8 +25,6 @@ from operator import le, lt
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .checks import finite, integer
 from .conflict_model import KpiDirection
 
@@ -116,9 +114,9 @@ class KpiResponseModel:
         if self.direction is _MAXIMIZE and self.threshold == 0:
             raise MitigationError(f"{what}: maximize threshold must be nonzero")
 
-    def satisfaction(self, v):
-        """Capped ratio toward the threshold at v (1.0: target met); a float for a number, an array for an array."""
-        return np.vectorize(self._scalar(), otypes=[float])(v)[()]
+    def satisfaction(self, v: float) -> float:
+        """Capped ratio toward the threshold at the number v (1.0: target met)."""
+        return self._scalar()(v)
 
     def _scalar(self):
         """Satisfaction at one number; curve ends, threshold and direction bound once."""
@@ -153,37 +151,6 @@ class QacmResult:
     satisfactions: tuple[float, ...]
 
 
-def qacm_optimize(
-    models: Sequence[KpiResponseModel],
-    bounds: tuple[float, float],
-    grid_step: float = 1.0,
-) -> QacmResult:
-    """Scan the value grid, return the welfare-maximizing value.
-
-    Grid: lo, lo+step, ... up to hi inclusive when it lands on the grid,
-    at most MAX_GRID_POINTS points.  Welfare is the product of satisfactions
-    in model order.  Ties prefer the smaller value, so the result is the
-    least aggressive setting that achieves the best attainable welfare.
-    """
-    return _walk(models, *_grid(models, bounds, grid_step))
-
-
-def _grid(models, bounds, grid_step) -> tuple[float, float, float]:
-    """A scan's lo, hi and step as floats; MitigationError unless there is a
-    model and the grid is finite, non-empty and at most MAX_GRID_POINTS points."""
-    if not models:
-        raise MitigationError("qacm needs at least one response model")
-    lo, hi = _pair(bounds, "qacm bound")
-    step = _finite(grid_step, "qacm grid step")
-    if hi < lo:
-        raise MitigationError(f"empty bounds ({lo}, {hi})")
-    if step <= 0:
-        raise MitigationError("grid step must be positive")
-    if (hi - lo) / step + 1e-9 >= MAX_GRID_POINTS:  # inf when the width or the ratio overflows
-        raise MitigationError(f"grid over ({lo:g}, {hi:g}) in steps of {step:g} exceeds {MAX_GRID_POINTS} points")
-    return lo, hi, step
-
-
 def _first_not(below, x: float, lo: float, step: float, n: int) -> int:
     """The first i < n whose grid value lo + i * step is not below(value, x), else n.
     Grid values never decrease with i (rounding is monotone), so an estimate from
@@ -198,11 +165,11 @@ def _first_not(below, x: float, lo: float, step: float, n: int) -> int:
 
 
 def _walk(models, lo: float, hi: float, step: float) -> QacmResult:
-    """The scan of a grid that _grid accepted.  A point at or below every
-    first breakpoint ties point 0, and one at or above every last breakpoint
-    ties the first such point, so only point 0 and the span between can be a
-    strict gain.  There the walk prunes exactly: satisfactions lie in [0, 1],
-    so a partial product never grows."""
+    """The scan of a grid that ResponseModelSet accepted.  A point at or
+    below every first breakpoint ties point 0, and one at or above every last
+    breakpoint ties the first such point, so only point 0 and the span between
+    can be a strict gain.  There the walk prunes exactly: satisfactions lie in
+    [0, 1], so a partial product never grows."""
     n = int((hi - lo) / step + 1e-9) + 1
     sats = [m._scalar() for m in models]
     a = _first_not(le, min([m.curve[0][0] for m in models]), lo, step, n)
@@ -225,9 +192,11 @@ def _walk(models, lo: float, hi: float, step: float) -> QacmResult:
 
 @dataclass(frozen=True, slots=True)
 class ResponseModelSet:
-    """All response models for one parameter, with its scan range.  The set
-    is immutable, so its grid is checked when it is built, with bounds kept
-    as a float pair, and scanned once, by the first optimize()."""
+    """All response models for one parameter, with its scan grid: lo, lo +
+    step, ... up to hi inclusive when it lands on the grid.  The set is
+    immutable, so the grid is checked when it is built (finite, non-empty, at
+    most MAX_GRID_POINTS points, bounds kept as a float pair) and scanned
+    once, by the first optimize()."""
 
     param: str
     bounds: tuple[float, float]
@@ -243,11 +212,23 @@ class ResponseModelSet:
         if models is None or not all(isinstance(m, KpiResponseModel) for m in models):
             raise MitigationError(f"models for {self.param!r} must be a sequence of KpiResponseModel, got {self.models!r}")
         object.__setattr__(self, "models", models)
-        lo, hi, step = _grid(models, self.bounds, self.grid_step)
+        if not models:
+            raise MitigationError("qacm needs at least one response model")
+        lo, hi = _pair(self.bounds, "qacm bound")
+        step = _finite(self.grid_step, "qacm grid step")
+        if hi < lo:
+            raise MitigationError(f"empty bounds ({lo}, {hi})")
+        if step <= 0:
+            raise MitigationError("grid step must be positive")
+        if (hi - lo) / step + 1e-9 >= MAX_GRID_POINTS:  # inf when the width or the ratio overflows
+            raise MitigationError(f"grid over ({lo:g}, {hi:g}) in steps of {step:g} exceeds {MAX_GRID_POINTS} points")
         object.__setattr__(self, "bounds", (lo, hi))
         object.__setattr__(self, "grid_step", step)
 
     def optimize(self) -> QacmResult:
+        """The welfare-maximizing grid value.  Welfare is the product of
+        satisfactions in model order.  Ties prefer the smaller value, so the
+        result is the least aggressive setting with the best attainable welfare."""
         if self._scan is None:
             object.__setattr__(self, "_scan", _walk(self.models, *self.bounds, self.grid_step))
         return self._scan

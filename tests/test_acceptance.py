@@ -28,7 +28,7 @@ from ric_cms.conflict_model import (
 )
 from ric_cms.detection import ChangeRecord, DegradationEvent, Ledger, VerdictKind, bench_detection
 from ric_cms.harness import desk_preset, export_csv, export_summary_json, run_experiment
-from ric_cms.mitigation import qacm_optimize
+from ric_cms.mitigation import ResponseModelSet
 from ric_cms.xapps import gen_stochastic_events
 
 
@@ -122,7 +122,7 @@ def test_criterion_5_optimizer_matches_reference_scan():
         feasible_seen = 0
         for _ in range(1_000):
             models, bounds, step = random_qacm_instance(rng)
-            res = qacm_optimize(models, bounds, step)
+            res = ResponseModelSet("TXP", bounds, step, models).optimize()
             # by repr, so floats, bools and the sign of a zero all match
             assert repr(astuple(res)) == repr(qacm_scan_oracle(models, bounds, step))
             if res.satisfied_all:

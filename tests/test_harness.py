@@ -634,7 +634,7 @@ def test_rerun_is_byte_identical(tmp_path, small_result):
 
 def test_qacm_scans_its_model_set_once_per_experiment(monkeypatch):
     scans = []
-    scan = mitigation._walk  # the grid walk behind qacm_optimize and ResponseModelSet.optimize
+    scan = mitigation._walk  # the grid walk behind ResponseModelSet.optimize
 
     def counted(*args, **kwargs):
         scans.append(args)

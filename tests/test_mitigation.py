@@ -25,7 +25,6 @@ from ric_cms.mitigation import (
     ResponseModelSet,
     Strategy,
     mitigate,
-    qacm_optimize,
 )
 
 
@@ -53,12 +52,10 @@ def test_predict_interpolates():
     assert m.satisfaction(2.5) == 0.05   # prediction 5
 
 
-def test_predict_and_satisfaction_take_numbers_and_arrays():
+def test_satisfaction_of_each_number_matches_the_oracle():
     m = model(direction=KpiDirection.MINIMIZE, threshold=4.0, curve=((0.0, 2.0), (4.0, 0.0), (10.0, 12.0)))
-    vs = np.array([[-1.0, 0.0, 2.0], [4.0, 7.0, 11.0]])
-    assert m.satisfaction(vs).shape == (2, 3)
-    for v, s in zip(vs.ravel(), m.satisfaction(vs).ravel()):
-        assert repr(float(m.satisfaction(float(v)))) == repr(float(s)) == repr(oracle_satisfaction(m, float(v)))
+    for v in (-1.0, 0.0, 2.0, 4.0, 7.0, 11.0):
+        assert repr(m.satisfaction(v)) == repr(oracle_satisfaction(m, v))
 
 
 def test_predict_clamps_outside_range():
@@ -135,7 +132,7 @@ def test_satisfaction_minimize_zero_prediction():
 def test_qacm_finds_feasible_value():
     ee = model(threshold=10.0, curve=((0.0, 0.0), (50.0, 25.0)))        # needs v >= 20
     lf = model(direction=KpiDirection.MINIMIZE, threshold=5.0, curve=((0.0, 50.0), (50.0, 0.0)))
-    res = qacm_optimize([ee, lf], (0.0, 50.0), 1.0)
+    res = ResponseModelSet("TXP", (0.0, 50.0), 1.0, [ee, lf]).optimize()
     assert res.satisfied_all
     assert res.welfare == 1.0
     # smallest grid value satisfying both: ee needs 20, lf needs 45
@@ -144,13 +141,13 @@ def test_qacm_finds_feasible_value():
 
 def test_qacm_tie_prefers_smaller_value():
     flat = model(threshold=10.0, curve=((0.0, 20.0), (50.0, 20.0)))
-    res = qacm_optimize([flat], (10.0, 50.0), 5.0)
+    res = ResponseModelSet("TXP", (10.0, 50.0), 5.0, [flat]).optimize()
     assert res.value == 10.0 and res.welfare == 1.0
 
 
 def test_qacm_infeasible_keeps_best_compromise():
     ee = model(threshold=100.0, curve=((0.0, 10.0), (50.0, 50.0)))      # never reaches 100
-    res = qacm_optimize([ee], (0.0, 50.0), 1.0)
+    res = ResponseModelSet("TXP", (0.0, 50.0), 1.0, [ee]).optimize()
     assert not res.satisfied_all
     assert res.value == 50.0
     assert res.welfare == 0.5
@@ -158,51 +155,51 @@ def test_qacm_infeasible_keeps_best_compromise():
 
 def test_qacm_grid_includes_upper_bound():
     m = model(threshold=10.0, curve=((0.0, 0.0), (50.0, 10.0)))
-    res = qacm_optimize([m], (0.0, 50.0), 10.0)
+    res = ResponseModelSet("TXP", (0.0, 50.0), 10.0, [m]).optimize()
     assert res.value == 50.0  # only the end of the grid satisfies
 
 
 def test_qacm_validates_inputs():
     with pytest.raises(MitigationError, match="at least one"):
-        qacm_optimize([], (0.0, 50.0), 1.0)
+        ResponseModelSet("TXP", (0.0, 50.0), 1.0, [])
     with pytest.raises(MitigationError, match="empty bounds"):
-        qacm_optimize([model()], (10.0, 0.0), 1.0)
+        ResponseModelSet("TXP", (10.0, 0.0), 1.0, [model()])
     with pytest.raises(MitigationError, match="step"):
-        qacm_optimize([model()], (0.0, 50.0), 0.0)
+        ResponseModelSet("TXP", (0.0, 50.0), 0.0, [model()])
 
 
 @pytest.mark.parametrize("bad", [*BAD_NUMBERS, "x"])
 def test_qacm_rejects_non_finite_bounds_and_step(bad):
     with pytest.raises(MitigationError, match="bound must be a finite number"):
-        qacm_optimize([model()], (bad, 50.0), 1.0)
+        ResponseModelSet("TXP", (bad, 50.0), 1.0, [model()])
     with pytest.raises(MitigationError, match="bound must be a finite number"):
-        qacm_optimize([model()], (0.0, bad), 1.0)
+        ResponseModelSet("TXP", (0.0, bad), 1.0, [model()])
     with pytest.raises(MitigationError, match="grid step must be a finite number"):
-        qacm_optimize([model()], (0.0, 50.0), bad)
+        ResponseModelSet("TXP", (0.0, 50.0), bad, [model()])
 
 
 @pytest.mark.parametrize("bounds", [(0.0, 25.0, 50.0), (0.0,), 50.0, None])
 def test_qacm_rejects_bounds_that_are_not_a_pair(bounds):
     with pytest.raises(MitigationError, match="qacm bound must be a pair"):
-        qacm_optimize([model()], bounds, 1.0)
+        ResponseModelSet("TXP", bounds, 1.0, [model()])
 
 
 def test_qacm_refuses_oversized_grid_before_allocating():
     # The limit is checked on the bounds and step, so none of these calls
     # builds its grid.
     with pytest.raises(MitigationError, match="exceeds"):
-        qacm_optimize([model()], (0.0, float(MAX_GRID_POINTS)), 1.0)  # one point too many
+        ResponseModelSet("TXP", (0.0, float(MAX_GRID_POINTS)), 1.0, [model()])  # one point too many
     with pytest.raises(MitigationError, match="exceeds"):
-        qacm_optimize([model()], (0.0, 50.0), 1e-300)  # the point count overflows to inf
+        ResponseModelSet("TXP", (0.0, 50.0), 1e-300, [model()])  # the point count overflows to inf
     with pytest.raises(MitigationError, match="exceeds"):
-        qacm_optimize([model()], (-1e308, 1e308), 1.0)  # so does the width
+        ResponseModelSet("TXP", (-1e308, 1e308), 1.0, [model()])  # so does the width
 
 
 def test_qacm_matches_scan_oracle():
     rng = random.Random(77)
     for _ in range(200):
         models, bounds, step = random_qacm_instance(rng)
-        res = qacm_optimize(models, bounds, step)
+        res = ResponseModelSet("TXP", bounds, step, models).optimize()
         assert repr(astuple(res)) == repr(qacm_scan_oracle(models, bounds, step))
 
 
@@ -210,7 +207,7 @@ def test_qacm_exact_on_desk_shaped_sets_and_breakpoint_grids():
     rng = random.Random(2024)
     for make in [random_desk_shaped_model_set, random_on_breakpoint_instance] * 1_500:
         models, bounds, step = make(rng)
-        res = qacm_optimize(models, bounds, step)
+        res = ResponseModelSet("TXP", bounds, step, models).optimize()
         assert repr(astuple(res)) == repr(qacm_scan_oracle(models, bounds, step))
 
 
@@ -243,7 +240,7 @@ PRUNED_WALK_CASES = {
 @pytest.mark.parametrize("case", PRUNED_WALK_CASES.values(), ids=PRUNED_WALK_CASES.keys())
 def test_qacm_pruned_walk_matches_scan_oracle(case):
     models, bounds, step, value, welfare = case
-    res = qacm_optimize(models, bounds, step)
+    res = ResponseModelSet("TXP", bounds, step, models).optimize()
     assert repr(astuple(res)) == repr(qacm_scan_oracle(models, bounds, step))
     assert (repr(res.value), repr(res.welfare)) == (repr(value), repr(welfare))
 
@@ -291,7 +288,8 @@ FLAT_EDGE_CASES = {
 @pytest.mark.parametrize("case", FLAT_EDGE_CASES.values(), ids=FLAT_EDGE_CASES.keys())
 def test_qacm_span_ends_match_scan_oracle(case):
     models, bounds, step = case
-    assert repr(astuple(qacm_optimize(models, bounds, step))) == repr(qacm_scan_oracle(models, bounds, step))
+    res = ResponseModelSet("TXP", bounds, step, models).optimize()
+    assert repr(astuple(res)) == repr(qacm_scan_oracle(models, bounds, step))
 
 
 def test_qacm_evaluates_only_the_first_point_of_each_flat_run(monkeypatch):
@@ -316,7 +314,7 @@ def test_qacm_evaluates_only_the_first_point_of_each_flat_run(monkeypatch):
     far = [model(threshold=20.0, curve=((1e17 - 100.0, 0.0), (1e17 + 16.0, 10.0)))], (1e17, 1e17 + 64.0), 0.7
     for models, bounds, step in [far, *(make(rng) for make in [random_desk_shaped_model_set, random_on_breakpoint_instance] * 300)]:
         seen.clear()
-        qacm_optimize(models, bounds, step)
+        ResponseModelSet("TXP", bounds, step, models).optimize()
         first = min(m.curve[0][0] for m in models)
         last = max(m.curve[-1][0] for m in models)
         low = [v for v in seen if v <= first]
@@ -331,19 +329,19 @@ def test_qacm_exact_on_a_large_sweep():
     rng = random.Random(1_000_003)
     drawn = (make(rng) for make in [random_qacm_instance, random_desk_shaped_model_set, random_on_breakpoint_instance] * 33_334)
     for models, bounds, step in chain(FLAT_EDGE_CASES.values(), drawn):
-        assert repr(astuple(qacm_optimize(models, bounds, step))) == repr(qacm_scan_oracle(models, bounds, step))
+        res = ResponseModelSet("TXP", bounds, step, models).optimize()
+        assert repr(astuple(res)) == repr(qacm_scan_oracle(models, bounds, step))
 
 
 def test_qacm_exact_at_signed_zero_and_overflow():
     # A zero prediction over a negative maximize threshold satisfies -0.0.
     neg = model(threshold=-1.0, curve=((0.0, 0.0), (10.0, 0.0)))
-    res = qacm_optimize([neg], (0.0, 10.0), 5.0)
+    res = ResponseModelSet("TXP", (0.0, 10.0), 5.0, [neg]).optimize()
     assert repr(astuple(res)) == repr(qacm_scan_oracle([neg], (0.0, 10.0), 5.0)) == "(0.0, -0.0, False, (-0.0,))"
     # Finite breakpoints whose interpolation overflows to NaN: the walk's
     # min(1.0, nan) is 1.0, so the NaN value is fully satisfied.
     huge = model(curve=((-1e308, 0.0), (1e308, 1e308)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = qacm_optimize([huge, model()], (0.0, 10.0), 1.0)
+    res = ResponseModelSet("TXP", (0.0, 10.0), 1.0, [huge, model()]).optimize()
     assert repr(astuple(res)) == repr(qacm_scan_oracle([huge, model()], (0.0, 10.0), 1.0))
     assert res.satisfactions[0] == 1.0
 
@@ -436,8 +434,6 @@ def test_model_set_stores_its_models_as_a_hashable_tuple():
     ((model(),), (0.0, float(MAX_GRID_POINTS)), 1.0, "exceeds"),
 ], ids=["no-models", "reversed-bounds", "nan-bound", "zero-step", "oversized-grid"])
 def test_model_set_refuses_what_its_scan_would_refuse(models, bounds, step, detail):
-    with pytest.raises(MitigationError, match=detail):
-        qacm_optimize(models, bounds, step)
     with pytest.raises(MitigationError, match=detail):
         ResponseModelSet("TXP", bounds, step, models)
 
